@@ -11,10 +11,12 @@ never dies on a malformed LLM response.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import random
 import re
+import urllib.request
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -329,26 +331,24 @@ class HttpLlmBackend(LlmBackend):
         self.timeout_s = timeout_s
 
     def complete(self, prompt: str) -> str:
-        import requests
-
         key = os.environ.get(API_KEY_ENV)
         if not key:
             raise BackendError(f"{API_KEY_ENV} is not set")
+        request = urllib.request.Request(
+            f"{self.base_url}/chat/completions",
+            data=json.dumps({
+                "model": self.model,
+                "messages": [{"role": "user", "content": prompt}],
+            }).encode("utf-8"),
+            headers={"Authorization": f"Bearer {key}",
+                     "Content-Type": "application/json"},
+        )
         try:
-            resp = requests.post(
-                f"{self.base_url}/chat/completions",
-                json={
-                    "model": self.model,
-                    "messages": [{"role": "user", "content": prompt}],
-                },
-                headers={"Authorization": f"Bearer {key}"},
-                timeout=self.timeout_s,
-            )
-            resp.raise_for_status()
-            data = resp.json()
-        except requests.RequestException as e:
+            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
+                data = json.loads(resp.read())
+        except (OSError, http.client.HTTPException) as e:  # incl. HTTPError, URLError
             raise BackendError(f"LLM request failed: {e}") from e
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # bad JSON or bad UTF-8
             raise BackendError(f"LLM response is not JSON: {e}") from None
         try:
             text = data["choices"][0]["message"]["content"]

@@ -15,8 +15,8 @@ class ValidationError(SignpipeError):
     """A value violates a domain invariant."""
 
 
-class CorpusFormatError(SignpipeError):
-    """A corpus file could not be parsed; message carries the line number."""
+class CorpusFormatError(ValidationError):
+    """A corpus file is malformed; the message carries the line number."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

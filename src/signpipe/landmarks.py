@@ -1,5 +1,11 @@
 """Landmark domain types and the portable corpus file format.
 
+A sample is a `LandmarkRows`: four read-only row-order columns,
+``frame_index`` (N,) int64, ``kind`` (N,) int8 (the `LandmarkKind` code),
+``landmark_index`` (N,) int64 and ``xyz`` (N, 3) float64, NaN if missing.
+`_check_rows` checks every row invariant, once, when they are built; no two
+rows of a sample share (frame_index, kind, landmark_index).
+
 A corpus is a UTF-8 CSV with header
 ``sample_id,frame,kind,landmark_index,x,y,z,label``. Coordinates are
 normalized image coordinates; a missing coordinate is an empty field on disk
@@ -12,9 +18,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 from .errors import CorpusFormatError, ValidationError
 
@@ -23,8 +34,10 @@ __all__ = [
     "LandmarkKind",
     "KIND_CAPACITY",
     "LandmarkFrame",
+    "LandmarkRows",
     "SignSample",
     "LabelMap",
+    "frame_ordinal",
     "read_corpus",
     "write_corpus",
     "read_label_map",
@@ -50,10 +63,6 @@ class LandmarkKind(Enum):
     def csv_name(self) -> str:
         return self.name.lower()
 
-    @property
-    def capacity(self) -> int:
-        return KIND_CAPACITY[self]
-
 
 KIND_CAPACITY = {
     LandmarkKind.FACE: 468,
@@ -62,8 +71,9 @@ KIND_CAPACITY = {
     LandmarkKind.RIGHT_HAND: 21,
 }
 
+_KINDS = tuple(LandmarkKind)  # indexed by code
+_CAPACITY = np.array([KIND_CAPACITY[k] for k in _KINDS])  # indexed by code
 _KIND_BY_NAME = {k.csv_name: k for k in LandmarkKind}
-_KIND_BY_CODE = {k.value: k for k in LandmarkKind}
 
 
 def kind_from_name(name: str) -> LandmarkKind:
@@ -75,14 +85,62 @@ def kind_from_name(name: str) -> LandmarkKind:
 
 def kind_from_code(code: int) -> LandmarkKind:
     try:
-        return _KIND_BY_CODE[code]
-    except KeyError:
+        return LandmarkKind(code)
+    except ValueError:
         raise ValidationError(f"unknown landmark kind code {code!r}") from None
 
 
-def _coord_ok(v: float) -> bool:
-    # finite or the missing sentinel; infinities are always invalid
-    return math.isfinite(v) or math.isnan(v)
+def frame_ordinal(frame_index: np.ndarray) -> np.ndarray:
+    """Each row's rank among the distinct (non-decreasing) frame indices."""
+    return np.cumsum(np.diff(frame_index, prepend=frame_index[:1]) != 0)
+
+
+class _RowError(ValidationError):
+    """A row breaks an invariant; `row` is its position in the sample."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+
+
+def _fail_first(mask: np.ndarray, reason: str) -> None:
+    hits = np.flatnonzero(mask)
+    if hits.size:
+        raise _RowError(int(hits[0]), reason)
+
+
+def _row_faults(frame_index, kind, landmark_index, x, y, z):
+    """(bad, reason) per single-row invariant, each only after the previous
+    passed. Plain operators make it work on one row's scalars or on columns."""
+    yield frame_index < 0, "negative frame index"
+    yield (kind < 0) | (kind >= len(_KINDS)), "unknown landmark kind code"
+    yield ((landmark_index < 0) | (landmark_index >= _CAPACITY[kind]),
+           "landmark index outside its kind's capacity")
+    yield (abs(x) == math.inf) | (abs(y) == math.inf) | (abs(z) == math.inf), \
+        "infinite coordinate"
+
+
+def _check_rows(frame_index: np.ndarray, kind: np.ndarray,
+                landmark_index: np.ndarray, xyz: np.ndarray) -> None:
+    """The one check of every row invariant over a sample's columns; raises
+    _RowError naming the first row that breaks one."""
+    for bad, reason in _row_faults(frame_index, kind, landmark_index, *xyz.T):
+        _fail_first(bad, reason)
+    _fail_first(np.diff(frame_index, prepend=0) < 0, "frame index decreases")
+    # The frame ordinal is at most N, so the packed key cannot overflow.
+    key = ((frame_ordinal(frame_index) * len(_KINDS) + kind) * _CAPACITY.max()
+           + landmark_index)
+    repeated = np.ones(len(key), dtype=bool)
+    repeated[np.unique(key, return_index=True)[1]] = False
+    _fail_first(repeated, "repeats an earlier (frame_index, kind, landmark_index)")
+
+
+def _int64(values: Sequence[int], what: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        row = next(r for r, v in enumerate(values) if not -2**63 <= v < 2**63)
+        raise _RowError(row, f"{what} outside the int64 range") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,60 +155,95 @@ class LandmarkFrame:
     z: float = MISSING
 
     def __post_init__(self):
-        if self.frame_index < 0:
-            raise ValidationError(f"negative frame_index {self.frame_index}")
-        cap = KIND_CAPACITY[self.kind]
-        if not 0 <= self.landmark_index < cap:
-            raise ValidationError(
-                f"landmark_index {self.landmark_index} out of range for "
-                f"{self.kind.csv_name} (capacity {cap})"
-            )
-        for name in ("x", "y", "z"):
-            if not _coord_ok(getattr(self, name)):
-                raise ValidationError(f"non-finite {name} coordinate")
+        for bad, reason in _row_faults(self.frame_index, self.kind.value,
+                                       self.landmark_index, self.x, self.y, self.z):
+            if bad:
+                raise ValidationError(f"{reason}: {self}")
 
     # NaN-aware equality so the missing sentinel survives round-trip checks.
     def __eq__(self, other) -> bool:
         if not isinstance(other, LandmarkFrame):
             return NotImplemented
-        same = (
-            self.frame_index == other.frame_index
-            and self.kind is other.kind
-            and self.landmark_index == other.landmark_index
-        )
-        if not same:
-            return False
-        for name in ("x", "y", "z"):
-            a, b = getattr(self, name), getattr(other, name)
-            if not (a == b or (math.isnan(a) and math.isnan(b))):
-                return False
-        return True
+        return LandmarkRows.of([self]) == LandmarkRows.of([other])
 
-    def __hash__(self):
-        return hash((self.frame_index, self.kind, self.landmark_index))
+
+def _row(frame_index: int, code: int, landmark_index: int,
+         xyz: list[float]) -> LandmarkFrame:
+    # A checked row needs no second check, so skip __post_init__.
+    row = object.__new__(LandmarkFrame)
+    row.__dict__.update(frame_index=frame_index, kind=_KINDS[code],
+                        landmark_index=landmark_index,
+                        x=xyz[0], y=xyz[1], z=xyz[2])
+    return row
+
+
+class LandmarkRows:
+    """A sample's rows as checked, read-only, row-order columns. Iterating
+    or indexing yields `LandmarkFrame` values."""
+
+    __slots__ = ("frame_index", "kind", "landmark_index", "xyz")
+
+    def __init__(self, frame_index: Sequence[int], kind: Sequence[int],
+                 landmark_index: Sequence[int], xyz):
+        frame_index = _int64(frame_index, "frame index")
+        kind = _int64(kind, "kind code")
+        landmark_index = _int64(landmark_index, "landmark index")
+        xyz = np.array(xyz, dtype=np.float64, order="C").reshape(len(frame_index), 3)
+        _check_rows(frame_index, kind, landmark_index, xyz)
+        columns = (frame_index, kind.astype(np.int8), landmark_index, xyz)
+        for name, column in zip(self.__slots__, columns):
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, frames: Sequence[LandmarkFrame]) -> "LandmarkRows":
+        return cls([f.frame_index for f in frames],
+                   [f.kind.value for f in frames],
+                   [f.landmark_index for f in frames],
+                   [(f.x, f.y, f.z) for f in frames])
+
+    def __len__(self) -> int:
+        return len(self.frame_index)
+
+    def __iter__(self):
+        return map(_row, self.frame_index.tolist(), self.kind.tolist(),
+                   self.landmark_index.tolist(), self.xyz.tolist())
+
+    def __getitem__(self, i: int) -> LandmarkFrame:
+        return _row(int(self.frame_index[i]), int(self.kind[i]),
+                    int(self.landmark_index[i]), self.xyz[i].tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LandmarkRows):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+                   for name in self.__slots__)
+
+    def tolist(self, missing=None) -> list[list]:
+        """Rows [frame_index, kind, landmark_index, x, y, z]; NaN -> missing."""
+        table = np.empty((len(self), 6), dtype=object)
+        table[:, :3] = np.column_stack((self.frame_index, self.kind, self.landmark_index))
+        table[:, 3:] = self.xyz
+        table[:, 3:][np.isnan(self.xyz)] = missing
+        return table.tolist()
 
 
 @dataclass
 class SignSample:
-    """A labeled (or unlabeled) landmark sequence for one isolated sign."""
+    """A labeled (or unlabeled) landmark sequence for one isolated sign. A
+    list of `LandmarkFrame` rows is packed once; a `LandmarkRows` is shared."""
 
     sample_id: str
-    frames: list[LandmarkFrame]
+    frames: LandmarkRows
     label: int | None = None
 
     def __post_init__(self):
         if not self.sample_id:
             raise ValidationError("sample_id must be non-empty")
-        if not self.frames:
+        if not isinstance(self.frames, LandmarkRows):
+            self.frames = LandmarkRows.of(self.frames)
+        if not len(self.frames):
             raise ValidationError(f"sample {self.sample_id!r} has no frames")
-        prev = -1
-        for f in self.frames:
-            if f.frame_index < prev:
-                raise ValidationError(
-                    f"sample {self.sample_id!r}: frame_index decreases "
-                    f"({prev} -> {f.frame_index})"
-                )
-            prev = f.frame_index
         if self.label is not None and not 0 <= self.label < DEFAULT_NUM_CLASSES:
             raise ValidationError(
                 f"sample {self.sample_id!r}: label {self.label} outside "
@@ -159,16 +252,11 @@ class SignSample:
 
     def by_frame(self) -> list[tuple[int, list[LandmarkFrame]]]:
         """Frames grouped by distinct frame_index, in order of appearance."""
-        groups: list[tuple[int, list[LandmarkFrame]]] = []
-        for f in self.frames:
-            if groups and groups[-1][0] == f.frame_index:
-                groups[-1][1].append(f)
-            else:
-                groups.append((f.frame_index, [f]))
-        return groups
+        return [(t, list(group))
+                for t, group in groupby(self.frames, key=lambda f: f.frame_index)]
 
     def num_frames(self) -> int:
-        return len(self.by_frame())
+        return int(frame_ordinal(self.frames.frame_index)[-1]) + 1
 
 
 @dataclass(frozen=True)
@@ -210,12 +298,9 @@ def _parse_float(text: str, column: str, line: int) -> float:
     if text == "":
         return MISSING
     try:
-        v = float(text)
+        return float(text)
     except ValueError:
         raise CorpusFormatError(f"non-numeric {column} value {text!r}", line) from None
-    if math.isinf(v):
-        raise CorpusFormatError(f"infinite {column} value", line)
-    return v
 
 
 def _parse_int(text: str, column: str, line: int) -> int:
@@ -228,12 +313,13 @@ def _parse_int(text: str, column: str, line: int) -> int:
 def read_corpus(path: str | Path) -> list[SignSample]:
     """Parse a corpus CSV into samples, grouped by sample_id.
 
-    Row order within a sample is preserved. Any malformed content raises
-    CorpusFormatError with the 1-based line number; out-of-range landmark
-    indices raise ValidationError (also positioned).
+    Row order within a sample is preserved. Any malformed content, including
+    a row that breaks a sample invariant, raises CorpusFormatError with the
+    1-based line number.
     """
     path = Path(path)
-    frames: dict[str, list[LandmarkFrame]] = {}
+    # sample_id -> frame, kind, landmark_index, (x, y, z) and line columns
+    columns: dict[str, tuple] = {}
     labels: dict[str, int | None] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -245,7 +331,6 @@ def read_corpus(path: str | Path) -> list[SignSample]:
             raise CorpusFormatError(
                 f"bad header {header!r}, expected {CORPUS_HEADER!r}", 1
             )
-        last_frame_index: dict[str, int] = {}
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue  # tolerate blank trailing lines
@@ -256,41 +341,32 @@ def read_corpus(path: str | Path) -> list[SignSample]:
             sample_id, frame_s, kind_s, index_s, x_s, y_s, z_s, label_s = row
             if not sample_id:
                 raise CorpusFormatError("empty sample_id", line)
-            try:
-                kind = kind_from_name(kind_s)
-            except ValidationError as e:
-                raise CorpusFormatError(str(e), line) from None
-            frame_index = _parse_int(frame_s, "frame", line)
-            landmark_index = _parse_int(index_s, "landmark_index", line)
-            x = _parse_float(x_s, "x", line)
-            y = _parse_float(y_s, "y", line)
-            z = _parse_float(z_s, "z", line)
             label = None if label_s == "" else _parse_int(label_s, "label", line)
-            try:
-                lf = LandmarkFrame(frame_index, kind, landmark_index, x, y, z)
-            except ValidationError as e:
-                raise ValidationError(f"{e} (line {line})") from None
-            if sample_id in last_frame_index and frame_index < last_frame_index[sample_id]:
-                raise CorpusFormatError(
-                    f"frame index decreases within sample {sample_id!r}", line
-                )
-            last_frame_index[sample_id] = frame_index
-            if sample_id in labels:
-                if labels[sample_id] != label:
-                    raise CorpusFormatError(
-                        f"inconsistent label for sample {sample_id!r}", line
-                    )
-            else:
+            if sample_id not in columns:
+                columns[sample_id] = ([], [], [], array("d"), array("q"))
                 labels[sample_id] = label
-            frames.setdefault(sample_id, []).append(lf)
-    return [
-        SignSample(sample_id, frames[sample_id], labels[sample_id])
-        for sample_id in frames
-    ]
-
-
-def _fmt_coord(v: float) -> str:
-    return "" if math.isnan(v) else repr(v)
+            elif labels[sample_id] != label:
+                raise CorpusFormatError(
+                    f"inconsistent label for sample {sample_id!r}", line
+                )
+            frames, kinds, indices, coords, lines = columns[sample_id]
+            try:
+                kinds.append(_KIND_BY_NAME[kind_s].value)
+            except KeyError:
+                raise CorpusFormatError(f"unknown landmark kind {kind_s!r}", line) from None
+            frames.append(_parse_int(frame_s, "frame", line))
+            indices.append(_parse_int(index_s, "landmark_index", line))
+            coords.extend((_parse_float(x_s, "x", line), _parse_float(y_s, "y", line),
+                           _parse_float(z_s, "z", line)))
+            lines.append(line)
+    samples = []
+    for sample_id, (frames, kinds, indices, coords, lines) in columns.items():
+        try:
+            rows = LandmarkRows(frames, kinds, indices, coords)
+        except _RowError as e:
+            raise CorpusFormatError(f"sample {sample_id!r}: {e}", lines[e.row]) from None
+        samples.append(SignSample(sample_id, rows, labels[sample_id]))
+    return samples
 
 
 def write_corpus(samples: list[SignSample], path: str | Path) -> None:
@@ -300,20 +376,13 @@ def write_corpus(samples: list[SignSample], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CORPUS_HEADER)
         for sample in samples:
-            label_s = "" if sample.label is None else str(sample.label)
-            for f in sample.frames:
-                writer.writerow(
-                    [
-                        sample.sample_id,
-                        str(f.frame_index),
-                        f.kind.csv_name,
-                        str(f.landmark_index),
-                        _fmt_coord(f.x),
-                        _fmt_coord(f.y),
-                        _fmt_coord(f.z),
-                        label_s,
-                    ]
-                )
+            label = "" if sample.label is None else sample.label
+            writer.writerows(
+                (sample.sample_id, frame_index, _KINDS[code].csv_name,
+                 landmark_index, x, y, z, label)
+                for frame_index, code, landmark_index, x, y, z
+                in sample.frames.tolist(missing="")
+            )
 
 
 def read_label_map(path: str | Path) -> LabelMap:

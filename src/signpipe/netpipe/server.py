@@ -19,10 +19,11 @@ from typing import Callable
 import numpy as np
 
 from ..dialogue import LlmBackend, PromptTemplate, RecognitionEvent, compose
-from ..errors import ProtocolViolation, SignpipeError, ValidationError
+from ..errors import ProtocolViolation, ShapeError, SignpipeError, ValidationError
 from ..gesture import GestureDb, Timeline, render_markup, schedule
 from ..landmarks import LabelMap
-from ..nn import ModelConfig, param_specs, predict
+from ..nn import ModelConfig, predict
+from ..nn.network import _check_weights
 from ..preprocess import SelectionSpec, preprocess_pipeline
 from .session import Session
 from .wire import DEFAULT_PORT, FrameDecoder, WireMessage, encode_frame, error_message, sample_from_body
@@ -48,14 +49,10 @@ class ServerConfig:
     deadline_s: float = 10.0
 
     def validate(self) -> None:
-        for name, shape, _ in param_specs(self.model_config):
-            if name not in self.weights:
-                raise ValidationError(f"weights are missing tensor {name!r}")
-            if tuple(self.weights[name].shape) != shape:
-                raise ValidationError(
-                    f"weights tensor {name!r} has shape "
-                    f"{tuple(self.weights[name].shape)}, expected {shape}"
-                )
+        try:
+            _check_weights(self.weights, self.model_config)
+        except ShapeError as e:
+            raise ValidationError(f"weights: {e}") from None
         if self.selection.feature_dim != self.model_config.input_dim:
             raise ValidationError(
                 f"selection produces {self.selection.feature_dim} features but "

@@ -9,12 +9,13 @@ boundary and frames are emitted as soon as they complete.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import FrameError, ValidationError
-from ..landmarks import LandmarkFrame, SignSample, kind_from_code
+from ..landmarks import LandmarkRows, SignSample
 
 __all__ = [
     "DEFAULT_PORT",
@@ -91,6 +92,16 @@ def _decode_payload(payload: bytes) -> WireMessage:
     return WireMessage(msg_type, body)
 
 
+def _declared_length(data) -> int:
+    (length,) = _LEN.unpack_from(data)
+    if length > MAX_FRAME_BYTES:
+        raise FrameError(
+            f"declared payload of {length} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte frame cap"
+        )
+    return length
+
+
 class FrameDecoder:
     """Incremental frame parser. feed() buffers arbitrary chunks and returns
     every message completed so far; a partial frame just waits for more
@@ -110,12 +121,7 @@ class FrameDecoder:
         while True:
             if len(self._buf) < _LEN.size:
                 return out
-            (length,) = _LEN.unpack_from(self._buf)
-            if length > MAX_FRAME_BYTES:
-                raise FrameError(
-                    f"declared payload of {length} bytes exceeds the "
-                    f"{MAX_FRAME_BYTES}-byte frame cap"
-                )
+            length = _declared_length(self._buf)
             if len(self._buf) < _LEN.size + length:
                 return out
             payload = bytes(self._buf[_LEN.size:_LEN.size + length])
@@ -127,12 +133,7 @@ def decode_frame(data: bytes) -> WireMessage:
     """Decode exactly one complete frame; partial or trailing bytes error."""
     if len(data) < _LEN.size:
         raise FrameError("incomplete frame header")
-    (length,) = _LEN.unpack_from(data)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"declared payload of {length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame cap"
-        )
+    length = _declared_length(data)
     if len(data) != _LEN.size + length:
         raise FrameError(
             f"frame declares {length} payload bytes but {len(data) - _LEN.size} "
@@ -145,35 +146,19 @@ def error_message(code: str, message: str) -> WireMessage:
     return WireMessage("ERROR", {"code": code, "message": message})
 
 
-def _wire_coord(v: float):
-    # NaN has no JSON encoding; missing travels as null
-    return None if math.isnan(v) else v
-
-
 def sample_to_body(sample: SignSample) -> dict:
     """LANDMARKS body for a sample. The label never crosses the wire.
 
     Rows are [frame_index, kind_code, landmark_index, x, y, z] with null
     for missing coordinates.
     """
-    return {
-        "sample": {
-            "id": sample.sample_id,
-            "frames": [
-                [f.frame_index, f.kind.value, f.landmark_index,
-                 _wire_coord(f.x), _wire_coord(f.y), _wire_coord(f.z)]
-                for f in sample.frames
-            ],
-        }
-    }
+    return {"sample": {"id": sample.sample_id, "frames": sample.frames.tolist()}}
 
 
-def _body_coord(v, row: int) -> float:
-    if v is None:
-        return math.nan
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"sample frame {row}: coordinate is not a number")
-    return float(v)
+def _require(values, allowed: set, what: str, key=type) -> None:
+    if not set(map(key, values)) <= allowed:
+        row = next(i for i, v in enumerate(values) if key(v) not in allowed)
+        raise ValidationError(f"sample frame {row}: {what}")
 
 
 def sample_from_body(body: dict) -> SignSample:
@@ -188,28 +173,19 @@ def sample_from_body(body: dict) -> SignSample:
     rows = sample.get("frames")
     if not isinstance(rows, list):
         raise ValidationError("sample frames must be an array")
-    frames: list[LandmarkFrame] = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 6:
-            raise ValidationError(f"sample frame {i}: expected 6 elements")
-        frame_index, kind_code, landmark_index = row[0], row[1], row[2]
-        if not isinstance(frame_index, int) or isinstance(frame_index, bool):
-            raise ValidationError(f"sample frame {i}: frame index must be an int")
-        if not isinstance(kind_code, int) or isinstance(kind_code, bool):
-            raise ValidationError(f"sample frame {i}: kind code must be an int")
-        if not isinstance(landmark_index, int) or isinstance(landmark_index, bool):
-            raise ValidationError(f"sample frame {i}: landmark index must be an int")
-        frames.append(
-            LandmarkFrame(
-                frame_index,
-                kind_from_code(kind_code),
-                landmark_index,
-                _body_coord(row[3], i),
-                _body_coord(row[4], i),
-                _body_coord(row[5], i),
-            )
-        )
-    return SignSample(sample_id, frames)
+    _require(rows, {list}, "expected an array of 6 elements")
+    _require(rows, {6}, "expected 6 elements", key=len)
+    frame_index, kind, landmark_index, *xyz = list(zip(*rows)) or [()] * 6
+    _require(frame_index, {int}, "frame index must be an int")
+    _require(kind, {int}, "kind code must be an int")
+    _require(landmark_index, {int}, "landmark index must be an int")
+    for column in xyz:
+        _require(column, {int, float, type(None)}, "coordinate is not a number")
+    try:
+        coords = np.array(xyz, dtype=np.float64).T  # null -> NaN
+    except OverflowError:
+        raise ValidationError("sample frames: coordinate outside the float64 range") from None
+    return SignSample(sample_id, LandmarkRows(frame_index, kind, landmark_index, coords))
 
 
 def landmarks_message(sample: SignSample) -> WireMessage:

@@ -2,10 +2,10 @@
 
 Stages: select the informative landmarks and drop z, optionally augment
 (training only), normalize per sample, then resample to a fixed number of
-time steps. The working representation between stages is a "ragged sequence":
-a list with one (K, 2) float64 matrix per distinct frame, NaN marking missing
-coordinates. The final tensor is float32 with shape (target_len, 2K), rows
-flattened landmark-major as (x0, y0, x1, y1, ...).
+time steps. Between stages a sample is one (L, K, 2) float64 array (L
+distinct frames, K selected landmarks, NaN = missing); a list of L (K, 2)
+matrices is also accepted and stacked into it. The final tensor is float32
+with shape (target_len, 2K), rows flattened landmark-major (x0, y0, x1, ...).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .landmarks import KIND_CAPACITY, LandmarkKind, SignSample
+from .landmarks import KIND_CAPACITY, LandmarkKind, SignSample, frame_ordinal
+from .nn.ops import STD_FLOOR
 
 __all__ = [
     "DEFAULT_LIPS",
@@ -47,8 +48,6 @@ DEFAULT_POSE = (11, 12, 13, 14, 15, 16)
 
 # Left/right partner pose indices exchanged by a horizontal flip.
 POSE_FLIP_PAIRS = ((11, 12), (13, 14), (15, 16))
-
-STD_FLOOR = 1e-8
 
 _HAND_COUNT = KIND_CAPACITY[LandmarkKind.LEFT_HAND]
 
@@ -79,23 +78,22 @@ class SelectionSpec:
     def feature_dim(self) -> int:
         return 2 * self.num_landmarks
 
+    def landmarks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(kind code, landmark_index) of each selected landmark, in row
+        order: lips, left hand, right hand, pose."""
+        blocks = ((LandmarkKind.FACE, self.lips),
+                  (LandmarkKind.LEFT_HAND, range(_HAND_COUNT)),
+                  (LandmarkKind.RIGHT_HAND, range(_HAND_COUNT)),
+                  (LandmarkKind.POSE, self.pose))
+        kind = np.repeat([k.value for k, _ in blocks], [len(ix) for _, ix in blocks])
+        index = np.array([i for _, ix in blocks for i in ix], dtype=np.int64)
+        return kind, index
+
     def row_of(self) -> dict[tuple[LandmarkKind, int], int]:
         """Map (kind, landmark_index) -> row in the selected matrix."""
-        rows: dict[tuple[LandmarkKind, int], int] = {}
-        r = 0
-        for idx in self.lips:
-            rows[(LandmarkKind.FACE, idx)] = r
-            r += 1
-        for idx in range(_HAND_COUNT):
-            rows[(LandmarkKind.LEFT_HAND, idx)] = r
-            r += 1
-        for idx in range(_HAND_COUNT):
-            rows[(LandmarkKind.RIGHT_HAND, idx)] = r
-            r += 1
-        for idx in self.pose:
-            rows[(LandmarkKind.POSE, idx)] = r
-            r += 1
-        return rows
+        kind, index = self.landmarks()
+        return {(LandmarkKind(k), i): r
+                for r, (k, i) in enumerate(zip(kind.tolist(), index.tolist()))}
 
     @classmethod
     def from_json(cls, text: str) -> "SelectionSpec":
@@ -146,47 +144,35 @@ class AugmentConfig:
                 raise ValidationError(f"{name} {p} outside [0, 1]")
 
 
-def select_and_drop_z(sample: SignSample, spec: SelectionSpec) -> list[np.ndarray]:
-    """Per distinct frame, a (K, 2) matrix of selected (x, y); NaN = absent."""
-    rows = spec.row_of()
-    k = spec.num_landmarks
-    out: list[np.ndarray] = []
-    for _, group in sample.by_frame():
-        mat = np.full((k, 2), np.nan)
-        for f in group:
-            r = rows.get((f.kind, f.landmark_index))
-            if r is not None:
-                mat[r, 0] = f.x
-                mat[r, 1] = f.y
-        out.append(mat)
+def select_and_drop_z(sample: SignSample, spec: SelectionSpec) -> np.ndarray:
+    """(L, K, 2) selected (x, y), one matrix per distinct frame; NaN = absent."""
+    rows = sample.frames
+    kind, index = spec.landmarks()
+    row_of = np.full((len(KIND_CAPACITY), max(KIND_CAPACITY.values())), -1)
+    row_of[kind, index] = np.arange(len(kind))
+    target = row_of[rows.kind, rows.landmark_index]
+    keep = target >= 0
+    frame = frame_ordinal(rows.frame_index)
+    out = np.full((frame[-1] + 1, len(kind), 2), np.nan)
+    out[frame[keep], target[keep]] = rows.xyz[keep, :2]
     return out
 
 
-def normalize(frames: list[np.ndarray]) -> list[np.ndarray]:
+def normalize(frames) -> np.ndarray:
     """Center/scale by the per-sample mean and population std of all
     non-missing coordinates (x and y pooled); missing entries become 0."""
-    stacked = np.concatenate([f.ravel() for f in frames])
-    finite = stacked[np.isfinite(stacked)]
+    frames = np.asarray(frames)
+    finite = frames[np.isfinite(frames)]
     if finite.size == 0:
         raise DegenerateInputError("sample has no observed coordinates")
     mean = finite.mean()
     std = finite.std()
     if std < STD_FLOOR:
         std = 1.0
-    out = []
-    for f in frames:
-        g = (f - mean) / std
-        out.append(np.where(np.isnan(f), 0.0, g))
-    return out
+    return np.where(np.isnan(frames), 0.0, (frames - mean) / std)
 
 
-def _stack(frames: list[np.ndarray]) -> np.ndarray:
-    # (L, K, 2) -> (L, 2K), landmark-major interleaving
-    arr = np.stack(frames)
-    return arr.reshape(arr.shape[0], -1)
-
-
-def resample(frames: list[np.ndarray], target_len: int) -> np.ndarray:
+def resample(frames, target_len: int) -> np.ndarray:
     """Linearly interpolate onto target_len uniform positions over [0, L-1].
 
     Returns the float32 feature tensor of shape (target_len, 2K). When the
@@ -194,9 +180,10 @@ def resample(frames: list[np.ndarray], target_len: int) -> np.ndarray:
     """
     if target_len <= 0:
         raise ValueError(f"target_len must be positive, got {target_len}")
-    if not frames:
+    frames = np.asarray(frames)
+    if len(frames) == 0:
         raise ValidationError("cannot resample an empty sequence")
-    flat = _stack(frames)
+    flat = frames.reshape(len(frames), -1)
     return _resample_matrix(flat, target_len).astype(np.float32)
 
 
@@ -229,15 +216,11 @@ def _flip_permutation(spec: SelectionSpec) -> np.ndarray:
     return perm
 
 
-def flip_horizontal(frames: list[np.ndarray], spec: SelectionSpec) -> list[np.ndarray]:
+def flip_horizontal(frames, spec: SelectionSpec) -> np.ndarray:
     """Mirror x -> 1-x and exchange the left/right hand blocks and the
     paired pose rows. An involution: applying it twice restores the input."""
-    perm = _flip_permutation(spec)
-    out = []
-    for f in frames:
-        g = f[perm].copy()
-        g[:, 0] = 1.0 - g[:, 0]
-        out.append(g)
+    out = np.asarray(frames)[:, _flip_permutation(spec)]
+    out[..., 0] = 1.0 - out[..., 0]
     return out
 
 
@@ -251,27 +234,21 @@ def _affine_matrix(scale: float, rotate_deg: float, shear: float) -> np.ndarray:
     return rot @ sh @ sc
 
 
-def augment(frames: list[np.ndarray], cfg: AugmentConfig,
-            spec: SelectionSpec) -> list[np.ndarray]:
+def augment(frames, cfg: AugmentConfig, spec: SelectionSpec) -> np.ndarray:
     """Seeded augmentation: temporal re-length + frame masking, then
     horizontal flip and a random affine map of (x, y). Pure in rng_seed."""
     rng = np.random.default_rng(cfg.rng_seed)
+    frames = np.asarray(frames)
     length = len(frames)
 
-    # Temporal: new length round(L*u), half away from zero, floor 1.
+    # Temporal: new length round(L*u), half away from zero, floor 1. The
+    # resampled array is a copy even when the length stays.
     u = rng.uniform(*cfg.resample_scale_range)
     new_len = max(1, int(math.floor(length * u + 0.5)))
-    if new_len != length:
-        flat = _resample_matrix(_stack(frames), new_len)
-        k = frames[0].shape[0]
-        frames = [row.reshape(k, 2) for row in flat]
-    else:
-        frames = [f.copy() for f in frames]
+    flat = _resample_matrix(frames.reshape(length, -1), new_len)
+    frames = flat.reshape(new_len, *frames.shape[1:])
 
-    mask_draws = rng.uniform(size=len(frames))
-    for i, draw in enumerate(mask_draws):
-        if draw < cfg.mask_prob:
-            frames[i] = np.full_like(frames[i], np.nan)
+    frames[rng.uniform(size=len(frames)) < cfg.mask_prob] = np.nan
 
     if rng.uniform() < cfg.flip_prob:
         frames = flip_horizontal(frames, spec)
@@ -283,7 +260,7 @@ def augment(frames: list[np.ndarray], cfg: AugmentConfig,
     identity = scale == 1.0 and rotate == 0.0 and shear == 0.0 and not shift.any()
     if not identity:
         m = _affine_matrix(scale, rotate, shear)
-        frames = [f @ m.T + shift for f in frames]
+        frames = frames @ m.T + shift
     return frames
 
 

@@ -13,13 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .landmarks import DEFAULT_NUM_CLASSES, LabelMap, LandmarkFrame, SignSample
+from .landmarks import DEFAULT_NUM_CLASSES, LabelMap, LandmarkRows, SignSample
 from .preprocess import SelectionSpec
 
 __all__ = [
     "synthetic_label_map",
     "make_synthetic_samples",
-    "make_train_val",
 ]
 
 # Offset separating template seeds from sample-noise seeds.
@@ -48,10 +47,6 @@ def _interp_anchors(anchors: np.ndarray, length: int) -> np.ndarray:
     return anchors[lo] * (1.0 - frac) + anchors[hi] * frac
 
 
-def _selected_keys(spec: SelectionSpec):
-    return [key for key, _ in sorted(spec.row_of().items(), key=lambda kv: kv[1])]
-
-
 def make_synthetic_samples(num_classes: int, per_class: int,
                            spec: SelectionSpec | None = None,
                            seed: int = 0, noise: float = 0.02,
@@ -65,7 +60,7 @@ def make_synthetic_samples(num_classes: int, per_class: int,
     if not 1 <= lo <= hi:
         raise ValidationError(f"bad length_range {length_range}")
     spec = spec or SelectionSpec()
-    keys = _selected_keys(spec)
+    kind, index = spec.landmarks()
     rng = np.random.default_rng(seed)
     samples: list[SignSample] = []
     for c in range(num_classes):
@@ -73,26 +68,9 @@ def make_synthetic_samples(num_classes: int, per_class: int,
         for i in range(per_class):
             length = int(rng.integers(lo, hi + 1))
             coords = _interp_anchors(anchors, length)
-            coords = coords + rng.normal(0.0, noise, size=coords.shape)
-            frames = [
-                LandmarkFrame(t, kind, index,
-                              float(coords[t, r, 0]), float(coords[t, r, 1]), 0.0)
-                for t in range(length)
-                for r, (kind, index) in enumerate(keys)
-            ]
-            samples.append(SignSample(f"{id_prefix}-{c:02d}-{i:03d}", frames, c))
+            xyz = np.zeros((length, len(kind), 3))
+            xyz[..., :2] = coords + rng.normal(0.0, noise, size=coords.shape)
+            rows = LandmarkRows(np.repeat(np.arange(length), len(kind)),
+                                np.tile(kind, length), np.tile(index, length), xyz)
+            samples.append(SignSample(f"{id_prefix}-{c:02d}-{i:03d}", rows, c))
     return samples
-
-
-def make_train_val(num_classes: int = 5, train_per_class: int = 40,
-                   val_per_class: int = 10, spec: SelectionSpec | None = None,
-                   seed: int = 7, noise: float = 0.02,
-                   ) -> tuple[list[SignSample], list[SignSample], LabelMap]:
-    """Disjoint train/val draws from the same class templates."""
-    train = make_synthetic_samples(
-        num_classes, train_per_class, spec, seed=seed, noise=noise, id_prefix="tr"
-    )
-    val = make_synthetic_samples(
-        num_classes, val_per_class, spec, seed=seed + 1, noise=noise, id_prefix="va"
-    )
-    return train, val, synthetic_label_map(num_classes)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from signpipe.gesture import GestureDb, GestureDescriptor
-from signpipe.landmarks import LandmarkFrame, LandmarkKind, SignSample
+from signpipe.landmarks import KIND_CAPACITY, LandmarkFrame, LandmarkKind, SignSample
 from signpipe.nn import ModelConfig, init_weights
 
 # The published two-step example: the spoken reply and its tagged version.
@@ -67,3 +70,25 @@ def make_sample(sample_id: str = "s1", num_frames: int = 5, seed: int = 0,
                     x = y = z = float("nan")
                 frames.append(LandmarkFrame(t, kind, index, float(x), float(y), float(z)))
     return SignSample(sample_id, frames, label)
+
+
+_ROW_KEYS = [(kind, index) for kind in LandmarkKind for index in range(KIND_CAPACITY[kind])]
+_COORD = st.one_of(st.just(math.nan), st.floats(allow_nan=False, allow_infinity=False))
+_XYZ = st.one_of(st.just((math.nan,) * 3), st.tuples(_COORD, _COORD, _COORD))
+_SAMPLE_IDS = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=8)
+
+
+@st.composite
+def sign_samples(draw) -> SignSample:
+    """Any subset and order of landmarks per frame, coordinates finite or
+    NaN (whole rows too), and a label that is None or in [0, 250)."""
+    frame_indices = draw(st.lists(st.integers(0, 2**63 - 1), min_size=1,
+                                  max_size=4, unique=True))
+    rows = [
+        LandmarkFrame(t, kind, index, *draw(_XYZ))
+        for t in sorted(frame_indices)
+        for kind, index in draw(st.lists(st.sampled_from(_ROW_KEYS), min_size=1,
+                                         max_size=6, unique=True))
+    ]
+    label = draw(st.one_of(st.none(), st.integers(0, 249)))
+    return SignSample(draw(_SAMPLE_IDS), rows, label)

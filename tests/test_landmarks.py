@@ -1,8 +1,10 @@
 """Corpus format, domain types, and their invariants."""
 
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signpipe.errors import CorpusFormatError, ValidationError
 from signpipe.landmarks import (
@@ -21,7 +23,7 @@ from signpipe.landmarks import (
 )
 from signpipe.synth import make_synthetic_samples
 
-from conftest import make_sample
+from conftest import make_sample, sign_samples
 
 HEADER = ",".join(CORPUS_HEADER)
 
@@ -231,3 +233,43 @@ class TestWriteCorpus:
         p = tmp_path / "c.csv"
         write_corpus([s], p)
         assert read_corpus(p)[0].label is None
+
+
+class TestCorpusBytes:
+    def test_golden_csv_digest(self, tmp_path):
+        samples = make_synthetic_samples(3, 2, seed=4) + [
+            make_sample("m", with_missing=True, seed=9, label=None)]
+        p = tmp_path / "c.csv"
+        write_corpus(samples, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+            "40897087037cd17c522515cfc346704b6117ac520a15d0e7a0c7fea405161c01")
+
+    @settings(deadline=None)
+    @given(st.lists(sign_samples(), max_size=3, unique_by=lambda s: s.sample_id))
+    def test_write_read_round_trip(self, tmp_path_factory, samples):
+        p = tmp_path_factory.mktemp("corpus") / "c.csv"
+        write_corpus(samples, p)
+        assert read_corpus(p) == samples
+
+
+class TestDuplicateRows:
+    def test_sample_rejects_a_repeated_row(self):
+        a = LandmarkFrame(0, LandmarkKind.POSE, 11, 0.1, 0.2, 0.3)
+        b = LandmarkFrame(0, LandmarkKind.POSE, 11, 0.4, 0.5, 0.6)
+        other_kind = LandmarkFrame(0, LandmarkKind.FACE, 11, 0.4, 0.5, 0.6)
+        other_frame = LandmarkFrame(1, LandmarkKind.POSE, 11, 0.4, 0.5, 0.6)
+        assert len(SignSample("s", [a, other_kind, other_frame]).frames) == 3
+        with pytest.raises(ValidationError, match="row 2: repeats"):
+            SignSample("s", [a, other_kind, b])
+
+    def test_read_corpus_names_the_repeated_line(self, tmp_path):
+        p = write_text(
+            tmp_path / "c.csv",
+            f"{HEADER}\n"
+            "s1,0,pose,11,0.1,0.1,,1\n"
+            "s2,0,pose,11,0.1,0.1,,1\n"
+            "s1,0,pose,12,0.2,0.2,,1\n"
+            "s1,0,pose,11,0.3,0.3,,1\n",
+        )
+        with pytest.raises(CorpusFormatError, match=r"'s1'.*repeats.*line 5"):
+            read_corpus(p)

@@ -1,5 +1,6 @@
 """Wire format, protocol state machine, server, and robot client."""
 
+import hashlib
 import json
 import math
 import socket
@@ -8,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signpipe.dialogue import LlmBackend, MockLlmBackend, PromptTemplate
 from signpipe.errors import (
@@ -15,7 +17,13 @@ from signpipe.errors import (
     FrameError,
     ValidationError,
 )
-from signpipe.landmarks import LabelMap, LandmarkFrame, LandmarkKind, SignSample
+from signpipe.landmarks import (
+    KIND_CAPACITY,
+    LabelMap,
+    LandmarkFrame,
+    LandmarkKind,
+    SignSample,
+)
 from signpipe.netpipe import (
     DEFAULT_PORT,
     MAX_FRAME_BYTES,
@@ -38,7 +46,7 @@ from signpipe.netpipe import (
 from signpipe.nn import ModelConfig, init_weights
 from signpipe.preprocess import SelectionSpec
 
-from conftest import make_sample
+from conftest import make_sample, sign_samples
 
 HELLO = WireMessage("HELLO", {"protocol_version": PROTOCOL_VERSION})
 BYE = WireMessage("BYE", {})
@@ -232,6 +240,62 @@ class TestSampleBody:
     ])
     def test_junk_bodies_rejected(self, body):
         with pytest.raises(ValidationError):
+            sample_from_body(body)
+
+
+@st.composite
+def malformed_bodies(draw) -> dict:
+    """A valid LANDMARKS body with one row broken, sent through JSON."""
+    sample = draw(sign_samples())
+    rows = sample.frames.tolist()
+    i = draw(st.integers(0, len(rows) - 1))
+    row = rows[i]
+    fault = draw(st.sampled_from(["int_column", "coordinate", "kind", "capacity",
+                                  "length", "infinity", "huge_frame"]))
+    if fault == "int_column":
+        row[draw(st.integers(0, 2))] = draw(st.one_of(st.booleans(), st.text(),
+                                                      st.floats()))
+    elif fault == "coordinate":
+        row[draw(st.integers(3, 5))] = draw(st.one_of(st.booleans(), st.text()))
+    elif fault == "kind":
+        row[1] = 4
+    elif fault == "capacity":
+        row[2] = KIND_CAPACITY[LandmarkKind(row[1])]
+    elif fault == "length":
+        rows[i] = (row * 2)[:draw(st.integers(0, 12).filter(lambda n: n != 6))]
+    elif fault == "infinity":
+        row[draw(st.integers(3, 5))] = draw(st.sampled_from([math.inf, -math.inf]))
+    else:
+        row[0] = draw(st.integers(2**63, 2**80))
+    # json.dumps writes inf as the Infinity literal, which json.loads accepts.
+    return json.loads(json.dumps({"sample": {"id": sample.sample_id, "frames": rows}}))
+
+
+class TestSampleBodyProperties:
+    def test_golden_landmarks_frame_digest(self):
+        frame = encode_frame(landmarks_message(make_sample(with_missing=True, seed=3)))
+        assert hashlib.sha256(frame).hexdigest() == (
+            "d925b46dc0ddc780a416888ce64814644f3fe74918c0e078b0cee90b82de1eb8")
+
+    @settings(deadline=None)
+    @given(sign_samples())
+    def test_round_trip(self, s):
+        expected = SignSample(s.sample_id, s.frames)
+        assert sample_from_body(sample_to_body(s)) == expected
+        wire = decode_frame(encode_frame(landmarks_message(s)))
+        assert sample_from_body(wire.body) == expected
+
+    @settings(deadline=None)
+    @given(malformed_bodies())
+    def test_malformed_rows_raise_validation_error_only(self, body):
+        with pytest.raises(ValidationError):
+            sample_from_body(body)
+
+    def test_duplicate_row_rejected(self):
+        body = sample_to_body(make_sample(num_frames=2))
+        rows = body["sample"]["frames"]
+        rows.insert(5, list(rows[3]))
+        with pytest.raises(ValidationError, match="row 5: repeats"):
             sample_from_body(body)
 
 
@@ -457,6 +521,23 @@ class TestServer:
             replies = talk(handle.address, HELLO, landmarks_message(make_sample()))
         assert [m.type for m in replies] == ["HELLO", "ERROR"]
         assert replies[1].body["code"] == "INTERNAL"
+
+
+class TestServerRejectsBadRows:
+    def landmarks_reply(self, fixture_db, rows):
+        body = {"sample": {"id": "s", "frames": rows}}
+        with serve(server_config(db=fixture_db)) as handle:
+            replies = talk(handle.address, HELLO, WireMessage("LANDMARKS", body))
+        assert [m.type for m in replies] == ["HELLO", "ERROR"]
+        return replies[1].body["code"]
+
+    def test_frame_index_beyond_int64_is_protocol_error(self, fixture_db):
+        assert self.landmarks_reply(
+            fixture_db, [[2**63, 2, 11, 0.5, 0.5, None]]) == "PROTOCOL"
+
+    def test_duplicate_row_is_protocol_error(self, fixture_db):
+        row = [0, 2, 11, 0.5, 0.5, None]
+        assert self.landmarks_reply(fixture_db, [row, row]) == "PROTOCOL"
 
 
 class TestRobotSim:

@@ -1,5 +1,6 @@
 """Feature pipeline: selection, normalization, resampling, augmentation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from signpipe.preprocess import (
     resample,
     select_and_drop_z,
 )
+from signpipe.synth import make_synthetic_samples
 
 from conftest import make_sample
 
@@ -341,3 +343,13 @@ class TestPipeline:
         assert abs(observed.mean()) < 1e-6
         assert abs(observed.std() - 1.0) < 1e-6
         np.testing.assert_array_equal(x[:, : 2 * 40], 0.0)
+
+
+class TestGoldenTensor:
+    def test_pipeline_bytes_digest(self):
+        samples = make_synthetic_samples(3, 2, seed=4) + [
+            make_sample(with_missing=True, seed=3)]
+        data = b"".join(preprocess_pipeline(s, SelectionSpec(), 32).tobytes()
+                        for s in samples)
+        assert hashlib.sha256(data).hexdigest() == (
+            "47eef08a0bf90db7da2e6957efaf790a8d0deca7fd00161161cfbfc07c179773")
