@@ -7,21 +7,6 @@ a CLI tying the stages together.
 """
 
 from . import dialogue, gesture, landmarks, netpipe, nn, preprocess, synth
-from .errors import (
-    BackendError,
-    CorpusFormatError,
-    DegenerateInputError,
-    DivergenceError,
-    FrameError,
-    ProtocolViolation,
-    ShapeError,
-    SignpipeError,
-    TemplateError,
-    TransportError,
-    UsageError,
-    ValidationError,
-    WeightFormatError,
-)
 
 __version__ = "0.1.0"
 
@@ -33,18 +18,5 @@ __all__ = [
     "nn",
     "preprocess",
     "synth",
-    "BackendError",
-    "CorpusFormatError",
-    "DegenerateInputError",
-    "DivergenceError",
-    "FrameError",
-    "ProtocolViolation",
-    "ShapeError",
-    "SignpipeError",
-    "TemplateError",
-    "TransportError",
-    "UsageError",
-    "ValidationError",
-    "WeightFormatError",
     "__version__",
 ]

@@ -1,7 +1,8 @@
 """The `signpipe` command: every pipeline stage behind one binary.
 
-Settings resolve as flags > SIGNPIPE_* environment variables > --config JSON
-file > built-in defaults. Machine-readable output (CSV/TSV) goes to stdout;
+Settings read through _setting resolve as flags > SIGNPIPE_* environment
+variables > --config JSON file > built-in defaults; options left unset keep
+the library's defaults. Machine-readable output (CSV/TSV) goes to stdout;
 progress and errors go to stderr. Exit codes: 0 success, 1 runtime failure,
 2 usage or configuration error.
 """
@@ -60,7 +61,7 @@ def _load_config_file(args) -> dict:
         raise UsageError(f"config file {path!r} does not exist")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise UsageError(f"config file {path}: invalid JSON ({e})") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
@@ -80,6 +81,11 @@ def _setting(args, file_cfg: dict, key: str, cast, default):
         return cast(value)
     except (TypeError, ValueError):
         raise UsageError(f"bad value {value!r} for setting {key!r}") from None
+
+
+def _given(**options) -> dict:
+    """The options the user set; the rest keep the library's defaults."""
+    return {k: v for k, v in options.items() if v is not None}
 
 
 def _existing(path, what: str) -> Path:
@@ -124,20 +130,38 @@ def _resolve_labels(args, file_cfg) -> LabelMap | None:
     return read_label_map(_existing(path, "label map"))
 
 
-def _resolve_weights(args, file_cfg) -> tuple[dict, nn.ModelConfig]:
-    """Load weights plus their model config (flag > sidecar > default)."""
+def _resolve_model_config(args, weights_path: Path | None = None) -> nn.ModelConfig:
+    """--model-config, else the <weights>.json sidecar, else the default."""
+    if args.model_config is not None:
+        return nn.ModelConfig.load(_existing(args.model_config, "model config"))
+    if weights_path is not None:
+        sidecar = Path(str(weights_path) + ".json")
+        if sidecar.is_file():
+            return nn.ModelConfig.load(sidecar)
+    return nn.DEFAULT_CONFIG
+
+
+def _check_fit(cfg: nn.ModelConfig, selection: SelectionSpec,
+               labels: LabelMap | None = None) -> None:
+    try:
+        cfg.check_inputs(selection.feature_dim, labels)
+    except ValidationError as e:
+        raise UsageError(str(e)) from None
+
+
+def _resolve_model(args, file_cfg) -> tuple[
+        dict, nn.ModelConfig, SelectionSpec, LabelMap | None]:
+    """Weights, model config, selection and label map, checked to fit."""
     path = _setting(args, file_cfg, "weights", str, None)
     if path is None:
         raise UsageError("no weights file: pass --weights or set SIGNPIPE_WEIGHTS")
     weights_path = _existing(path, "weights file")
     w = nn.load_weights(weights_path)
-    cfg_path = getattr(args, "model_config", None)
-    if cfg_path is not None:
-        cfg = nn.ModelConfig.load(_existing(cfg_path, "model config"))
-    else:
-        sidecar = Path(str(weights_path) + ".json")
-        cfg = nn.ModelConfig.load(sidecar) if sidecar.is_file() else nn.DEFAULT_CONFIG
-    return w, cfg
+    cfg = _resolve_model_config(args, weights_path)
+    selection = _resolve_selection(args, file_cfg)
+    labels = _resolve_labels(args, file_cfg)
+    _check_fit(cfg, selection, labels)
+    return w, cfg, selection, labels
 
 
 def _resolve_backend_factory(args, file_cfg):
@@ -146,10 +170,10 @@ def _resolve_backend_factory(args, file_cfg):
     if kind == "mock":
         return lambda: MockLlmBackend(seed)
     if kind == "http":
-        url = getattr(args, "http_url", None) or os.environ.get(ENV_PREFIX + "HTTP_URL")
+        url = args.http_url or os.environ.get(ENV_PREFIX + "HTTP_URL")
         if not url:
             raise UsageError("http backend needs --http-url or SIGNPIPE_HTTP_URL")
-        model = getattr(args, "http_model", None) or "gpt-4"
+        model = args.http_model or "gpt-4"
         return lambda: HttpLlmBackend(url, model)
     raise UsageError(f"unknown backend {kind!r} (choose mock or http)")
 
@@ -176,15 +200,16 @@ def _required_labels(samples) -> list[int]:
     return labels
 
 
+def _logits(xs, w, cfg) -> np.ndarray:
+    """(N, num_classes) logits, one forward pass per sample."""
+    return np.stack([nn.forward(x, w, cfg) for x in xs])
+
+
 def _evaluate(xs, ys, w, cfg) -> tuple[float, float]:
     """Mean cross-entropy and top-1 accuracy, forward passes only."""
-    loss = 0.0
-    correct = 0
-    for x, y in zip(xs, ys):
-        logits = nn.forward(x, w, cfg)
-        loss += nn.cross_entropy(logits, y)
-        if int(np.argmax(logits)) == y:
-            correct += 1
+    logits = _logits(xs, w, cfg)
+    loss = sum(nn.cross_entropy(row, y) for row, y in zip(logits, ys))
+    correct = int((np.argmax(logits, axis=1) == ys).sum())
     n = len(xs)
     return loss / n, correct / n
 
@@ -223,15 +248,8 @@ def cmd_train(args) -> int:
     file_cfg = _load_config_file(args)
     selection = _resolve_selection(args, file_cfg)
     seed = _setting(args, file_cfg, "seed", int, 0)
-    if args.model_config is not None:
-        cfg = nn.ModelConfig.load(_existing(args.model_config, "model config"))
-    else:
-        cfg = nn.DEFAULT_CONFIG
-    if cfg.input_dim != selection.feature_dim:
-        raise UsageError(
-            f"model expects input_dim {cfg.input_dim} but the selection "
-            f"produces {selection.feature_dim} features"
-        )
+    cfg = _resolve_model_config(args)
+    _check_fit(cfg, selection)
     train_samples = _read_corpus_arg(args.corpus)
     if args.val_corpus is not None:
         val_samples = _read_corpus_arg(args.val_corpus)
@@ -287,9 +305,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     file_cfg = _load_config_file(args)
-    selection = _resolve_selection(args, file_cfg)
-    labels = _resolve_labels(args, file_cfg)
-    w, cfg = _resolve_weights(args, file_cfg)
+    w, cfg, selection, labels = _resolve_model(args, file_cfg)
     samples = _read_corpus_arg(args.samples)
     for sample in samples:
         x = preprocess_pipeline(sample, selection, cfg.max_seq_len)
@@ -300,19 +316,16 @@ def cmd_infer(args) -> int:
 
 def cmd_eval(args) -> int:
     file_cfg = _load_config_file(args)
-    selection = _resolve_selection(args, file_cfg)
-    labels = _resolve_labels(args, file_cfg)
-    w, cfg = _resolve_weights(args, file_cfg)
+    w, cfg, selection, labels = _resolve_model(args, file_cfg)
     samples = _read_corpus_arg(args.corpus)
     ys = _required_labels(samples)
+    logits = _logits(_feature_batch(samples, selection, cfg.max_seq_len), w, cfg)
     k = min(5, cfg.num_classes)
     top1 = 0
     topk = 0
     per_class: dict[int, list[int]] = {}
-    for sample, y in zip(samples, ys):
-        x = preprocess_pipeline(sample, selection, cfg.max_seq_len)
-        logits = nn.forward(x, w, cfg)
-        ranked = np.argsort(logits)[::-1][:k]
+    for row, y in zip(logits, ys):
+        ranked = np.argsort(row)[::-1][:k]
         hit1 = int(ranked[0]) == y
         top1 += hit1
         topk += y in ranked
@@ -332,20 +345,22 @@ def cmd_eval(args) -> int:
 
 def cmd_serve(args) -> int:
     file_cfg = _load_config_file(args)
-    w, model_cfg = _resolve_weights(args, file_cfg)
+    w, model_cfg, selection, labels = _resolve_model(args, file_cfg)
     server_cfg = ServerConfig(
         weights=w,
         model_config=model_cfg,
-        selection=_resolve_selection(args, file_cfg),
+        selection=selection,
         db=_resolve_descriptors(args, file_cfg),
         template=_resolve_templates(args, file_cfg),
         backend_factory=_resolve_backend_factory(args, file_cfg),
-        labels=_resolve_labels(args, file_cfg),
-        host=args.host,
-        port=_setting(args, file_cfg, "port", int, DEFAULT_PORT),
-        wpm=_setting(args, file_cfg, "wpm", float, 150.0),
-        max_retries=args.max_retries,
-        deadline_s=args.deadline,
+        labels=labels,
+        **_given(
+            host=args.host,
+            port=_setting(args, file_cfg, "port", int, None),
+            wpm=_setting(args, file_cfg, "wpm", float, None),
+            max_retries=args.max_retries,
+            deadline_s=args.deadline,
+        ),
     )
     handle = serve(server_cfg)
     host, port = handle.address
@@ -368,7 +383,7 @@ def cmd_robot_sim(args) -> int:
         samples,
         args.log,
         realtime=args.realtime,
-        timeout_s=args.timeout,
+        **_given(timeout_s=args.timeout),
     )
 
 
@@ -380,7 +395,8 @@ def cmd_compose(args) -> int:
     event = RecognitionEvent(args.gloss, args.confidence)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DialogueWarning)
-        result = compose(event, db, backend, template, args.max_retries)
+        result = compose(event, db, backend, template,
+                         **_given(max_retries=args.max_retries))
     print(render_markup(result.script))
     for message in result.warnings:
         print(f"warning: {message}", file=sys.stderr)
@@ -399,12 +415,9 @@ def cmd_stats(args) -> int:
 def cmd_bench(args) -> int:
     file_cfg = _load_config_file(args)
     seed = _setting(args, file_cfg, "seed", int, 0)
-    if args.model_config is not None:
-        cfg = nn.ModelConfig.load(_existing(args.model_config, "model config"))
-    else:
-        cfg = nn.DEFAULT_CONFIG
+    cfg = _resolve_model_config(args)
     w = nn.init_weights(cfg, seed)
-    stats = nn.benchmark_inference(w, cfg, n_runs=args.runs, seed=seed)
+    stats = nn.benchmark_inference(w, cfg, seed=seed, **_given(n_runs=args.runs))
     print(f"p50_ms\t{stats.p50_ms:.3f}")
     print(f"p99_ms\t{stats.p99_ms:.3f}")
     print(f"mean_ms\t{stats.mean_ms:.3f}")
@@ -427,6 +440,20 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON settings file")
     common.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--weights", help="weights file (.sgnw)")
+    model.add_argument("--model-config",
+                       help="model config JSON (default: <weights>.json if present)")
+    model.add_argument("--labels", help="label map JSON")
+    model.add_argument("--spec", help="selection spec JSON")
+    dialogue = argparse.ArgumentParser(add_help=False)
+    dialogue.add_argument("--descriptors", help="gesture descriptor db JSON")
+    dialogue.add_argument("--templates",
+                          help="directory with step1.txt and step2.txt")
+    dialogue.add_argument("--backend", choices=("mock", "http"))
+    dialogue.add_argument("--http-url")
+    dialogue.add_argument("--http-model")
+    dialogue.add_argument("--max-retries", type=int)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("preprocess", parents=[common],
@@ -462,40 +489,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop once validation accuracy reaches this")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("infer", parents=[common],
+    p = sub.add_parser("infer", parents=[common, model],
                        help="classify each sample in a corpus file")
     p.add_argument("samples", help="corpus CSV (labels optional)")
-    p.add_argument("--weights")
-    p.add_argument("--model-config")
-    p.add_argument("--labels", help="label map JSON")
-    p.add_argument("--spec")
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[common, model],
                        help="top-1/top-5 accuracy on a labeled corpus")
     p.add_argument("corpus")
-    p.add_argument("--weights")
-    p.add_argument("--model-config")
-    p.add_argument("--labels")
-    p.add_argument("--spec")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("serve", parents=[common],
+    p = sub.add_parser("serve", parents=[common, model, dialogue],
                        help="run the recognition server")
-    p.add_argument("--weights")
-    p.add_argument("--model-config")
-    p.add_argument("--labels")
-    p.add_argument("--spec")
-    p.add_argument("--descriptors")
-    p.add_argument("--templates", help="directory with step1.txt and step2.txt")
-    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--host")
     p.add_argument("--port", type=int)
     p.add_argument("--wpm", type=float)
-    p.add_argument("--backend", choices=("mock", "http"))
-    p.add_argument("--http-url")
-    p.add_argument("--http-model")
-    p.add_argument("--max-retries", type=int, default=2)
-    p.add_argument("--deadline", type=float, default=10.0,
+    p.add_argument("--deadline", type=float,
                    help="per-sample processing deadline, seconds")
     p.set_defaults(func=cmd_serve)
 
@@ -508,19 +517,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int)
     p.add_argument("--realtime", action="store_true",
                    help="sleep through the scheduled timeline")
-    p.add_argument("--timeout", type=float, default=30.0)
+    p.add_argument("--timeout", type=float)
     p.set_defaults(func=cmd_robot_sim)
 
-    p = sub.add_parser("compose", parents=[common],
+    p = sub.add_parser("compose", parents=[common, dialogue],
                        help="turn a recognized sign into a tagged script")
     p.add_argument("--gloss", required=True)
     p.add_argument("--confidence", type=float, required=True)
-    p.add_argument("--descriptors")
-    p.add_argument("--templates")
-    p.add_argument("--backend", choices=("mock", "http"))
-    p.add_argument("--http-url")
-    p.add_argument("--http-model")
-    p.add_argument("--max-retries", type=int, default=2)
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("stats", parents=[common],
@@ -531,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[common],
                        help="forward-pass latency (p50/p99)")
     p.add_argument("--model-config")
-    p.add_argument("--runs", type=int, default=50)
+    p.add_argument("--runs", type=int)
     p.set_defaults(func=cmd_bench)
 
     return parser

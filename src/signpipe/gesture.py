@@ -104,7 +104,7 @@ def descriptors_from_json(text: str, origin: str = "descriptor db") -> GestureDb
     {tag, description, playtime_s, body_parts} objects."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise ValidationError(f"{origin}: invalid JSON ({e})") from None
     if not isinstance(data, list):
         raise ValidationError(f"{origin}: expected a JSON array")

@@ -390,7 +390,7 @@ def read_label_map(path: str | Path) -> LabelMap:
     with Path(path).open(encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise ValidationError(f"label map {path}: invalid JSON ({e})") from None
     if not isinstance(data, list) or not all(isinstance(g, str) for g in data):
         raise ValidationError(f"label map {path}: expected a JSON array of strings")

@@ -14,8 +14,8 @@ from .wire import (
     sample_from_body,
     sample_to_body,
 )
-from .session import Session, SessionEffect, SessionState
-from .server import ServerConfig, ServerHandle, serve
+from .session import Session, SessionState
+from .server import ServerConfig, serve
 from .robot import robot_sim
 
 __all__ = [
@@ -32,10 +32,8 @@ __all__ = [
     "sample_from_body",
     "sample_to_body",
     "Session",
-    "SessionEffect",
     "SessionState",
     "ServerConfig",
-    "ServerHandle",
     "serve",
     "robot_sim",
 ]

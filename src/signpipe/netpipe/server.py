@@ -53,16 +53,7 @@ class ServerConfig:
             _check_weights(self.weights, self.model_config)
         except ShapeError as e:
             raise ValidationError(f"weights: {e}") from None
-        if self.selection.feature_dim != self.model_config.input_dim:
-            raise ValidationError(
-                f"selection produces {self.selection.feature_dim} features but "
-                f"the model expects {self.model_config.input_dim}"
-            )
-        if self.labels is not None and len(self.labels) < self.model_config.num_classes:
-            raise ValidationError(
-                f"label map covers {len(self.labels)} classes, model has "
-                f"{self.model_config.num_classes}"
-            )
+        self.model_config.check_inputs(self.selection.feature_dim, self.labels)
         if self.deadline_s <= 0:
             raise ValidationError("deadline_s must be positive")
 

@@ -75,7 +75,7 @@ def encode_frame(msg: WireMessage) -> bytes:
 def _decode_payload(payload: bytes) -> WireMessage:
     try:
         data = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:
         raise FrameError(f"payload is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise FrameError("payload must be a JSON object")

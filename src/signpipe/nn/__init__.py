@@ -4,7 +4,6 @@ from .bench import LatencyStats, benchmark_inference
 from .config import DEFAULT_CONFIG, ModelConfig
 from .network import (
     Prediction,
-    backward,
     count_parameters,
     cross_entropy,
     encoder_layer,
@@ -23,7 +22,6 @@ __all__ = [
     "LatencyStats",
     "ModelConfig",
     "Prediction",
-    "backward",
     "benchmark_inference",
     "count_parameters",
     "cross_entropy",

@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..errors import ValidationError
+from ..landmarks import LabelMap
 
 __all__ = ["ModelConfig", "DEFAULT_CONFIG"]
 
@@ -53,6 +54,20 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.model_dim // self.num_heads
 
+    def check_inputs(self, feature_dim: int, labels: LabelMap | None = None) -> None:
+        """Raise ValidationError unless a selection of feature_dim features
+        and the label map (None: class ids) fit this model."""
+        if feature_dim != self.input_dim:
+            raise ValidationError(
+                f"selection produces {feature_dim} features but "
+                f"the model expects {self.input_dim}"
+            )
+        if labels is not None and len(labels) < self.num_classes:
+            raise ValidationError(
+                f"label map covers {len(labels)} classes, model has "
+                f"{self.num_classes}"
+            )
+
     def to_json(self) -> str:
         d = asdict(self)
         d["extractor_dims"] = list(self.extractor_dims)
@@ -72,7 +87,7 @@ class ModelConfig:
     def load(cls, path: str | Path) -> "ModelConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise ValidationError(f"model config {path}: invalid JSON ({e})") from None
         if not isinstance(data, dict):
             raise ValidationError(f"model config {path}: expected a JSON object")

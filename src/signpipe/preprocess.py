@@ -99,7 +99,7 @@ class SelectionSpec:
     def from_json(cls, text: str) -> "SelectionSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise ValidationError(f"selection spec: invalid JSON ({e})") from None
         if not isinstance(data, dict):
             raise ValidationError("selection spec: expected a JSON object")

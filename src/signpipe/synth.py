@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .landmarks import DEFAULT_NUM_CLASSES, LabelMap, LandmarkRows, SignSample
-from .preprocess import SelectionSpec
+from .preprocess import SelectionSpec, _resample_matrix
 
 __all__ = [
     "synthetic_label_map",
@@ -39,14 +39,6 @@ def _class_template(class_id: int, num_landmarks: int) -> np.ndarray:
     return rng.uniform(0.2, 0.8, size=(_NUM_ANCHORS, num_landmarks, 2))
 
 
-def _interp_anchors(anchors: np.ndarray, length: int) -> np.ndarray:
-    pos = np.linspace(0.0, anchors.shape[0] - 1.0, length)
-    lo = np.floor(pos).astype(int)
-    hi = np.minimum(lo + 1, anchors.shape[0] - 1)
-    frac = (pos - lo)[:, None, None]
-    return anchors[lo] * (1.0 - frac) + anchors[hi] * frac
-
-
 def make_synthetic_samples(num_classes: int, per_class: int,
                            spec: SelectionSpec | None = None,
                            seed: int = 0, noise: float = 0.02,
@@ -64,10 +56,10 @@ def make_synthetic_samples(num_classes: int, per_class: int,
     rng = np.random.default_rng(seed)
     samples: list[SignSample] = []
     for c in range(num_classes):
-        anchors = _class_template(c, spec.num_landmarks)
+        flat_anchors = _class_template(c, spec.num_landmarks).reshape(_NUM_ANCHORS, -1)
         for i in range(per_class):
             length = int(rng.integers(lo, hi + 1))
-            coords = _interp_anchors(anchors, length)
+            coords = _resample_matrix(flat_anchors, length).reshape(length, -1, 2)
             xyz = np.zeros((length, len(kind), 3))
             xyz[..., :2] = coords + rng.normal(0.0, noise, size=coords.shape)
             rows = LandmarkRows(np.repeat(np.arange(length), len(kind)),

@@ -15,6 +15,7 @@ from signpipe.cli import main
 from signpipe.gesture import parse_markup
 from signpipe.landmarks import write_corpus, write_label_map, LabelMap
 from signpipe.netpipe import robot_sim, serve
+from signpipe.preprocess import SelectionSpec
 from signpipe.synth import make_synthetic_samples
 
 SMALL_MODEL = {
@@ -296,6 +297,59 @@ class TestEval:
         assert code == 1
 
 
+class TestModelFit:
+    """A model that does not fit its selection or label map is a usage
+    error (exit 2) from every command, before any output."""
+
+    @pytest.fixture
+    def short_labels(self, tmp_path):
+        path = tmp_path / "short.json"
+        write_label_map(LabelMap(("circle",)), path)
+        return path
+
+    @pytest.fixture
+    def narrow_spec(self, tmp_path):
+        path = tmp_path / "spec.json"
+        SelectionSpec(lips=(0,), pose=()).save(path)
+        return path
+
+    @pytest.mark.parametrize("command,corpus", [("infer", "val.csv"),
+                                                ("eval", "train.csv")])
+    def test_short_label_map(self, workdir, short_labels, capsys,
+                             command, corpus):
+        code = main([command, str(workdir / corpus),
+                     "--weights", str(workdir / "model.sgnw"),
+                     "--labels", str(short_labels)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "label map" in captured.err
+
+    @pytest.mark.parametrize("command", ["train", "infer", "eval", "serve"])
+    def test_selection_mismatch(self, workdir, narrow_spec, tmp_path,
+                                monkeypatch, capsys, command):
+        def never_serve(cfg):
+            raise AssertionError("serve started with a misfit model")
+
+        monkeypatch.setattr("signpipe.cli.serve", never_serve)
+        model = ["--model-config", str(workdir / "model.json")]
+        argv = {
+            "train": ["train", str(workdir / "train.csv"),
+                      "--out", str(tmp_path / "w.sgnw"), *model],
+            "infer": ["infer", str(workdir / "val.csv"),
+                      "--weights", str(workdir / "model.sgnw")],
+            "eval": ["eval", str(workdir / "train.csv"),
+                     "--weights", str(workdir / "model.sgnw")],
+            "serve": ["serve", "--weights", str(workdir / "model.sgnw"),
+                      "--port", "0"],
+        }[command]
+        code = main([*argv, "--spec", str(narrow_spec)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "features" in captured.err
+
+
 class TestStats:
     def test_bundled_db_summary(self, capsys):
         assert main(["stats"]) == 0
@@ -352,6 +406,8 @@ class TestSettingPrecedence:
         bad.write_text("[1]")
         assert main(["stats", "--config", str(bad)]) == 2
         assert main(["stats", "--config", str(tmp_path / "none.json")]) == 2
+        bad.write_text('{"seed": ' + "9" * 5000 + "}")
+        assert main(["stats", "--config", str(bad)]) == 2
 
     def test_bad_env_value_type(self, monkeypatch, capsys):
         monkeypatch.setenv("SIGNPIPE_SEED", "not-a-number")

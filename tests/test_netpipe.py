@@ -151,6 +151,9 @@ class TestDecodeFrame:
         b'{"type":"BYE","body":[]}',
         b'{"type":5,"body":{}}',
         b"\xff\xfe",
+        pytest.param(b'{"type":"BYE","body":{"n":' + b"9" * 5000 + b"}}",
+                     id="int-over-4300-digits"),
+        pytest.param(b"[" * 100_000, id="deep-nesting"),
     ])
     def test_malformed_payloads(self, payload):
         with pytest.raises(FrameError):
@@ -480,6 +483,22 @@ class TestServer:
         with serve(server_config(db=fixture_db)) as handle:
             with socket.create_connection(handle.address, timeout=10.0) as sock:
                 sock.sendall(struct.pack(">I", 3) + b"abc")
+                dec = FrameDecoder()
+                replies = []
+                while True:
+                    data = sock.recv(65536)
+                    if not data:
+                        break
+                    replies.extend(dec.feed(data))
+        assert [m.type for m in replies] == ["ERROR"]
+        assert replies[0].body["code"] == "BAD_FRAME"
+
+    def test_oversized_integer_gets_bad_frame(self, fixture_db):
+        payload = (b'{"type":"HELLO","body":{"protocol_version":'
+                   + b"1" * 5000 + b"}}")
+        with serve(server_config(db=fixture_db)) as handle:
+            with socket.create_connection(handle.address, timeout=10.0) as sock:
+                sock.sendall(struct.pack(">I", len(payload)) + payload)
                 dec = FrameDecoder()
                 replies = []
                 while True:
