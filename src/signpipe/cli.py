@@ -427,6 +427,17 @@ def cmd_bench(args) -> int:
 
 # -- parser -----------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags: 0, negatives and non-integers exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _range_pair(parser, name, default, help_text):
     parser.add_argument(name, nargs=2, type=float, metavar=("LO", "HI"),
                         default=default, help=help_text)
@@ -461,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("out")
     p.add_argument("--spec", help="selection spec JSON")
-    p.add_argument("--target-len", type=int, default=32)
+    p.add_argument("--target-len", type=_positive_int, default=32)
     p.add_argument("--augment", action="store_true",
                    help="apply seeded training-time augmentation")
     _range_pair(p, "--resample-range", (0.5, 1.5), "temporal length scale")
@@ -481,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-config", help="model config JSON")
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--val-corpus", help="held-out labeled corpus")
     p.add_argument("--val-split", type=float, default=0.0,
                    help="fraction of the corpus held out when no --val-corpus")
@@ -534,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[common],
                        help="forward-pass latency (p50/p99)")
     p.add_argument("--model-config")
-    p.add_argument("--runs", type=int)
+    p.add_argument("--runs", type=_positive_int)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -79,6 +79,13 @@ def _require_once(text: str, placeholder: str, which: str) -> None:
         )
 
 
+def _read_template(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise TemplateError(f"template {path}: not UTF-8 text ({e})") from None
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     """The two prompt bodies. Step 1 carries {gloss} and {confidence};
@@ -97,10 +104,7 @@ class PromptTemplate:
 
     @classmethod
     def load(cls, step1_path: str | Path, step2_path: str | Path) -> "PromptTemplate":
-        return cls(
-            Path(step1_path).read_text(encoding="utf-8"),
-            Path(step2_path).read_text(encoding="utf-8"),
-        )
+        return cls(_read_template(step1_path), _read_template(step2_path))
 
     @classmethod
     def load_dir(cls, directory: str | Path) -> "PromptTemplate":

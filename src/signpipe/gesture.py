@@ -132,9 +132,12 @@ def descriptors_from_json(text: str, origin: str = "descriptor db") -> GestureDb
 
 
 def load_descriptors(path: str | Path) -> GestureDb:
-    return descriptors_from_json(
-        Path(path).read_text(encoding="utf-8"), origin=f"descriptor db {path}"
-    )
+    origin = f"descriptor db {path}"
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{origin}: not UTF-8 text ({e})") from None
+    return descriptors_from_json(text, origin=origin)
 
 
 @dataclass(frozen=True)

@@ -321,44 +321,49 @@ def read_corpus(path: str | Path) -> list[SignSample]:
     # sample_id -> frame, kind, landmark_index, (x, y, z) and line columns
     columns: dict[str, tuple] = {}
     labels: dict[str, int | None] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusFormatError("missing header", 1) from None
-        if header != CORPUS_HEADER:
-            raise CorpusFormatError(
-                f"bad header {header!r}, expected {CORPUS_HEADER!r}", 1
-            )
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue  # tolerate blank trailing lines
-            if len(row) != len(CORPUS_HEADER):
-                raise CorpusFormatError(
-                    f"expected {len(CORPUS_HEADER)} columns, got {len(row)}", line
-                )
-            sample_id, frame_s, kind_s, index_s, x_s, y_s, z_s, label_s = row
-            if not sample_id:
-                raise CorpusFormatError("empty sample_id", line)
-            label = None if label_s == "" else _parse_int(label_s, "label", line)
-            if sample_id not in columns:
-                columns[sample_id] = ([], [], [], array("d"), array("q"))
-                labels[sample_id] = label
-            elif labels[sample_id] != label:
-                raise CorpusFormatError(
-                    f"inconsistent label for sample {sample_id!r}", line
-                )
-            frames, kinds, indices, coords, lines = columns[sample_id]
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                kinds.append(_KIND_BY_NAME[kind_s].value)
-            except KeyError:
-                raise CorpusFormatError(f"unknown landmark kind {kind_s!r}", line) from None
-            frames.append(_parse_int(frame_s, "frame", line))
-            indices.append(_parse_int(index_s, "landmark_index", line))
-            coords.extend((_parse_float(x_s, "x", line), _parse_float(y_s, "y", line),
-                           _parse_float(z_s, "z", line)))
-            lines.append(line)
+                header = next(reader)
+            except StopIteration:
+                raise CorpusFormatError("missing header", 1) from None
+            if header != CORPUS_HEADER:
+                raise CorpusFormatError(
+                    f"bad header {header!r}, expected {CORPUS_HEADER!r}", 1
+                )
+            for line, row in enumerate(reader, start=2):
+                if not row:
+                    continue  # tolerate blank trailing lines
+                if len(row) != len(CORPUS_HEADER):
+                    raise CorpusFormatError(
+                        f"expected {len(CORPUS_HEADER)} columns, got {len(row)}", line
+                    )
+                sample_id, frame_s, kind_s, index_s, x_s, y_s, z_s, label_s = row
+                if not sample_id:
+                    raise CorpusFormatError("empty sample_id", line)
+                label = None if label_s == "" else _parse_int(label_s, "label", line)
+                if sample_id not in columns:
+                    columns[sample_id] = ([], [], [], array("d"), array("q"))
+                    labels[sample_id] = label
+                elif labels[sample_id] != label:
+                    raise CorpusFormatError(
+                        f"inconsistent label for sample {sample_id!r}", line
+                    )
+                frames, kinds, indices, coords, lines = columns[sample_id]
+                try:
+                    kinds.append(_KIND_BY_NAME[kind_s].value)
+                except KeyError:
+                    raise CorpusFormatError(
+                        f"unknown landmark kind {kind_s!r}", line) from None
+                frames.append(_parse_int(frame_s, "frame", line))
+                indices.append(_parse_int(index_s, "landmark_index", line))
+                coords.extend((_parse_float(x_s, "x", line),
+                               _parse_float(y_s, "y", line),
+                               _parse_float(z_s, "z", line)))
+                lines.append(line)
+    except UnicodeDecodeError as e:
+        raise CorpusFormatError(f"corpus {path}: not UTF-8 text ({e.reason})") from None
     samples = []
     for sample_id, (frames, kinds, indices, coords, lines) in columns.items():
         try:

@@ -6,6 +6,7 @@ from .wire import (
     PROTOCOL_VERSION,
     WIRE_TYPES,
     FrameDecoder,
+    MessageSocket,
     WireMessage,
     decode_frame,
     encode_frame,
@@ -24,6 +25,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "WIRE_TYPES",
     "FrameDecoder",
+    "MessageSocket",
     "WireMessage",
     "decode_frame",
     "encode_frame",

@@ -12,62 +12,30 @@ from __future__ import annotations
 import logging
 import socket
 import time
-from collections import deque
 from pathlib import Path
 from typing import Iterable
 
-from ..errors import FrameError, ProtocolViolation, SignpipeError, TransportError
+from ..errors import ProtocolViolation, SignpipeError, TransportError
 from ..landmarks import SignSample
-from .wire import (
-    PROTOCOL_VERSION,
-    FrameDecoder,
-    WireMessage,
-    encode_frame,
-    landmarks_message,
-)
+from .wire import PROTOCOL_VERSION, MessageSocket, WireMessage, landmarks_message
 
 __all__ = ["robot_sim"]
 
 log = logging.getLogger(__name__)
 
 
-class _Link:
-    """Blocking message-at-a-time view of the socket."""
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.decoder = FrameDecoder()
-        self.inbox: deque[WireMessage] = deque()
-
-    def send(self, msg: WireMessage) -> None:
-        try:
-            self.sock.sendall(encode_frame(msg))
-        except OSError as e:
-            raise TransportError(f"send failed: {e}") from None
-
-    def recv(self) -> WireMessage:
-        while not self.inbox:
-            try:
-                data = self.sock.recv(65536)
-            except socket.timeout:
-                raise TransportError("timed out waiting for the server") from None
-            except OSError as e:
-                raise TransportError(f"recv failed: {e}") from None
-            if not data:
-                raise TransportError("server closed the connection")
-            self.inbox.extend(self.decoder.feed(data))
-        return self.inbox.popleft()
-
-    def expect(self, msg_type: str) -> WireMessage:
-        msg = self.recv()
-        if msg.type == "ERROR":
-            body = msg.body
-            raise ProtocolViolation(
-                f"server error {body.get('code')}: {body.get('message')}"
-            )
-        if msg.type != msg_type:
-            raise ProtocolViolation(f"expected {msg_type}, server sent {msg.type}")
-        return msg
+def _expect(link: MessageSocket, msg_type: str) -> WireMessage:
+    msg = link.recv()
+    if msg is None:
+        raise TransportError("server closed the connection")
+    if msg.type == "ERROR":
+        body = msg.body
+        raise ProtocolViolation(
+            f"server error {body.get('code')}: {body.get('message')}"
+        )
+    if msg.type != msg_type:
+        raise ProtocolViolation(f"expected {msg_type}, server sent {msg.type}")
+    return msg
 
 
 def _write_script_block(out, result_body: dict, script_body: dict) -> None:
@@ -114,23 +82,23 @@ def robot_sim(address: tuple[str, int], samples: Iterable[SignSample],
             log.error("cannot connect to %s:%d: %s", address[0], address[1], e)
             return 1
         with sock:
-            link = _Link(sock)
+            link = MessageSocket(sock)
             try:
                 link.send(WireMessage("HELLO", {"protocol_version": PROTOCOL_VERSION}))
-                link.expect("HELLO")
+                _expect(link, "HELLO")
                 for sample in samples:
                     out.write(f"SAMPLE {sample.sample_id}\n")
                     out.flush()
                     link.send(landmarks_message(sample))
-                    result = link.expect("RESULT")
-                    script = link.expect("SCRIPT")
+                    result = _expect(link, "RESULT")
+                    script = _expect(link, "SCRIPT")
                     _write_script_block(out, result.body, script.body)
                     out.flush()
                     if realtime:
                         _play_realtime(script.body)
                 link.send(WireMessage("BYE", {}))
-                link.expect("BYE")
-            except (TransportError, ProtocolViolation, FrameError, SignpipeError) as e:
+                _expect(link, "BYE")
+            except (OSError, SignpipeError) as e:  # socket.timeout is an OSError
                 log.error("session failed: %s", e)
                 return 1
     return 0

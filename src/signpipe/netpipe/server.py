@@ -1,9 +1,10 @@
 """The recognition server: preprocess -> classify -> compose, over TCP.
 
-Each connection gets its own thread, protocol session, frame decoder, and
+Each connection gets its own thread, protocol session, message socket, and
 LLM backend instance. Model weights, the descriptor DB, and templates are
-shared and immutable. Every ERROR reply closes the connection; the client
-reconnects for a fresh session.
+shared and immutable. The replies to one inbound message leave in one
+write. Every ERROR reply closes the connection; the client reconnects for a
+fresh session.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from typing import Callable
 import numpy as np
 
 from ..dialogue import LlmBackend, PromptTemplate, RecognitionEvent, compose
-from ..errors import ProtocolViolation, ShapeError, SignpipeError, ValidationError
+from ..errors import FrameError, ProtocolViolation, ShapeError, SignpipeError, ValidationError
 from ..gesture import GestureDb, Timeline, render_markup, schedule
 from ..landmarks import LabelMap
 from ..nn import ModelConfig, predict
 from ..nn.network import _check_weights
 from ..preprocess import SelectionSpec, preprocess_pipeline
 from .session import Session
-from .wire import DEFAULT_PORT, FrameDecoder, WireMessage, encode_frame, error_message, sample_from_body
+from .wire import DEFAULT_PORT, MessageSocket, WireMessage, error_message, sample_from_body
 
 __all__ = ["ServerConfig", "ServerHandle", "serve"]
 
@@ -54,8 +55,14 @@ class ServerConfig:
         except ShapeError as e:
             raise ValidationError(f"weights: {e}") from None
         self.model_config.check_inputs(self.selection.feature_dim, self.labels)
-        if self.deadline_s <= 0:
+        if not self.deadline_s > 0:
             raise ValidationError("deadline_s must be positive")
+        if not self.wpm > 0:
+            raise ValidationError("wpm must be positive")
+        if self.max_retries < 0:
+            raise ValidationError("max_retries must not be negative")
+        if not 0 <= self.port <= 65535:
+            raise ValidationError(f"port {self.port} is outside 0-65535")
 
 
 def _timeline_body(timeline: Timeline, extra_warnings: tuple[str, ...]) -> dict:
@@ -83,60 +90,43 @@ class _Handler(socketserver.BaseRequestHandler):
     server: "_PipelineServer"
 
     def handle(self):
-        cfg = self.server.cfg
+        link = MessageSocket(self.request)
         session = Session()
-        decoder = FrameDecoder()
-        backend = cfg.backend_factory()
+        backend = self.server.cfg.backend_factory()
         executor = concurrent.futures.ThreadPoolExecutor(max_workers=1)
         try:
-            while True:
-                try:
-                    data = self.request.recv(65536)
-                except OSError:
-                    return
-                if not data:
-                    return
-                try:
-                    messages = decoder.feed(data)
-                except SignpipeError as e:
-                    self._send(error_message("BAD_FRAME", str(e)))
-                    return
-                for msg in messages:
+            try:
+                while (msg := link.recv()) is not None:
                     effect = session.on_message(msg)
-                    for reply in effect.replies:
-                        self._send(reply)
+                    replies = list(effect.replies)
                     if effect.sample_body is not None:
-                        if not self._respond(executor, backend, effect.sample_body):
-                            return
-                    if effect.close:
+                        replies += self._respond(executor, backend, effect.sample_body)
+                    link.send(*replies)
+                    if effect.close or replies[-1].type == "ERROR":
                         return
+            except FrameError as e:
+                link.send(error_message("BAD_FRAME", str(e)))
+        except OSError:
+            return  # the peer is gone
         finally:
             executor.shutdown(wait=False)
 
-    def _respond(self, executor, backend, body: dict) -> bool:
-        """Process one sample under the deadline; False closes the session."""
+    def _respond(self, executor, backend, body: dict) -> list[WireMessage]:
+        """RESULT and SCRIPT for one sample, or one ERROR if processing
+        fails or overruns the deadline."""
         cfg = self.server.cfg
         future = executor.submit(self._process, backend, body)
         try:
-            replies = future.result(timeout=cfg.deadline_s)
+            return future.result(timeout=cfg.deadline_s)
         except concurrent.futures.TimeoutError:
-            self._send(error_message(
-                "TIMEOUT", f"processing exceeded {cfg.deadline_s:g}s"
-            ))
-            return False
+            return [error_message("TIMEOUT", f"processing exceeded {cfg.deadline_s:g}s")]
         except ProtocolViolation as e:
-            self._send(error_message("PROTOCOL", str(e)))
-            return False
+            return [error_message("PROTOCOL", str(e))]
         except SignpipeError as e:
-            self._send(error_message("INTERNAL", str(e)))
-            return False
+            return [error_message("INTERNAL", str(e))]
         except Exception:
             log.exception("unexpected error while processing a sample")
-            self._send(error_message("INTERNAL", "unexpected server error"))
-            return False
-        for reply in replies:
-            self._send(reply)
-        return True
+            return [error_message("INTERNAL", "unexpected server error")]
 
     def _process(self, backend, body: dict) -> list[WireMessage]:
         cfg = self.server.cfg
@@ -161,12 +151,6 @@ class _Handler(socketserver.BaseRequestHandler):
             },
         )
         return [result, script]
-
-    def _send(self, msg: WireMessage) -> None:
-        try:
-            self.request.sendall(encode_frame(msg))
-        except OSError:
-            pass  # peer is gone; the handler loop will notice on recv
 
 
 class _PipelineServer(socketserver.ThreadingTCPServer):

@@ -3,13 +3,16 @@
 A frame is a 4-byte big-endian unsigned payload length followed by that many
 bytes of UTF-8 JSON shaped `{"type": ..., "body": {...}}`. Payloads are
 capped at 16 MiB. The decoder is incremental: bytes may arrive split at any
-boundary and frames are emitted as soon as they complete.
+boundary and frames are emitted as soon as they complete. MessageSocket
+puts both directions over one connected socket.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +29,7 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "FrameDecoder",
+    "MessageSocket",
     "error_message",
     "landmarks_message",
     "sample_to_body",
@@ -127,6 +131,30 @@ class FrameDecoder:
             payload = bytes(self._buf[_LEN.size:_LEN.size + length])
             del self._buf[:_LEN.size + length]
             out.append(_decode_payload(payload))
+
+
+class MessageSocket:
+    """Whole messages over a connected stream socket. send() writes all of
+    its messages with one sendall, so a multi-frame reply never leaves a
+    small second write waiting out the peer's delayed ACK. recv() returns
+    the next message, or None once the peer has closed. OSError and
+    FrameError pass through unchanged."""
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._decoder = FrameDecoder()
+        self._inbox: deque[WireMessage] = deque()
+
+    def send(self, *messages: WireMessage) -> None:
+        self._sock.sendall(b"".join(map(encode_frame, messages)))
+
+    def recv(self) -> WireMessage | None:
+        while not self._inbox:
+            data = self._sock.recv(65536)
+            if not data:
+                return None
+            self._inbox.extend(self._decoder.feed(data))
+        return self._inbox.popleft()
 
 
 def decode_frame(data: bytes) -> WireMessage:

@@ -112,7 +112,11 @@ class SelectionSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "SelectionSpec":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ValidationError(f"selection spec {path}: not UTF-8 text ({e})") from None
+        return cls.from_json(text)
 
     def save(self, path: str | Path) -> None:
         payload = {"lips": list(self.lips), "pose": list(self.pose)}

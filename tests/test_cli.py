@@ -476,12 +476,54 @@ class TestArgumentErrors:
     def test_unknown_flag(self):
         assert main(["stats", "--bogus"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "c.csv", "--out", "w.sgnw", "--batch-size", "0"],
+        ["preprocess", "c.csv", "out.sgnw", "--target-len", "0"],
+        ["bench", "--runs", "0"],
+        ["bench", "--runs", "-2"],
+        ["bench", "--runs", "two"],
+    ])
+    def test_count_flags_must_be_positive(self, argv, capsys):
+        assert main(argv) == 2
+        assert "positive integer" in capsys.readouterr().err
+
     def test_keyboard_interrupt_exit_code(self, monkeypatch):
         def boom(db):
             raise KeyboardInterrupt
 
         monkeypatch.setattr("signpipe.cli.playtime_stats", boom)
         assert main(["stats"]) == 130
+
+
+class TestNonUtf8Files:
+    """A file that is not UTF-8 is a one-line error (exit 1), not a
+    traceback, from every loader that reads text."""
+
+    BAD = b"\xff\xfe{}"
+
+    @pytest.mark.parametrize("command", ["infer", "stats", "compose",
+                                         "preprocess"])
+    def test_one_line_error(self, workdir, tmp_path, capsys, command):
+        bad = tmp_path / "bad"
+        bad.write_bytes(self.BAD)
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "step1.txt").write_bytes(self.BAD)
+        (templates / "step2.txt").write_text("{descriptors} {dialogue}")
+        argv = {
+            "infer": ["infer", str(workdir / "val.csv"),
+                      "--weights", str(workdir / "model.sgnw"),
+                      "--spec", str(bad)],
+            "stats": ["stats", "--descriptors", str(bad)],
+            "compose": ["compose", "--gloss", "wave", "--confidence", "90",
+                        "--templates", str(templates)],
+            "preprocess": ["preprocess", str(bad), str(tmp_path / "out.sgnt")],
+        }[command]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: " in err and "UTF-8" in err
+        assert "Traceback" not in err
 
 
 class TestRobotSimCommand:
@@ -566,3 +608,4 @@ class TestServeCommand:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stderr.close()

@@ -30,6 +30,7 @@ from signpipe.netpipe import (
     PROTOCOL_VERSION,
     WIRE_TYPES,
     FrameDecoder,
+    MessageSocket,
     ServerConfig,
     Session,
     SessionState,
@@ -205,6 +206,33 @@ class TestFrameDecoder:
             i += step
         assert out == messages
         assert dec.pending_bytes == 0
+
+
+class TestMessageSocket:
+    def test_one_send_delivers_messages_in_order(self):
+        a, b = socket.socketpair()
+        with a, b:
+            first = WireMessage("RESULT", {"gloss": "cloud"})
+            MessageSocket(a).send(first, BYE)
+            link = MessageSocket(b)
+            assert link.recv() == first
+            assert link.recv() == BYE
+
+    def test_recv_returns_none_after_peer_closes(self):
+        a, b = socket.socketpair()
+        with b:
+            MessageSocket(a).send(HELLO)
+            a.close()
+            link = MessageSocket(b)
+            assert link.recv() == HELLO
+            assert link.recv() is None
+
+    def test_garbage_raises_frame_error(self):
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(struct.pack(">I", 3) + b"abc")
+            with pytest.raises(FrameError):
+                MessageSocket(b).recv()
 
 
 class TestSampleBody:
@@ -437,6 +465,25 @@ class TestServer:
         cfg = server_config(db=fixture_db, deadline_s=0.0)
         with pytest.raises(ValidationError, match="deadline"):
             cfg.validate()
+        for setting, value in [("wpm", 0.0), ("wpm", float("nan")),
+                               ("max_retries", -1), ("port", 70000),
+                               ("port", -1)]:
+            cfg = server_config(db=fixture_db, **{setting: value})
+            with pytest.raises(ValidationError, match=setting):
+                cfg.validate()
+
+    def test_landmarks_replies_leave_in_one_write(self, fixture_db, monkeypatch):
+        writes = []
+        send = MessageSocket.send
+
+        def recording_send(link, *messages):
+            writes.append([m.type for m in messages])
+            send(link, *messages)
+
+        monkeypatch.setattr(MessageSocket, "send", recording_send)
+        with serve(server_config(db=fixture_db)) as handle:
+            talk(handle.address, HELLO, landmarks_message(make_sample()), BYE)
+        assert writes == [["HELLO"], ["RESULT", "SCRIPT"], ["BYE"]]
 
     def test_full_exchange(self, fixture_db):
         with serve(server_config(db=fixture_db)) as handle:
