@@ -10,7 +10,6 @@ progress and errors go to stderr. Exit codes: 0 success, 1 runtime failure,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -34,11 +33,11 @@ from .dialogue import (
 from .errors import SignpipeError, UsageError, ValidationError
 from .gesture import (
     GestureDb,
-    descriptors_from_json,
     load_descriptors,
     playtime_stats,
     render_markup,
 )
+from .jsonio import load_json
 from .landmarks import LabelMap, read_corpus, read_label_map
 from .netpipe import DEFAULT_PORT, ServerConfig, robot_sim, serve
 from .preprocess import AugmentConfig, SelectionSpec, preprocess_pipeline
@@ -52,23 +51,22 @@ log = logging.getLogger(__name__)
 
 # -- settings resolution ----------------------------------------------------
 
+# The nine settings: each one's JSON type in a --config file, which is also
+# the cast applied to its flag or SIGNPIPE_* environment value.
+_SETTINGS = {"weights": str, "labels": str, "spec": str, "descriptors": str,
+             "templates": str, "backend": str, "seed": int, "port": int,
+             "wpm": float}
+
+
 def _load_config_file(args) -> dict:
     path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if not path:
         return {}
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"config file {path!r} does not exist")
-    try:
-        data = json.loads(p.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as e:
-        raise UsageError(f"config file {path}: invalid JSON ({e})") from None
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path}: expected a JSON object")
-    return data
+    return load_json(_existing(path, "config file"), f"config file {path}",
+                     UsageError, _SETTINGS)
 
 
-def _setting(args, file_cfg: dict, key: str, cast, default):
+def _setting(args, file_cfg: dict, key: str, default=None):
     """One setting under the flags > env > file > default precedence."""
     value = getattr(args, key, None)
     if value is None:
@@ -78,7 +76,7 @@ def _setting(args, file_cfg: dict, key: str, cast, default):
     if value is None:
         return default
     try:
-        return cast(value)
+        return _SETTINGS[key](value)
     except (TypeError, ValueError):
         raise UsageError(f"bad value {value!r} for setting {key!r}") from None
 
@@ -95,50 +93,39 @@ def _existing(path, what: str) -> Path:
     return p
 
 
+def _load_file(path, what: str, load, default=None):
+    """load(path) once the file is known to exist; default when path is None."""
+    return default if path is None else load(_existing(path, what))
+
+
 def _resolve_selection(args, file_cfg) -> SelectionSpec:
-    path = _setting(args, file_cfg, "spec", str, None)
-    if path is None:
-        return SelectionSpec()
-    return SelectionSpec.load(_existing(path, "selection spec"))
+    return _load_file(_setting(args, file_cfg, "spec"), "selection spec",
+                      SelectionSpec.load, SelectionSpec())
 
 
 def _resolve_descriptors(args, file_cfg) -> GestureDb:
-    path = _setting(args, file_cfg, "descriptors", str, None)
-    if path is None:
-        text = (resources.files("signpipe") / "data" / "descriptors.sample.json"
-                ).read_text(encoding="utf-8")
-        return descriptors_from_json(text, origin="bundled descriptor db")
-    return load_descriptors(_existing(path, "descriptor db"))
+    bundled = resources.files("signpipe") / "data" / "descriptors.sample.json"
+    return _load_file(_setting(args, file_cfg, "descriptors", bundled),
+                      "descriptor db", load_descriptors)
 
 
 def _resolve_templates(args, file_cfg) -> PromptTemplate:
-    directory = _setting(args, file_cfg, "templates", str, None)
-    if directory is None:
-        return PromptTemplate.default()
-    d = Path(directory)
+    bundled = resources.files("signpipe") / "data" / "templates"
+    d = Path(_setting(args, file_cfg, "templates", bundled))
     if not d.is_dir():
-        raise UsageError(f"template directory {directory!r} does not exist")
+        raise UsageError(f"template directory {str(d)!r} does not exist")
     _existing(d / "step1.txt", "step-1 template")
     _existing(d / "step2.txt", "step-2 template")
     return PromptTemplate.load_dir(d)
 
 
-def _resolve_labels(args, file_cfg) -> LabelMap | None:
-    path = _setting(args, file_cfg, "labels", str, None)
-    if path is None:
-        return None
-    return read_label_map(_existing(path, "label map"))
-
-
-def _resolve_model_config(args, weights_path: Path | None = None) -> nn.ModelConfig:
+def _resolve_model_config(args, weights_path: str | None = None) -> nn.ModelConfig:
     """--model-config, else the <weights>.json sidecar, else the default."""
-    if args.model_config is not None:
-        return nn.ModelConfig.load(_existing(args.model_config, "model config"))
-    if weights_path is not None:
-        sidecar = Path(str(weights_path) + ".json")
-        if sidecar.is_file():
-            return nn.ModelConfig.load(sidecar)
-    return nn.DEFAULT_CONFIG
+    path = args.model_config
+    if path is None and weights_path is not None:
+        sidecar = Path(f"{weights_path}.json")
+        path = sidecar if sidecar.is_file() else None
+    return _load_file(path, "model config", nn.ModelConfig.load, nn.DEFAULT_CONFIG)
 
 
 def _check_fit(cfg: nn.ModelConfig, selection: SelectionSpec,
@@ -152,21 +139,20 @@ def _check_fit(cfg: nn.ModelConfig, selection: SelectionSpec,
 def _resolve_model(args, file_cfg) -> tuple[
         dict, nn.ModelConfig, SelectionSpec, LabelMap | None]:
     """Weights, model config, selection and label map, checked to fit."""
-    path = _setting(args, file_cfg, "weights", str, None)
+    path = _setting(args, file_cfg, "weights")
     if path is None:
         raise UsageError("no weights file: pass --weights or set SIGNPIPE_WEIGHTS")
-    weights_path = _existing(path, "weights file")
-    w = nn.load_weights(weights_path)
-    cfg = _resolve_model_config(args, weights_path)
+    w = _load_file(path, "weights file", nn.load_weights)
+    cfg = _resolve_model_config(args, path)
     selection = _resolve_selection(args, file_cfg)
-    labels = _resolve_labels(args, file_cfg)
+    labels = _load_file(_setting(args, file_cfg, "labels"), "label map", read_label_map)
     _check_fit(cfg, selection, labels)
     return w, cfg, selection, labels
 
 
 def _resolve_backend_factory(args, file_cfg):
-    kind = _setting(args, file_cfg, "backend", str, "mock")
-    seed = _setting(args, file_cfg, "seed", int, 0)
+    kind = _setting(args, file_cfg, "backend", "mock")
+    seed = _setting(args, file_cfg, "seed", 0)
     if kind == "mock":
         return lambda: MockLlmBackend(seed)
     if kind == "http":
@@ -216,10 +202,9 @@ def _evaluate(xs, ys, w, cfg) -> tuple[float, float]:
 
 # -- subcommands ------------------------------------------------------------
 
-def cmd_preprocess(args) -> int:
-    file_cfg = _load_config_file(args)
+def cmd_preprocess(args, file_cfg: dict) -> int:
     selection = _resolve_selection(args, file_cfg)
-    seed = _setting(args, file_cfg, "seed", int, 0)
+    seed = _setting(args, file_cfg, "seed", 0)
     samples = _read_corpus_arg(args.corpus)
     augment = None
     if args.augment:
@@ -244,10 +229,9 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args)
+def cmd_train(args, file_cfg: dict) -> int:
     selection = _resolve_selection(args, file_cfg)
-    seed = _setting(args, file_cfg, "seed", int, 0)
+    seed = _setting(args, file_cfg, "seed", 0)
     cfg = _resolve_model_config(args)
     _check_fit(cfg, selection)
     train_samples = _read_corpus_arg(args.corpus)
@@ -303,8 +287,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_infer(args) -> int:
-    file_cfg = _load_config_file(args)
+def cmd_infer(args, file_cfg: dict) -> int:
     w, cfg, selection, labels = _resolve_model(args, file_cfg)
     samples = _read_corpus_arg(args.samples)
     for sample in samples:
@@ -314,8 +297,7 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    file_cfg = _load_config_file(args)
+def cmd_eval(args, file_cfg: dict) -> int:
     w, cfg, selection, labels = _resolve_model(args, file_cfg)
     samples = _read_corpus_arg(args.corpus)
     ys = _required_labels(samples)
@@ -343,8 +325,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    file_cfg = _load_config_file(args)
+def cmd_serve(args, file_cfg: dict) -> int:
     w, model_cfg, selection, labels = _resolve_model(args, file_cfg)
     server_cfg = ServerConfig(
         weights=w,
@@ -356,8 +337,8 @@ def cmd_serve(args) -> int:
         labels=labels,
         **_given(
             host=args.host,
-            port=_setting(args, file_cfg, "port", int, None),
-            wpm=_setting(args, file_cfg, "wpm", float, None),
+            port=_setting(args, file_cfg, "port"),
+            wpm=_setting(args, file_cfg, "wpm"),
             max_retries=args.max_retries,
             deadline_s=args.deadline,
         ),
@@ -374,10 +355,9 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_robot_sim(args) -> int:
-    file_cfg = _load_config_file(args)
+def cmd_robot_sim(args, file_cfg: dict) -> int:
     samples = _read_corpus_arg(args.corpus) if args.corpus else []
-    port = _setting(args, file_cfg, "port", int, DEFAULT_PORT)
+    port = _setting(args, file_cfg, "port", DEFAULT_PORT)
     return robot_sim(
         (args.host, port),
         samples,
@@ -387,8 +367,7 @@ def cmd_robot_sim(args) -> int:
     )
 
 
-def cmd_compose(args) -> int:
-    file_cfg = _load_config_file(args)
+def cmd_compose(args, file_cfg: dict) -> int:
     db = _resolve_descriptors(args, file_cfg)
     template = _resolve_templates(args, file_cfg)
     backend = _resolve_backend_factory(args, file_cfg)()
@@ -403,8 +382,7 @@ def cmd_compose(args) -> int:
     return 0
 
 
-def cmd_stats(args) -> int:
-    file_cfg = _load_config_file(args)
+def cmd_stats(args, file_cfg: dict) -> int:
     db = _resolve_descriptors(args, file_cfg)
     stats = playtime_stats(db)
     for name, value in stats.as_pairs():
@@ -412,9 +390,8 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    file_cfg = _load_config_file(args)
-    seed = _setting(args, file_cfg, "seed", int, 0)
+def cmd_bench(args, file_cfg: dict) -> int:
+    seed = _setting(args, file_cfg, "seed", 0)
     cfg = _resolve_model_config(args)
     w = nn.init_weights(cfg, seed)
     stats = nn.benchmark_inference(w, cfg, seed=seed, **_given(n_runs=args.runs))
@@ -560,7 +537,7 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s",
                         level=logging.INFO)
     try:
-        return args.func(args)
+        return args.func(args, _load_config_file(args))
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

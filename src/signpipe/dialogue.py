@@ -31,6 +31,7 @@ from .gesture import (
     normalize_spoken_text,
     parse_markup,
 )
+from .jsonio import parse_json, read_text
 
 __all__ = [
     "RecognitionEvent",
@@ -79,13 +80,6 @@ def _require_once(text: str, placeholder: str, which: str) -> None:
         )
 
 
-def _read_template(path: str | Path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise TemplateError(f"template {path}: not UTF-8 text ({e})") from None
-
-
 @dataclass(frozen=True)
 class PromptTemplate:
     """The two prompt bodies. Step 1 carries {gloss} and {confidence};
@@ -104,7 +98,8 @@ class PromptTemplate:
 
     @classmethod
     def load(cls, step1_path: str | Path, step2_path: str | Path) -> "PromptTemplate":
-        return cls(_read_template(step1_path), _read_template(step2_path))
+        return cls(read_text(step1_path, f"template {step1_path}", TemplateError),
+                   read_text(step2_path, f"template {step2_path}", TemplateError))
 
     @classmethod
     def load_dir(cls, directory: str | Path) -> "PromptTemplate":
@@ -114,11 +109,7 @@ class PromptTemplate:
 
     @classmethod
     def default(cls) -> "PromptTemplate":
-        root = resources.files("signpipe") / "data" / "templates"
-        return cls(
-            (root / "step1.txt").read_text(encoding="utf-8"),
-            (root / "step2.txt").read_text(encoding="utf-8"),
-        )
+        return cls.load_dir(resources.files("signpipe") / "data" / "templates")
 
 
 def render_step1(event: RecognitionEvent, template: PromptTemplate) -> str:
@@ -349,17 +340,12 @@ class HttpLlmBackend(LlmBackend):
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
-                data = json.loads(resp.read())
+                reply = resp.read()
         except (OSError, http.client.HTTPException) as e:  # incl. HTTPError, URLError
             raise BackendError(f"LLM request failed: {e}") from e
-        except ValueError as e:  # bad JSON or bad UTF-8
-            raise BackendError(f"LLM response is not JSON: {e}") from None
-        try:
-            text = data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            raise BackendError(
-                "LLM response missing choices[0].message.content"
-            ) from None
-        if not isinstance(text, str):
-            raise BackendError("LLM response content is not text")
-        return text
+        choices = parse_json(reply, "LLM response", BackendError,
+                             {"choices": [{"message": {"content": str}}]},
+                             required=True)["choices"]
+        if not choices:
+            raise BackendError("LLM response has no choices")
+        return choices[0]["message"]["content"]

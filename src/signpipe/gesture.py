@@ -8,7 +8,6 @@ the byte offset of the offending token and name the tag involved.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -18,6 +17,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from .errors import SignpipeError, ValidationError
+from .jsonio import parse_json, read_text
 
 __all__ = [
     "GestureDescriptor",
@@ -102,42 +102,16 @@ class GestureDb:
 def descriptors_from_json(text: str, origin: str = "descriptor db") -> GestureDb:
     """Parse a descriptor DB: a JSON array of
     {tag, description, playtime_s, body_parts} objects."""
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as e:
-        raise ValidationError(f"{origin}: invalid JSON ({e})") from None
-    if not isinstance(data, list):
-        raise ValidationError(f"{origin}: expected a JSON array")
-    descriptors = []
-    for i, entry in enumerate(data):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{origin}: entry {i} is not an object")
-        try:
-            tag = entry["tag"]
-            description = entry["description"]
-            playtime = entry["playtime_s"]
-            parts = entry["body_parts"]
-        except KeyError as e:
-            raise ValidationError(
-                f"{origin}: entry {i} missing field {e.args[0]!r}"
-            ) from None
-        if not isinstance(parts, list) or not all(isinstance(p, str) for p in parts):
-            raise ValidationError(
-                f"{origin}: entry {i}: body_parts must be a string array"
-            )
-        descriptors.append(
-            GestureDescriptor(tag, description, float(playtime), frozenset(parts))
-        )
-    return GestureDb(descriptors)
+    entries = parse_json(text, origin, ValidationError, [{
+        "tag": str, "description": str, "playtime_s": float, "body_parts": [str]}],
+        required=True)
+    return GestureDb([GestureDescriptor(e["tag"], e["description"], float(e["playtime_s"]),
+                                        frozenset(e["body_parts"])) for e in entries])
 
 
 def load_descriptors(path: str | Path) -> GestureDb:
     origin = f"descriptor db {path}"
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ValidationError(f"{origin}: not UTF-8 text ({e})") from None
-    return descriptors_from_json(text, origin=origin)
+    return descriptors_from_json(read_text(path, origin, ValidationError), origin)
 
 
 @dataclass(frozen=True)
@@ -199,7 +173,8 @@ class MarkupError(SignpipeError):
 
 
 def _byte_offset(text: str, char_index: int) -> int:
-    return len(text[:char_index].encode("utf-8"))
+    # A JSON reply can carry a lone surrogate ("\ud800"); it counts 3 bytes.
+    return len(text[:char_index].encode("utf-8", "surrogatepass"))
 
 
 def parse_markup(text: str, db: GestureDb) -> TaggedScript:

@@ -1,0 +1,78 @@
+"""The one checked reader for text and JSON from files, frames and replies.
+
+Malformed means: bytes that are not UTF-8, text that is not JSON (an integer
+past the interpreter's digit limit or nesting too deep to parse included),
+or a value that does not fit its shape. Each raises the caller's own error
+class as one "{what}: ..." message. A shape is int (not bool), float (any
+number, not bool), str, list or dict; [shape], an array whose items fit
+shape; or {key: shape}, an object whose keys fit theirs. With required,
+every key a shape names must be present; other keys are never looked at.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+__all__ = ["decode_text", "read_text", "check_json", "parse_json", "load_json"]
+
+_NAMES = {int: "an integer", float: "a number", str: "a string",
+          list: "a JSON array", dict: "a JSON object"}
+_ABSENT = object()
+
+
+def decode_text(data: bytes, what: str, error: type[Exception]) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{what}: not UTF-8 text ({e})") from None
+
+
+def read_text(path: str | Path, what: str, error: type[Exception]) -> str:
+    return decode_text(Path(path).read_bytes(), what, error)
+
+
+def _fault(value, shape, where: str, required: bool) -> str | None:
+    """Where value first departs from shape, as a message; None if it fits."""
+    kind = type(shape) if isinstance(shape, (list, dict)) else shape
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        return f"{where} must be {_NAMES[kind]}" if where else f"expected {_NAMES[kind]}"
+    if isinstance(shape, list):
+        fields = ((f"{where}[{i}]", item, shape[0]) for i, item in enumerate(value))
+    elif isinstance(shape, dict):
+        fields = ((f"{where}.{key}" if where else key, value.get(key, _ABSENT), sub)
+                  for key, sub in shape.items() if required or key in value)
+    else:
+        return None
+    for field, item, sub in fields:
+        fault = (f"missing field {field!r}" if item is _ABSENT
+                 else _fault(item, sub, field, required))
+        if fault is not None:
+            return fault
+    return None
+
+
+def check_json(value, what: str, error: type[Exception], shape=dict,
+               required: bool = False):
+    """value itself once it fits shape, else error naming the first misfit."""
+    fault = _fault(value, shape, "", required)
+    if fault is not None:
+        raise error(f"{what}: {fault}")
+    return value
+
+
+def parse_json(data: str | bytes, what: str, error: type[Exception], shape=dict,
+               required: bool = False):
+    """JSON text or UTF-8 bytes, parsed and checked against shape."""
+    if isinstance(data, (bytes, bytearray)):
+        data = decode_text(data, what, error)
+    try:
+        value = json.loads(data)
+    except (ValueError, RecursionError) as e:
+        raise error(f"{what}: invalid JSON ({e})") from None
+    return check_json(value, what, error, shape, required)
+
+
+def load_json(path: str | Path, what: str, error: type[Exception], shape=dict):
+    return parse_json(Path(path).read_bytes(), what, error, shape)

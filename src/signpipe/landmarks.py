@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CorpusFormatError, ValidationError
+from .jsonio import load_json
 
 __all__ = [
     "MISSING",
@@ -392,14 +393,7 @@ def write_corpus(samples: list[SignSample], path: str | Path) -> None:
 
 def read_label_map(path: str | Path) -> LabelMap:
     """Load a label map: a JSON array of glosses, index == class id."""
-    with Path(path).open(encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as e:
-            raise ValidationError(f"label map {path}: invalid JSON ({e})") from None
-    if not isinstance(data, list) or not all(isinstance(g, str) for g in data):
-        raise ValidationError(f"label map {path}: expected a JSON array of strings")
-    return LabelMap(tuple(data))
+    return LabelMap(tuple(load_json(path, f"label map {path}", ValidationError, [str])))
 
 
 def write_label_map(labels: LabelMap, path: str | Path) -> None:

@@ -15,9 +15,9 @@ import time
 from pathlib import Path
 from typing import Iterable
 
-from ..errors import ProtocolViolation, SignpipeError, TransportError
+from ..errors import ProtocolViolation, SignpipeError, TransportError, ValidationError
 from ..landmarks import SignSample
-from .wire import PROTOCOL_VERSION, MessageSocket, WireMessage, landmarks_message
+from .wire import PROTOCOL_VERSION, MessageSocket, WireMessage, check_port, landmarks_message
 
 __all__ = ["robot_sim"]
 
@@ -72,8 +72,11 @@ def robot_sim(address: tuple[str, int], samples: Iterable[SignSample],
 
     0: every sample got its RESULT and SCRIPT and the session closed
     cleanly. 1: transport or protocol failure (the log keeps everything
-    received up to that point).
+    received up to that point). A bad port or timeout raises ValidationError.
     """
+    check_port(address[1])
+    if not timeout_s > 0:
+        raise ValidationError("timeout_s must be positive")
     log_path = Path(log_path)
     with log_path.open("w", encoding="utf-8") as out:
         try:

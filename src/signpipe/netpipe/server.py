@@ -27,11 +27,15 @@ from ..nn import ModelConfig, predict
 from ..nn.network import _check_weights
 from ..preprocess import SelectionSpec, preprocess_pipeline
 from .session import Session
-from .wire import DEFAULT_PORT, MessageSocket, WireMessage, error_message, sample_from_body
+from .wire import (DEFAULT_PORT, MessageSocket, WireMessage, check_port, error_message,
+                   sample_from_body)
 
 __all__ = ["ServerConfig", "ServerHandle", "serve"]
 
 log = logging.getLogger(__name__)
+
+# How often the accept loop checks for shutdown; close() waits up to this long.
+_POLL_INTERVAL_S = 0.05
 
 
 @dataclass
@@ -61,8 +65,7 @@ class ServerConfig:
             raise ValidationError("wpm must be positive")
         if self.max_retries < 0:
             raise ValidationError("max_retries must not be negative")
-        if not 0 <= self.port <= 65535:
-            raise ValidationError(f"port {self.port} is outside 0-65535")
+        check_port(self.port)
 
 
 def _timeline_body(timeline: Timeline, extra_warnings: tuple[str, ...]) -> dict:
@@ -194,9 +197,8 @@ def serve(cfg: ServerConfig) -> ServerHandle:
     """
     cfg.validate()
     server = _PipelineServer(cfg)
-    thread = threading.Thread(
-        target=server.serve_forever, name="signpipe-server", daemon=True
-    )
+    thread = threading.Thread(target=server.serve_forever, args=(_POLL_INTERVAL_S,),
+                              name="signpipe-server", daemon=True)
     thread.start()
     log.info("serving on %s:%d", *server.server_address[:2])
     return ServerHandle(server, thread)

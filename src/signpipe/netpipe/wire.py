@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import FrameError, ValidationError
+from ..jsonio import check_json, parse_json
 from ..landmarks import LandmarkRows, SignSample
 
 __all__ = [
@@ -77,23 +78,18 @@ def encode_frame(msg: WireMessage) -> bytes:
 
 
 def _decode_payload(payload: bytes) -> WireMessage:
-    try:
-        data = json.loads(payload.decode("utf-8"))
-    except (ValueError, RecursionError) as e:
-        raise FrameError(f"payload is not valid JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise FrameError("payload must be a JSON object")
-    extra = set(data) - {"type", "body"}
-    if extra:
-        raise FrameError(f"unexpected payload keys {sorted(extra)}")
-    if "type" not in data or "body" not in data:
+    data = parse_json(payload, "payload", FrameError, {"type": str, "body": dict})
+    if data.keys() != {"type", "body"}:
         raise FrameError("payload must have exactly the keys 'type' and 'body'")
-    msg_type, body = data["type"], data["body"]
-    if not isinstance(msg_type, str) or msg_type not in WIRE_TYPES:
-        raise FrameError(f"unknown message type {msg_type!r}")
-    if not isinstance(body, dict):
-        raise FrameError("message body must be a JSON object")
-    return WireMessage(msg_type, body)
+    if data["type"] not in WIRE_TYPES:
+        raise FrameError(f"unknown message type {data['type']!r}")
+    return WireMessage(data["type"], data["body"])
+
+
+def check_port(port: int) -> None:
+    """Raise ValidationError unless port is a TCP port number."""
+    if not 0 <= port <= 65535:
+        raise ValidationError(f"port {port} is outside 0-65535")
 
 
 def _declared_length(data) -> int:
@@ -192,15 +188,9 @@ def _require(values, allowed: set, what: str, key=type) -> None:
 def sample_from_body(body: dict) -> SignSample:
     """Inverse of sample_to_body; raises ValidationError on any shape or
     content problem (this is remote input)."""
-    sample = body.get("sample")
-    if not isinstance(sample, dict):
-        raise ValidationError("LANDMARKS body is missing the sample object")
-    sample_id = sample.get("id")
-    if not isinstance(sample_id, str):
-        raise ValidationError("sample id must be a string")
-    rows = sample.get("frames")
-    if not isinstance(rows, list):
-        raise ValidationError("sample frames must be an array")
+    check_json(body, "LANDMARKS body", ValidationError,
+               {"sample": {"id": str, "frames": list}}, required=True)
+    sample_id, rows = body["sample"]["id"], body["sample"]["frames"]
     _require(rows, {list}, "expected an array of 6 elements")
     _require(rows, {6}, "expected 6 elements", key=len)
     frame_index, kind, landmark_index, *xyz = list(zip(*rows)) or [()] * 6

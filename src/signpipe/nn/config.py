@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..errors import ValidationError
+from ..jsonio import check_json, load_json
 from ..landmarks import LabelMap
 
 __all__ = ["ModelConfig", "DEFAULT_CONFIG"]
@@ -74,24 +75,20 @@ class ModelConfig:
         return json.dumps(d, indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+    def from_dict(cls, data: dict, origin: str = "model config") -> "ModelConfig":
+        fields = dict.fromkeys(cls.__dataclass_fields__, int)
+        check_json(data, origin, ValidationError, fields | {"extractor_dims": [int]})
+        unknown = set(data) - set(fields)
         if unknown:
-            raise ValidationError(f"unknown model config fields: {sorted(unknown)}")
+            raise ValidationError(f"{origin}: unknown fields {sorted(unknown)}")
         if "extractor_dims" in data:
             data = dict(data, extractor_dims=tuple(data["extractor_dims"]))
         return cls(**data)
 
     @classmethod
     def load(cls, path: str | Path) -> "ModelConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as e:
-            raise ValidationError(f"model config {path}: invalid JSON ({e})") from None
-        if not isinstance(data, dict):
-            raise ValidationError(f"model config {path}: expected a JSON object")
-        return cls.from_dict(data)
+        origin = f"model config {path}"
+        return cls.from_dict(load_json(path, origin, ValidationError), origin)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")

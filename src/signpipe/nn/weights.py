@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import WeightFormatError
+from ..jsonio import decode_text
 
 __all__ = ["save_tensors", "load_tensors", "save_weights", "load_weights"]
 
@@ -58,7 +59,7 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name = decode_text(take(name_len, "name"), "tensor name", WeightFormatError)
         (rank,) = struct.unpack("<B", take(1, "rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
         n_elems = 1
@@ -68,7 +69,10 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
         if name in out:
             raise WeightFormatError(f"duplicate tensor name {name!r}")
         arr = np.frombuffer(payload, dtype="<f4", count=n_elems)
-        out[name] = arr.reshape(dims).astype(np.float32)
+        try:
+            out[name] = arr.reshape(dims).astype(np.float32)
+        except ValueError:  # an empty tensor whose other dims overflow numpy's size
+            raise WeightFormatError(f"tensor {name!r} has unusable dims {dims}") from None
     if off != len(data):
         raise WeightFormatError(f"{len(data) - off} trailing bytes after last tensor")
     return out

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
+from .jsonio import parse_json, read_text
 from .landmarks import KIND_CAPACITY, LandmarkKind, SignSample, frame_ordinal
 from .nn.ops import STD_FLOOR
 
@@ -96,27 +97,15 @@ class SelectionSpec:
                 for r, (k, i) in enumerate(zip(kind.tolist(), index.tolist()))}
 
     @classmethod
-    def from_json(cls, text: str) -> "SelectionSpec":
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as e:
-            raise ValidationError(f"selection spec: invalid JSON ({e})") from None
-        if not isinstance(data, dict):
-            raise ValidationError("selection spec: expected a JSON object")
-        lips = data.get("lips", list(DEFAULT_LIPS))
-        pose = data.get("pose", list(DEFAULT_POSE))
-        for name, val in (("lips", lips), ("pose", pose)):
-            if not isinstance(val, list) or not all(isinstance(i, int) for i in val):
-                raise ValidationError(f"selection spec: {name} must be an int array")
-        return cls(tuple(lips), tuple(pose))
+    def from_json(cls, text: str, origin: str = "selection spec") -> "SelectionSpec":
+        data = parse_json(text, origin, ValidationError, {"lips": [int], "pose": [int]})
+        return cls(tuple(data.get("lips", DEFAULT_LIPS)),
+                   tuple(data.get("pose", DEFAULT_POSE)))
 
     @classmethod
     def load(cls, path: str | Path) -> "SelectionSpec":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except UnicodeDecodeError as e:
-            raise ValidationError(f"selection spec {path}: not UTF-8 text ({e})") from None
-        return cls.from_json(text)
+        origin = f"selection spec {path}"
+        return cls.from_json(read_text(path, origin, ValidationError), origin)
 
     def save(self, path: str | Path) -> None:
         payload = {"lips": list(self.lips), "pose": list(self.pose)}

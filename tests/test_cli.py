@@ -408,6 +408,8 @@ class TestSettingPrecedence:
         assert main(["stats", "--config", str(tmp_path / "none.json")]) == 2
         bad.write_text('{"seed": ' + "9" * 5000 + "}")
         assert main(["stats", "--config", str(bad)]) == 2
+        bad.write_text('{"seed": [1]}')
+        assert main(["stats", "--config", str(bad)]) == 2
 
     def test_bad_env_value_type(self, monkeypatch, capsys):
         monkeypatch.setenv("SIGNPIPE_SEED", "not-a-number")
@@ -524,6 +526,33 @@ class TestNonUtf8Files:
         assert code == 1
         assert "error: " in err and "UTF-8" in err
         assert "Traceback" not in err
+
+
+class TestMalformedInputs:
+    """A wrongly typed field or an out-of-range client setting is one
+    `error:` line and exit 1, before any output."""
+
+    @pytest.mark.parametrize("case", ["descriptors", "model-config",
+                                      "robot-timeout", "robot-port"])
+    def test_one_error_line(self, tmp_path, capsys, case):
+        bad = tmp_path / "bad.json"
+        log = tmp_path / "robot.log"
+        content, argv = {
+            "descriptors": (
+                '[{"tag": "A", "description": "d", "playtime_s": "abc",'
+                ' "body_parts": ["Neck"]}]',
+                ["stats", "--descriptors", str(bad)]),
+            "model-config": (json.dumps(dict(SMALL_MODEL, input_dim="176")),
+                             ["bench", "--model-config", str(bad), "--runs", "1"]),
+            "robot-timeout": ("", ["robot-sim", "--log", str(log), "--timeout", "-1"]),
+            "robot-port": ("", ["robot-sim", "--log", str(log), "--port", "70000"]),
+        }[case]
+        bad.write_text(content)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not log.exists()
 
 
 class TestRobotSimCommand:

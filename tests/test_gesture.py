@@ -6,6 +6,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from signpipe.errors import ValidationError
 from signpipe.gesture import (
@@ -144,6 +145,9 @@ class TestPlaytimeStats:
             "mean", "std", "min", "p25", "p50", "p75", "max"]
 
 
+MARKUP_DB = simple_db(("Yes", 1.4, {"Neck"}), ("ShowSky", 2.1, {"Right Arm"}))
+
+
 class TestParseMarkup:
     def test_reference_script(self, fixture_db):
         script = parse_markup(TAGGED_FIXTURE, fixture_db)
@@ -228,6 +232,22 @@ class TestParseMarkup:
         script = parse_markup(TAGGED_FIXTURE, fixture_db)
         assert render_markup(script) == TAGGED_FIXTURE
         assert parse_markup(render_markup(script), fixture_db) == script
+
+    @settings(deadline=None, max_examples=500)
+    @given(text=st.lists(st.one_of(
+        st.sampled_from(["[Yes]", "[/Yes]", "[ShowSky]", "[/ShowSky]", "[Bogus]",
+                         "[", "]", "[/", "[]", " "]),
+        st.text(st.characters(exclude_categories=()), max_size=6))).map("".join))
+    @example(text="\ud800 [Yes")  # a lone surrogate before the error offset
+    def test_any_text_parses_or_raises_markup_error(self, text):
+        """Any text is a TaggedScript that renders back to itself, or a
+        MarkupError; an LLM reply can be any string JSON can carry."""
+        try:
+            script = parse_markup(text, MARKUP_DB)
+        except MarkupError:
+            return
+        assert isinstance(script, TaggedScript)
+        assert render_markup(script) == text
 
 
 class TestNormalizeSpokenText:

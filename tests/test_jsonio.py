@@ -1,0 +1,137 @@
+"""The checked JSON reader and every loader that goes through it."""
+
+import io
+import json
+import struct
+from types import SimpleNamespace
+
+import pytest
+
+from signpipe.cli import _load_config_file
+from signpipe.dialogue import API_KEY_ENV, HttpLlmBackend, PromptTemplate
+from signpipe.errors import (
+    BackendError,
+    FrameError,
+    TemplateError,
+    UsageError,
+    ValidationError,
+)
+from signpipe.gesture import descriptors_from_json, load_descriptors
+from signpipe.jsonio import check_json
+from signpipe.landmarks import read_label_map
+from signpipe.netpipe import decode_frame
+from signpipe.nn import ModelConfig
+from signpipe.preprocess import SelectionSpec
+
+
+def _from_file(load):
+    def call(tmp_path, data: bytes, monkeypatch):
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        return load(path)
+    return call
+
+
+def _from_llm(tmp_path, data: bytes, monkeypatch):
+    monkeypatch.setenv(API_KEY_ENV, "k")
+    monkeypatch.setattr("urllib.request.urlopen",
+                        lambda request, timeout: io.BytesIO(data))
+    return HttpLlmBackend("http://127.0.0.1:9", "m").complete("hi")
+
+
+# loader -> (its error class, how to feed it bytes, a wrongly typed field)
+LOADERS = {
+    "config file": (
+        UsageError,
+        _from_file(lambda p: _load_config_file(SimpleNamespace(config=str(p)))),
+        b'{"port": [9470]}'),
+    "model config": (ValidationError, _from_file(ModelConfig.load),
+                     b'{"input_dim": "176"}'),
+    "selection spec": (ValidationError, _from_file(SelectionSpec.load),
+                       b'{"lips": [true]}'),
+    "descriptor db": (
+        ValidationError, _from_file(load_descriptors),
+        b'[{"tag": 5, "description": "d", "playtime_s": 1, "body_parts": ["Neck"]}]'),
+    "label map": (ValidationError, _from_file(read_label_map), b'["a", 5]'),
+    "template": (TemplateError, _from_file(lambda p: PromptTemplate.load(p, p)),
+                 b'{"gloss": 5}'),
+    "wire frame": (FrameError,
+                   lambda tmp_path, data, mp: decode_frame(
+                       struct.pack(">I", len(data)) + data),
+                   b'{"type": 5, "body": {}}'),
+    "LLM reply": (BackendError, _from_llm,
+                  b'{"choices": [{"message": {"content": 5}}]}'),
+}
+
+MALFORMED = {
+    "not-utf8": b"\xff\xfe{}",
+    "invalid-json": b"{nope",
+    "5000-digit-int": b"9" * 5000,
+    "deep-nesting": b"[" * 100_000,
+    "wrong-top-level": b'"text"',
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED, "wrong-field"])
+@pytest.mark.parametrize("loader", LOADERS)
+def test_every_loader_raises_only_its_own_error(loader, case, tmp_path, monkeypatch):
+    error, call, wrong_field = LOADERS[loader]
+    data = wrong_field if case == "wrong-field" else MALFORMED[case]
+    with pytest.raises(Exception) as exc:
+        call(tmp_path, data, monkeypatch)
+    assert type(exc.value) is error, repr(exc.value)
+
+
+@pytest.mark.parametrize("parse, text, field", [
+    (descriptors_from_json,
+     '[{"tag": "A", "description": "d", "playtime_s": "abc", "body_parts": ["Neck"]}]',
+     "playtime_s"),
+    (descriptors_from_json,
+     '[{"tag": 5, "description": "d", "playtime_s": 1, "body_parts": ["Neck"]}]',
+     "tag"),
+    (SelectionSpec.from_json, '{"lips": [true]}', "lips"),
+    (lambda text: ModelConfig.from_dict(json.loads(text)), '{"input_dim": "176"}',
+     "input_dim"),
+    (lambda text: ModelConfig.from_dict(json.loads(text)), '{"extractor_dims": 5}',
+     "extractor_dims"),
+])
+def test_wrongly_typed_field_is_named(parse, text, field):
+    with pytest.raises(ValidationError, match=field):
+        parse(text)
+
+
+def test_nested_llm_reply_is_backend_error(tmp_path, monkeypatch):
+    with pytest.raises(BackendError, match="invalid JSON"):
+        _from_llm(tmp_path, b"[" * 100_000, monkeypatch)
+
+
+def test_llm_reply_without_choices(tmp_path, monkeypatch):
+    with pytest.raises(BackendError, match="choices"):
+        _from_llm(tmp_path, b'{"choices": []}', monkeypatch)
+    assert _from_llm(tmp_path, b'{"choices": [{"message": {"content": "hi"}}]}',
+                     monkeypatch) == "hi"
+
+
+class TestShapes:
+    @pytest.mark.parametrize("value, shape", [
+        (3, int), (3, float), (2.5, float), ("s", str), ([1, 2], [int]),
+        ({"a": [1.5, 2]}, {"a": [float]}), ({"other": True}, {"a": int}),
+    ])
+    def test_fits(self, value, shape):
+        assert check_json(value, "x", ValidationError, shape) is value
+
+    @pytest.mark.parametrize("value, shape, message", [
+        (True, int, "x: expected an integer"),
+        (False, float, "x: expected a number"),
+        (2.0, int, "x: expected an integer"),
+        ([1, "2"], [int], r"x: \[1\] must be an integer"),
+        ({"a": {"b": None}}, {"a": {"b": str}}, "x: a.b must be a string"),
+    ])
+    def test_misfits(self, value, shape, message):
+        with pytest.raises(ValidationError, match=message):
+            check_json(value, "x", ValidationError, shape)
+
+    def test_required_fields(self):
+        assert check_json([{}], "x", ValidationError, [{"a": int}]) == [{}]
+        with pytest.raises(ValidationError, match=r"x: missing field '\[0\].a'"):
+            check_json([{}], "x", ValidationError, [{"a": int}], required=True)

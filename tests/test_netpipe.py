@@ -207,6 +207,27 @@ class TestFrameDecoder:
         assert out == messages
         assert dec.pending_bytes == 0
 
+    @settings(deadline=None, max_examples=300)
+    @given(pieces=st.lists(st.one_of(
+               st.binary(max_size=12),
+               st.binary(max_size=40).map(lambda p: struct.pack(">I", len(p)) + p),
+               st.text(max_size=30).map(
+                   lambda t: struct.pack(">I", len(t.encode())) + t.encode()),
+               st.sampled_from([encode_frame(HELLO), encode_frame(BYE)])),
+               max_size=8),
+           cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=10))
+    def test_arbitrary_bytes_in_arbitrary_chunks(self, pieces, cuts):
+        """Every feed yields messages or raises FrameError, nothing else."""
+        stream = b"".join(pieces)
+        bounds = sorted({0, len(stream), *(min(c, len(stream)) for c in cuts)})
+        dec = FrameDecoder()
+        try:
+            for start, end in zip(bounds, bounds[1:]):
+                assert all(isinstance(m, WireMessage)
+                           for m in dec.feed(stream[start:end]))
+        except FrameError:
+            pass
+
 
 class TestMessageSocket:
     def test_one_send_delivers_messages_in_order(self):

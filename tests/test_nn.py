@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from signpipe.errors import (
     DivergenceError,
@@ -23,10 +24,12 @@ from signpipe.nn import (
     feature_extract,
     forward,
     init_weights,
+    load_tensors,
     load_weights,
     loss_and_grads,
     param_specs,
     predict,
+    save_tensors,
     save_weights,
     train_step,
 )
@@ -489,6 +492,42 @@ class TestWeightFile:
         p = tmp_path / "w.sgnw"
         save_weights({}, p)
         assert load_weights(p) == {}
+
+
+HEADER = b"SGNW" + struct.pack("<II", 1, 1)
+
+
+def load_or_format_error(path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        assert isinstance(load_tensors(path), dict)
+    except WeightFormatError:
+        pass
+
+
+class TestWeightFileFuzz:
+    """load_tensors returns a dict or raises WeightFormatError, nothing else."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.one_of(st.binary(max_size=120),
+                          st.binary(max_size=120).map(HEADER.__add__)))
+    @example(data=HEADER + struct.pack("<H", 1) + b"\xff" + struct.pack("<B", 1)
+             + struct.pack("<If", 1, 2.0))
+    @example(data=HEADER + struct.pack("<H", 1) + b"a" + struct.pack("<B", 3)
+             + struct.pack("<3I", 0, 2**32 - 1, 2**32 - 1))
+    def test_arbitrary_bytes(self, tmp_path_factory, data):
+        load_or_format_error(tmp_path_factory.getbasetemp() / "fuzz.sgnw", data)
+
+    @settings(deadline=None, max_examples=300)
+    @given(position=st.integers(min_value=0), value=st.integers(0, 255))
+    @example(position=len(HEADER) + 2, value=0xFF)  # first byte of the first name
+    def test_one_byte_corruption(self, tmp_path_factory, position, value):
+        path = tmp_path_factory.getbasetemp() / "fuzz.sgnw"
+        save_tensors({"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+                      "bé": np.array(1.5, dtype=np.float32)}, path)
+        data = bytearray(path.read_bytes())
+        data[position % len(data)] = value
+        load_or_format_error(path, bytes(data))
 
 
 class TestBenchmark:
