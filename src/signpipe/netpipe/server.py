@@ -1,26 +1,27 @@
 """The recognition server: preprocess -> classify -> compose, over TCP.
 
-Each connection gets its own thread, protocol session, message socket, and
-LLM backend instance. Model weights, the descriptor DB, and templates are
-shared and immutable. The replies to one inbound message leave in one
-write. Every ERROR reply closes the connection; the client reconnects for a
-fresh session.
+One thread per connection: each gets its own protocol session, message
+socket, and LLM backend instance, and serves its samples inline on that
+thread. Model weights, the descriptor DB, and templates are shared and
+immutable. A sample's deadline starts when it arrives and is checked between
+stages and before each backend call; a backend call already in flight is not
+interrupted. The replies to one inbound message leave in one write. Every
+ERROR reply closes the connection; the client reconnects for a fresh session.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
-import socket
 import socketserver
 import threading
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ..dialogue import LlmBackend, PromptTemplate, RecognitionEvent, compose
-from ..errors import FrameError, ProtocolViolation, ShapeError, SignpipeError, ValidationError
+from ..errors import FrameError, ShapeError, SignpipeError, ValidationError
 from ..gesture import GestureDb, Timeline, render_markup, schedule
 from ..landmarks import LabelMap
 from ..nn import ModelConfig, predict
@@ -89,6 +90,40 @@ def _timeline_body(timeline: Timeline, extra_warnings: tuple[str, ...]) -> dict:
     return {"events": events, "warnings": list(extra_warnings) + list(timeline.warnings)}
 
 
+class _Overdue(Exception):
+    """The sample's deadline passed before its reply was ready."""
+
+
+class _Deadline(LlmBackend):
+    """The connection's backend behind one sample's deadline, an instant on
+    time.monotonic(): check() raises _Overdue once it has passed, and so
+    does every backend call that would start after it."""
+
+    def __init__(self, backend: LlmBackend, seconds: float):
+        self._backend = backend
+        self._at = time.monotonic() + seconds
+
+    def check(self) -> None:
+        if time.monotonic() > self._at:
+            raise _Overdue
+
+    def complete(self, prompt: str) -> str:
+        self.check()
+        return self._backend.complete(prompt)
+
+
+def _send(link: MessageSocket, replies: list[WireMessage]) -> list[WireMessage]:
+    """Send replies in one write, or one ERROR INTERNAL in their place if
+    any cannot be encoded. Returns what was sent."""
+    try:
+        link.send(*replies)
+    except FrameError as e:
+        log.error("cannot encode a reply: %s", e)
+        replies = [error_message("INTERNAL", "the server could not encode its reply")]
+        link.send(*replies)
+    return replies
+
+
 class _Handler(socketserver.BaseRequestHandler):
     server: "_PipelineServer"
 
@@ -96,64 +131,50 @@ class _Handler(socketserver.BaseRequestHandler):
         link = MessageSocket(self.request)
         session = Session()
         backend = self.server.cfg.backend_factory()
-        executor = concurrent.futures.ThreadPoolExecutor(max_workers=1)
         try:
             try:
                 while (msg := link.recv()) is not None:
                     effect = session.on_message(msg)
                     replies = list(effect.replies)
                     if effect.sample_body is not None:
-                        replies += self._respond(executor, backend, effect.sample_body)
-                    link.send(*replies)
+                        replies += self._respond(backend, effect.sample_body)
+                    replies = _send(link, replies)
                     if effect.close or replies[-1].type == "ERROR":
                         return
             except FrameError as e:
                 link.send(error_message("BAD_FRAME", str(e)))
         except OSError:
             return  # the peer is gone
-        finally:
-            executor.shutdown(wait=False)
 
-    def _respond(self, executor, backend, body: dict) -> list[WireMessage]:
-        """RESULT and SCRIPT for one sample, or one ERROR if processing
-        fails or overruns the deadline."""
+    def _respond(self, backend: LlmBackend, body: dict) -> list[WireMessage]:
+        """RESULT and SCRIPT for one sample, or one ERROR if the body is
+        malformed, processing fails, or the deadline passes first."""
         cfg = self.server.cfg
-        future = executor.submit(self._process, backend, body)
+        deadline = _Deadline(backend, cfg.deadline_s)
         try:
-            return future.result(timeout=cfg.deadline_s)
-        except concurrent.futures.TimeoutError:
+            try:
+                sample = sample_from_body(body)
+            except SignpipeError as e:
+                return [error_message("PROTOCOL", str(e))]
+            x = preprocess_pipeline(sample, cfg.selection, cfg.model_config.max_seq_len)
+            deadline.check()
+            pred = predict(x, cfg.weights, cfg.model_config, cfg.labels)
+            event = RecognitionEvent(pred.gloss, pred.confidence * 100.0)
+            composed = compose(event, cfg.db, deadline, cfg.template, cfg.max_retries)
+            timeline = schedule(composed.script, cfg.db, cfg.wpm)
+            script = {"tagged_text": render_markup(composed.script),
+                      "timeline": _timeline_body(timeline, composed.warnings)}
+            deadline.check()
+        except _Overdue:
             return [error_message("TIMEOUT", f"processing exceeded {cfg.deadline_s:g}s")]
-        except ProtocolViolation as e:
-            return [error_message("PROTOCOL", str(e))]
         except SignpipeError as e:
             return [error_message("INTERNAL", str(e))]
         except Exception:
             log.exception("unexpected error while processing a sample")
             return [error_message("INTERNAL", "unexpected server error")]
-
-    def _process(self, backend, body: dict) -> list[WireMessage]:
-        cfg = self.server.cfg
-        try:
-            sample = sample_from_body(body)
-        except SignpipeError as e:
-            raise ProtocolViolation(str(e)) from None
-        x = preprocess_pipeline(sample, cfg.selection, cfg.model_config.max_seq_len)
-        pred = predict(x, cfg.weights, cfg.model_config, cfg.labels)
-        confidence_pct = pred.confidence * 100.0
-        result = WireMessage(
-            "RESULT", {"gloss": pred.gloss, "confidence_pct": confidence_pct}
-        )
-        event = RecognitionEvent(pred.gloss, confidence_pct)
-        composed = compose(event, cfg.db, backend, cfg.template, cfg.max_retries)
-        timeline = schedule(composed.script, cfg.db, cfg.wpm)
-        script = WireMessage(
-            "SCRIPT",
-            {
-                "tagged_text": render_markup(composed.script),
-                "timeline": _timeline_body(timeline, composed.warnings),
-            },
-        )
-        return [result, script]
+        return [WireMessage("RESULT", {"gloss": event.gloss,
+                                       "confidence_pct": event.confidence_pct}),
+                WireMessage("SCRIPT", script)]
 
 
 class _PipelineServer(socketserver.ThreadingTCPServer):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +24,20 @@ TAGGED_FIXTURE = (
     "today is really nice [/Excited]. Just [ShowSky] look up at the sky "
     "[/ShowSky]."
 )
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a thread it started running for more than 1 s
+    after it ends: work that outlives its test outlives its caller too."""
+    before = set(threading.enumerate())
+    yield
+    give_up = time.monotonic() + 1.0
+    started = [t for t in threading.enumerate() if t not in before]
+    for thread in started:
+        thread.join(timeout=max(0.0, give_up - time.monotonic()))
+    alive = [t.name for t in started if t.is_alive()]
+    assert not alive, f"threads still running after the test: {alive}"
 
 
 @pytest.fixture

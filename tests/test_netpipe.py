@@ -1,17 +1,21 @@
 """Wire format, protocol state machine, server, and robot client."""
 
+import contextlib
 import hashlib
 import json
+import logging
 import math
+import os
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signpipe.dialogue import LlmBackend, MockLlmBackend, PromptTemplate
+from signpipe.dialogue import LlmBackend, MockLlmBackend, PromptTemplate, ScriptedLlmBackend
 from signpipe.errors import (
     BackendError,
     FrameError,
@@ -442,10 +446,14 @@ def server_config(**overrides):
 
 
 class SlowBackend(LlmBackend):
+    """Sleeps on every call and records when each call started."""
+
     def __init__(self, delay_s):
         self.delay_s = delay_s
+        self.starts = []
 
     def complete(self, prompt):
+        self.starts.append(time.monotonic())
         time.sleep(self.delay_s)
         return "too late"
 
@@ -601,6 +609,37 @@ class TestServer:
         assert [m.type for m in replies] == ["HELLO", "ERROR"]
         assert replies[1].body["code"] == "TIMEOUT"
 
+    def test_no_backend_call_starts_after_the_deadline(self, fixture_db):
+        backend = SlowBackend(0.5)
+        cfg = server_config(db=fixture_db, deadline_s=0.2,
+                            backend_factory=lambda: backend)
+        with serve(cfg) as handle:
+            replies = talk(handle.address, HELLO, landmarks_message(make_sample()))
+            replied = time.monotonic()
+            time.sleep(0.8)  # long past when a second call would have started
+        assert [m.type for m in replies] == ["HELLO", "ERROR"]
+        assert replies[1].body["code"] == "TIMEOUT"
+        assert len(backend.starts) == 1 and backend.starts[0] < replied
+
+    @pytest.mark.parametrize("deadline_s", [1e10, math.inf])
+    def test_huge_deadline_serves_normally(self, fixture_db, deadline_s):
+        with serve(server_config(db=fixture_db, deadline_s=deadline_s)) as handle:
+            replies = talk(handle.address, HELLO, landmarks_message(make_sample()), BYE)
+        assert [m.type for m in replies] == ["HELLO", "RESULT", "SCRIPT", "BYE"]
+
+    def test_unencodable_reply_is_internal_error(self, fixture_db, caplog):
+        # A lone surrogate parses as markup but has no UTF-8 encoding.
+        cfg = server_config(db=fixture_db, backend_factory=lambda: ScriptedLlmBackend(
+            ["\ud800 hi"] * 2))
+        with caplog.at_level(logging.ERROR, logger="signpipe.netpipe.server"):
+            with serve(cfg) as handle:
+                replies = talk(handle.address, HELLO, landmarks_message(make_sample()))
+        assert [m.type for m in replies] == ["HELLO", "ERROR"]
+        assert replies[1].body["code"] == "INTERNAL"
+        [record] = [r for r in caplog.records if r.name == "signpipe.netpipe.server"]
+        assert record.getMessage().startswith("cannot encode a reply")
+        assert "surrogates not allowed" in record.getMessage()
+
     def test_backend_failure_is_internal_error(self, fixture_db):
         cfg = server_config(db=fixture_db,
                             backend_factory=lambda: FailingBackend())
@@ -608,6 +647,40 @@ class TestServer:
             replies = talk(handle.address, HELLO, landmarks_message(make_sample()))
         assert [m.type for m in replies] == ["HELLO", "ERROR"]
         assert replies[1].body["code"] == "INTERNAL"
+
+
+_LLM_TEXT = st.lists(
+    st.sampled_from(["[Yes]", "[/Yes]", "[Excited]", "[/Excited]", " ", "\ud800"])
+    | st.text(st.characters(exclude_categories=()), max_size=4),
+    max_size=8).map("".join)
+
+
+class TestServerReplies:
+    @pytest.mark.filterwarnings("ignore::signpipe.dialogue.DialogueWarning")
+    def test_any_llm_text_gives_a_script_or_one_internal_error(self, fixture_db):
+        """Step-1 and step-2 replies of any text, lone surrogates included."""
+        replies = []
+        cfg = server_config(db=fixture_db,
+                            backend_factory=lambda: ScriptedLlmBackend(replies[-1]))
+
+        @settings(deadline=None, max_examples=60)
+        @given(st.lists(_LLM_TEXT, min_size=4, max_size=4))
+        def exchange(texts):
+            replies.append(texts)
+            with socket.create_connection(handle.address, timeout=10.0) as sock:
+                link = MessageSocket(sock)
+                link.send(HELLO, landmarks_message(make_sample()))
+                assert link.recv() == HELLO
+                first = link.recv()
+                if first.type == "ERROR":
+                    assert first.body["code"] == "INTERNAL"
+                    assert link.recv() is None
+                else:
+                    assert first.type == "RESULT"
+                    assert link.recv().type == "SCRIPT"
+
+        with serve(cfg) as handle:
+            exchange()
 
 
 class TestServerRejectsBadRows:
@@ -696,3 +769,159 @@ class TestRobotSim:
 
     def test_default_port_constant(self):
         assert DEFAULT_PORT == 9470
+
+
+def raw_frame(msg_type, body) -> bytes:
+    """A frame as any JSON writer may send it: NaN, Infinity and escaped
+    lone surrogates included."""
+    payload = json.dumps({"type": msg_type, "body": body}).encode("ascii")
+    return struct.pack(">I", len(payload)) + payload
+
+
+@contextlib.contextmanager
+def scripted_server(*frames: bytes):
+    """A one-connection server: it answers HELLO and BYE in kind and every
+    LANDMARKS with frames, sent as they are. Yields its address."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+    replies = {"HELLO": encode_frame(HELLO), "LANDMARKS": b"".join(frames),
+               "BYE": encode_frame(BYE)}
+
+    def run():
+        with listener:
+            conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(10.0)
+            link = MessageSocket(conn)
+            try:
+                while (msg := link.recv()) is not None:
+                    conn.sendall(replies[msg.type])
+            except OSError:
+                pass  # the robot hung up on a reply it rejected
+
+    thread = threading.Thread(target=run, name="scripted-server")
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        thread.join(timeout=10.0)
+
+
+GOOD_RESULT = {"gloss": "cloud", "confidence_pct": 93.5}
+GOOD_SCRIPT = {
+    "tagged_text": "[Yes] Great! [/Yes] Look up.",
+    "timeline": {
+        "events": [
+            {"kind": "gesture", "tag": "Yes", "start_s": 0, "duration_s": 1.4,
+             "body_parts": ["Neck"]},
+            {"kind": "speech", "text": "Great!", "start_s": 0.0, "duration_s": 0.4},
+            {"kind": "speech", "text": "Look up.", "start_s": 12.125, "duration_s": 0.8},
+        ],
+        "warnings": ["degraded to untagged speech"],
+    },
+}
+
+
+def _with(body: dict, path: tuple, value) -> dict:
+    """A deep copy of body with the field at path set to value."""
+    body = json.loads(json.dumps(body))
+    *parents, last = path
+    target = body
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return body
+
+
+_TEXT = st.text(max_size=6) | st.just("\ud800 hi")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+_JUNK_BODIES = st.dictionaries(st.text(max_size=12), _JSON, max_size=3)
+
+
+def _or_junk(strategy):
+    return strategy | _JSON
+
+
+_EVENTS = st.fixed_dictionaries({
+    "kind": _or_junk(st.sampled_from(["gesture", "speech"])),
+    "start_s": _or_junk(st.floats() | st.integers()),
+    "duration_s": _or_junk(st.floats() | st.integers()),
+    "tag": _or_junk(_TEXT),
+    "text": _or_junk(_TEXT),
+})
+_RESULT_BODIES = _JUNK_BODIES | st.fixed_dictionaries({
+    "gloss": _or_junk(_TEXT),
+    "confidence_pct": _or_junk(st.floats() | st.integers()),
+})
+_SCRIPT_BODIES = _JUNK_BODIES | st.fixed_dictionaries({
+    "tagged_text": _or_junk(_TEXT),
+    "timeline": _or_junk(st.fixed_dictionaries({
+        "events": _or_junk(st.lists(_EVENTS, max_size=3)),
+        "warnings": _or_junk(st.lists(_TEXT, max_size=2)),
+    })),
+})
+
+
+class TestRobotReplies:
+    """What robot_sim makes of replies from a server that is not ours."""
+
+    def run(self, log, result=GOOD_RESULT, script=GOOD_SCRIPT):
+        with scripted_server(raw_frame("RESULT", result),
+                             raw_frame("SCRIPT", script)) as address:
+            return robot_sim(address, [make_sample(sample_id="s1")], log, timeout_s=5.0)
+
+    def test_log_of_a_well_formed_reply(self, tmp_path):
+        log = tmp_path / "robot.log"
+        assert self.run(log) == 0
+        assert log.read_text(encoding="utf-8") == (
+            "SAMPLE s1\n"
+            "RESULT cloud 93.50\n"
+            "SCRIPT [Yes] Great! [/Yes] Look up.\n"
+            "    0.00s gesture Yes (1.40s)\n"
+            "    0.00s speech Great!\n"
+            "   12.12s speech Look up.\n"
+            "  warning: degraded to untagged speech\n"
+        )
+
+    def test_lone_surrogate_is_logged_escaped(self, tmp_path):
+        log = tmp_path / "robot.log"
+        assert self.run(log, script=_with(GOOD_SCRIPT, ("tagged_text",), "\ud800 hi")) == 0
+        assert "SCRIPT \\ud800 hi\n" in log.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("reply, path, value", [
+        ("result", ("confidence_pct",), "x"),
+        ("result", ("confidence_pct",), math.nan),
+        pytest.param("result", ("confidence_pct",), 10**400, id="result-400-digit-int"),
+        ("result", ("confidence_pct",), True),
+        ("result", ("gloss",), None),
+        ("script", ("tagged_text",), 5),
+        ("script", ("timeline",), []),
+        ("script", ("timeline", "events"), {}),
+        ("script", ("timeline", "events", 0), "gesture"),
+        ("script", ("timeline", "events", 0, "kind"), "dance"),
+        ("script", ("timeline", "events", 0, "kind"), ["gesture"]),
+        ("script", ("timeline", "events", 0, "tag"), 3),
+        ("script", ("timeline", "events", 1, "start_s"), "0"),
+        ("script", ("timeline", "events", 1, "duration_s"), -math.inf),
+        ("script", ("timeline", "warnings"), [5]),
+    ])
+    def test_malformed_reply_fails_with_one_logged_error(self, tmp_path, caplog,
+                                                         reply, path, value):
+        good = {"result": GOOD_RESULT, "script": GOOD_SCRIPT}
+        bodies = dict(good, **{reply: _with(good[reply], path, value)})
+        log = tmp_path / "robot.log"
+        with caplog.at_level(logging.ERROR, logger="signpipe.netpipe.robot"):
+            assert self.run(log, **bodies) == 1
+        [record] = [r for r in caplog.records if r.name == "signpipe.netpipe.robot"]
+        assert record.levelno == logging.ERROR
+        assert f"{reply.upper()} reply" in record.getMessage()
+        assert log.read_text(encoding="utf-8") == "SAMPLE s1\n"
+
+    @settings(deadline=None, max_examples=60)
+    @given(result=_RESULT_BODIES, script=_SCRIPT_BODIES)
+    def test_arbitrary_replies_give_status_0_or_1(self, result, script):
+        assert self.run(os.devnull, result, script) in (0, 1)
