@@ -177,23 +177,23 @@ def _feature_batch(samples, selection, target_len):
     return [preprocess_pipeline(s, selection, target_len) for s in samples]
 
 
-def _required_labels(samples) -> list[int]:
+def _required_labels(samples, cfg: nn.ModelConfig) -> list[int]:
+    """Every sample's label; each must be one of the model's classes."""
     labels = []
     for s in samples:
         if s.label is None:
             raise ValidationError(f"sample {s.sample_id!r} has no label")
+        if s.label >= cfg.num_classes:
+            raise UsageError(
+                f"corpus label {s.label} outside the model's {cfg.num_classes} classes"
+            )
         labels.append(s.label)
     return labels
 
 
-def _logits(xs, w, cfg) -> np.ndarray:
-    """(N, num_classes) logits, one forward pass per sample."""
-    return np.stack([nn.forward(x, w, cfg) for x in xs])
-
-
 def _evaluate(xs, ys, w, cfg) -> tuple[float, float]:
     """Mean cross-entropy and top-1 accuracy, forward passes only."""
-    logits = _logits(xs, w, cfg)
+    logits = nn.forward_batch(xs, w, cfg)
     loss = sum(nn.cross_entropy(row, y) for row, y in zip(logits, ys))
     correct = int((np.argmax(logits, axis=1) == ys).sum())
     n = len(xs)
@@ -250,14 +250,10 @@ def cmd_train(args, file_cfg: dict) -> int:
     else:
         val_samples = []
 
-    ys = _required_labels(train_samples)
-    if max(ys) >= cfg.num_classes:
-        raise UsageError(
-            f"corpus label {max(ys)} outside the model's {cfg.num_classes} classes"
-        )
+    ys = _required_labels(train_samples, cfg)
     xs = _feature_batch(train_samples, selection, cfg.max_seq_len)
     val_xs = _feature_batch(val_samples, selection, cfg.max_seq_len)
-    val_ys = _required_labels(val_samples) if val_samples else []
+    val_ys = _required_labels(val_samples, cfg) if val_samples else []
 
     w = nn.init_weights(cfg, seed)
     shuffle_rng = np.random.default_rng(seed + 1)
@@ -300,8 +296,8 @@ def cmd_infer(args, file_cfg: dict) -> int:
 def cmd_eval(args, file_cfg: dict) -> int:
     w, cfg, selection, labels = _resolve_model(args, file_cfg)
     samples = _read_corpus_arg(args.corpus)
-    ys = _required_labels(samples)
-    logits = _logits(_feature_batch(samples, selection, cfg.max_seq_len), w, cfg)
+    ys = _required_labels(samples, cfg)
+    logits = nn.forward_batch(_feature_batch(samples, selection, cfg.max_seq_len), w, cfg)
     k = min(5, cfg.num_classes)
     top1 = 0
     topk = 0

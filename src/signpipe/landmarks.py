@@ -48,9 +48,6 @@ __all__ = [
 # In-memory sentinel for a missing coordinate. Serialized as an empty field.
 MISSING = math.nan
 
-# Default lexicon size; per-corpus maps may be smaller (toy datasets).
-DEFAULT_NUM_CLASSES = 250
-
 
 class LandmarkKind(Enum):
     """Landmark source stream. Enum values are the stable wire/serial codes."""
@@ -245,10 +242,10 @@ class SignSample:
             self.frames = LandmarkRows.of(self.frames)
         if not len(self.frames):
             raise ValidationError(f"sample {self.sample_id!r} has no frames")
-        if self.label is not None and not 0 <= self.label < DEFAULT_NUM_CLASSES:
+        # The upper bound belongs to the model and the label map, not the sample.
+        if self.label is not None and self.label < 0:
             raise ValidationError(
-                f"sample {self.sample_id!r}: label {self.label} outside "
-                f"[0, {DEFAULT_NUM_CLASSES})"
+                f"sample {self.sample_id!r}: label {self.label} is negative"
             )
 
     def by_frame(self) -> list[tuple[int, list[LandmarkFrame]]]:

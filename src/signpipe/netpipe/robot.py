@@ -58,6 +58,8 @@ def _check_body(msg: WireMessage) -> dict:
         check_json(ev, f"{what} event", ProtocolViolation, _EVENT_SHAPES[kind],
                    required=True)
         numbers += [ev["start_s"], ev["duration_s"]]
+        if ev["start_s"] < 0 or ev["duration_s"] < 0:
+            raise ProtocolViolation(f"{what}: an event time is negative")
     if not all(map(_finite, numbers)):
         raise ProtocolViolation(f"{what}: a number is not finite")
     return body
@@ -89,9 +91,16 @@ def _write_script_block(out, result_body: dict, script_body: dict) -> None:
         out.write(f"  warning: {warning}\n")
 
 
-def _play_realtime(script_body: dict) -> None:
+def _play_realtime(script_body: dict, timeout_s: float) -> None:
+    """Wait out the script's events in real time. A script that would hold
+    the robot longer than its own timeout fails before any wait."""
+    starts = sorted(ev["start_s"] for ev in script_body["timeline"]["events"])
+    if starts and starts[-1] > timeout_s:
+        raise ProtocolViolation(
+            f"SCRIPT reply: an event starts at {starts[-1]} s, "
+            f"later than the {timeout_s} s timeout")
     t0 = time.monotonic()
-    for start in sorted(ev["start_s"] for ev in script_body["timeline"]["events"]):
+    for start in starts:
         delay = start - (time.monotonic() - t0)
         if delay > 0:
             time.sleep(delay)
@@ -104,7 +113,8 @@ def robot_sim(address: tuple[str, int], samples: Iterable[SignSample],
 
     0: every sample got its RESULT and SCRIPT and the session closed
     cleanly. 1: transport or protocol failure, a malformed reply included
-    (the log keeps everything received up to that point). A bad port or
+    (the log keeps everything received up to that point), and, with
+    realtime, a script whose last event starts after timeout_s. A bad port or
     timeout raises ValidationError. Text that is not valid Unicode (a lone
     surrogate) is logged backslash-escaped.
     """
@@ -132,7 +142,7 @@ def robot_sim(address: tuple[str, int], samples: Iterable[SignSample],
                     _write_script_block(out, result.body, script.body)
                     out.flush()
                     if realtime:
-                        _play_realtime(script.body)
+                        _play_realtime(script.body, timeout_s)
                 link.send(WireMessage("BYE", {}))
                 _expect(link, "BYE")
             except (OSError, SignpipeError) as e:  # socket.timeout is an OSError

@@ -9,6 +9,7 @@ from .network import (
     encoder_layer,
     feature_extract,
     forward,
+    forward_batch,
     init_weights,
     loss_and_grads,
     param_specs,
@@ -28,6 +29,7 @@ __all__ = [
     "encoder_layer",
     "feature_extract",
     "forward",
+    "forward_batch",
     "init_weights",
     "load_tensors",
     "loss_and_grads",

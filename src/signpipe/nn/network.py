@@ -6,10 +6,21 @@ transformer encoder layers (h1 = h + MHA(LN(h)); out = h1 + FFN(LN(h1)),
 full bidirectional attention), mean-pooling over time, and a final dense
 head with no activation. Weights live in a flat name -> float32 array dict;
 gradients are computed by hand through every op.
+
+A batch runs row-stacked: consecutive clips are packed into chunks of at
+most _CHUNK_ROWS frames (at least one clip each), and each chunk's frames
+form one (rows, d) array. The extractor, every LayerNorm, ReLU and dense
+layer, and the head run once per chunk over all its rows; attention runs per
+clip, batched over each run of equal-length clips; pooling sums each clip's
+rows. Training runs each chunk forward then backward, in batch order, and
+adds every weight gradient (one x.T @ dy per chunk) into one gradient dict,
+so the result is deterministic. forward() on one clip is the one-chunk,
+one-clip case of the same code.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,12 +30,12 @@ from ..errors import DivergenceError, ShapeError, ValidationError
 from ..landmarks import LabelMap
 from .config import ModelConfig
 from .ops import (
+    attention_bwd,
+    attention_fwd,
     dense_bwd,
     dense_fwd,
     layer_norm_bwd,
     layer_norm_fwd,
-    mha_bwd,
-    mha_fwd,
     relu_bwd,
     relu_fwd,
     softmax,
@@ -37,8 +48,8 @@ __all__ = [
     "count_parameters",
     "feature_extract",
     "encoder_layer",
+    "forward_batch",
     "forward",
-    "backward",
     "cross_entropy",
     "loss_and_grads",
     "train_step",
@@ -48,6 +59,10 @@ __all__ = [
 # Initialization kinds: dense weights U[-sqrt(1/fan_in), +sqrt(1/fan_in)],
 # biases/LN offsets zero, LN gains one, positional embedding N(0, 0.02).
 _DENSE, _ZEROS, _ONES, _POS = "dense", "zeros", "ones", "pos"
+
+# Rows per forward/backward chunk: four clips of the default 32 frames. Fewer
+# rows cost Python overhead per op; more cost peak memory for no speed.
+_CHUNK_ROWS = 128
 
 
 def param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -160,67 +175,107 @@ def _extract_bwd(dy, caches, cfg, grads):
     for i in reversed(range(len(cfg.extractor_dims))):
         c_dense, c_ln, c_relu = caches[i]
         p = f"extractor.{i}"
-        dn = relu_bwd(dy, c_relu)
-        dz, dgain, dbias = layer_norm_bwd(dn, c_ln)
-        dy, dw, db = dense_bwd(dz, c_dense)
-        grads[f"{p}.ln.gain"] += dgain
-        grads[f"{p}.ln.bias"] += dbias
-        grads[f"{p}.dense.w"] += dw
-        grads[f"{p}.dense.b"] += db
-    return dy
+        dz = layer_norm_bwd(relu_bwd(dy, c_relu), c_ln,
+                            grads[f"{p}.ln.gain"], grads[f"{p}.ln.bias"])
+        dy = dense_bwd(dz, c_dense, grads[f"{p}.dense.w"], grads[f"{p}.dense.b"])
 
 
-def _encoder_fwd(h, w, cfg, i):
+def _encoder_fwd(h, w, runs, cfg, i):
     p = f"layer.{i}"
     ln1, c_ln1 = layer_norm_fwd(h, w[f"{p}.ln1.gain"], w[f"{p}.ln1.bias"])
-    attn_out, c_att = mha_fwd(
-        ln1,
-        w[f"{p}.attn.wq"], w[f"{p}.attn.bq"],
-        w[f"{p}.attn.wk"], w[f"{p}.attn.bk"],
-        w[f"{p}.attn.wv"], w[f"{p}.attn.bv"],
-        w[f"{p}.attn.wo"], w[f"{p}.attn.bo"],
-        cfg.num_heads,
-    )
+    qkv = [dense_fwd(ln1, w[f"{p}.attn.w{m}"], w[f"{p}.attn.b{m}"]) for m in "qkv"]
+    ctx, c_att = attention_fwd(*(y for y, _ in qkv), runs, cfg.num_heads)
+    attn_out, c_o = dense_fwd(ctx, w[f"{p}.attn.wo"], w[f"{p}.attn.bo"])
     h1 = h + attn_out
     ln2, c_ln2 = layer_norm_fwd(h1, w[f"{p}.ln2.gain"], w[f"{p}.ln2.bias"])
     f1, c_d1 = dense_fwd(ln2, w[f"{p}.ffn.w1"], w[f"{p}.ffn.b1"])
     a1, c_relu = relu_fwd(f1)
     f2, c_d2 = dense_fwd(a1, w[f"{p}.ffn.w2"], w[f"{p}.ffn.b2"])
-    return h1 + f2, (c_ln1, c_att, c_ln2, c_d1, c_relu, c_d2)
+    caches = (c_ln1, [c for _, c in qkv], c_att, c_o, c_ln2, c_d1, c_relu, c_d2)
+    return h1 + f2, caches
 
 
-def _encoder_bwd(dy, cache, cfg, i, grads):
-    c_ln1, c_att, c_ln2, c_d1, c_relu, c_d2 = cache
+def _encoder_bwd(dy, cache, i, grads):
+    c_ln1, c_qkv, c_att, c_o, c_ln2, c_d1, c_relu, c_d2 = cache
     p = f"layer.{i}"
-    # out = h1 + FFN(LN2(h1))
-    da1, dw2, db2 = dense_bwd(dy, c_d2)
-    df1 = relu_bwd(da1, c_relu)
-    dln2, dw1, db1 = dense_bwd(df1, c_d1)
-    dh1_ffn, dg2, dbeta2 = layer_norm_bwd(dln2, c_ln2)
-    dh1 = dy + dh1_ffn
-    # h1 = h + MHA(LN1(h))
-    dln1, attn_grads = mha_bwd(dh1, c_att, cfg.num_heads)
-    dh_ln1, dg1, dbeta1 = layer_norm_bwd(dln1, c_ln1)
-    dh = dh1 + dh_ln1
 
-    dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo = attn_grads
-    grads[f"{p}.ln1.gain"] += dg1
-    grads[f"{p}.ln1.bias"] += dbeta1
-    grads[f"{p}.attn.wq"] += dwq
-    grads[f"{p}.attn.bq"] += dbq
-    grads[f"{p}.attn.wk"] += dwk
-    grads[f"{p}.attn.bk"] += dbk
-    grads[f"{p}.attn.wv"] += dwv
-    grads[f"{p}.attn.bv"] += dbv
-    grads[f"{p}.attn.wo"] += dwo
-    grads[f"{p}.attn.bo"] += dbo
-    grads[f"{p}.ln2.gain"] += dg2
-    grads[f"{p}.ln2.bias"] += dbeta2
-    grads[f"{p}.ffn.w1"] += dw1
-    grads[f"{p}.ffn.b1"] += db1
-    grads[f"{p}.ffn.w2"] += dw2
-    grads[f"{p}.ffn.b2"] += db2
-    return dh
+    def g(name):
+        return grads[f"{p}.{name}"]
+
+    # out = h1 + FFN(LN2(h1))
+    da1 = dense_bwd(dy, c_d2, g("ffn.w2"), g("ffn.b2"))
+    dln2 = dense_bwd(relu_bwd(da1, c_relu), c_d1, g("ffn.w1"), g("ffn.b1"))
+    dh1 = dy + layer_norm_bwd(dln2, c_ln2, g("ln2.gain"), g("ln2.bias"))
+    # h1 = h + MHA(LN1(h))
+    dctx = dense_bwd(dh1, c_o, g("attn.wo"), g("attn.bo"))
+    dln1 = sum(dense_bwd(dm, c, g(f"attn.w{m}"), g(f"attn.b{m}"))
+               for m, dm, c in zip("qkv", attention_bwd(dctx, c_att), c_qkv))
+    return dh1 + layer_norm_bwd(dln1, c_ln1, g("ln1.gain"), g("ln1.bias"))
+
+
+def _chunks(lengths):
+    """(first, stop) index spans of consecutive clips, each as many clips as
+    fit in _CHUNK_ROWS rows, and at least one."""
+    first, rows = 0, 0
+    for i, t in enumerate(lengths):
+        if rows and rows + t > _CHUNK_ROWS:
+            yield first, i
+            first, rows = i, 0
+        rows += t
+    if lengths:
+        yield first, len(lengths)
+
+
+def _runs(lengths):
+    """(start, stop, n) row spans of each run of n consecutive equal-length clips."""
+    runs, row = [], 0
+    for t, group in itertools.groupby(lengths):
+        n = len(list(group))
+        runs.append((row, row + n * t, n))
+        row += n * t
+    return runs
+
+
+def _chunk_fwd(xs, w, cfg):
+    """Logits of a few clips, run row-stacked, and the cache for _chunk_bwd."""
+    lengths = np.array([x.shape[0] for x in xs])
+    runs = _runs(lengths.tolist())
+    h, c_ext = _extract_fwd(np.concatenate(xs), w, cfg)
+    for start, stop, n in runs:  # h is a fresh array that no cache holds
+        h[start:stop].reshape(n, -1, cfg.model_dim)[...] += \
+            w["pos_embedding"][:(stop - start) // n]
+    c_layers = []
+    for i in range(cfg.num_layers):
+        h, c = _encoder_fwd(h, w, runs, cfg, i)
+        c_layers.append(c)
+    pooled = np.add.reduceat(h, np.cumsum(lengths) - lengths, axis=0)
+    pooled /= lengths[:, None]
+    logits = pooled @ w["head.w"] + w["head.b"]
+    return logits, (lengths, runs, c_ext, c_layers, pooled)
+
+
+def _chunk_bwd(dlogits, cache, w, cfg, grads):
+    """Add the chunk's parameter gradients into grads."""
+    lengths, runs, c_ext, c_layers, pooled = cache
+    grads["head.w"] += pooled.T @ dlogits
+    grads["head.b"] += dlogits.sum(axis=0)
+    dpooled = dlogits @ w["head.w"].T
+    dpooled /= lengths[:, None]
+    dh = np.repeat(dpooled, lengths, axis=0)
+    for i in reversed(range(cfg.num_layers)):
+        dh = _encoder_bwd(dh, c_layers[i], i, grads)
+    for start, stop, n in runs:
+        t = (stop - start) // n
+        grads["pos_embedding"][:t] += dh[start:stop].reshape(n, t, -1).sum(axis=0)
+    _extract_bwd(dh, c_ext, cfg, grads)
+
+
+def _check_batch(xs, w, cfg):
+    if not xs:
+        raise ValidationError("empty batch")
+    for x in xs:
+        _check_input(x, cfg)
+    _check_weights(w, cfg)
 
 
 def feature_extract(x: np.ndarray, w: dict[str, np.ndarray],
@@ -241,44 +296,23 @@ def encoder_layer(h: np.ndarray, w: dict[str, np.ndarray], cfg: ModelConfig,
             f"layer.{layer_idx} (model_dim {cfg.model_dim})"
         )
     _check_weights(w, cfg)
-    out, _ = _encoder_fwd(h, w, cfg, layer_idx)
+    runs = [(0, h.shape[0], 1)]
+    out, _ = _encoder_fwd(h, w, runs, cfg, layer_idx)
     return out
 
 
-def _forward_cached(x, w, cfg):
-    _check_input(x, cfg)
-    _check_weights(w, cfg)
-    t = x.shape[0]
-    feat, c_ext = _extract_fwd(x, w, cfg)
-    h = feat + w["pos_embedding"][:t]
-    layer_caches = []
-    for i in range(cfg.num_layers):
-        h, c = _encoder_fwd(h, w, cfg, i)
-        layer_caches.append(c)
-    pooled = h.mean(axis=0)
-    logits = pooled @ w["head.w"] + w["head.b"]
-    return logits, (c_ext, layer_caches, pooled, t)
+def forward_batch(xs: list[np.ndarray], w: dict[str, np.ndarray],
+                  cfg: ModelConfig) -> np.ndarray:
+    """Logits for a list of clips; (B, num_classes), row b for xs[b]."""
+    _check_batch(xs, w, cfg)
+    return np.concatenate([_chunk_fwd(xs[a:b], w, cfg)[0]
+                           for a, b in _chunks([x.shape[0] for x in xs])])
 
 
 def forward(x: np.ndarray, w: dict[str, np.ndarray],
             cfg: ModelConfig) -> np.ndarray:
     """Logits for one sample; (T, D) in, (num_classes,) out, no activation."""
-    logits, _ = _forward_cached(x, w, cfg)
-    return logits
-
-
-def backward(dlogits: np.ndarray, cache, w: dict[str, np.ndarray],
-             cfg: ModelConfig, grads: dict[str, np.ndarray]) -> None:
-    """Accumulate parameter gradients for one sample into grads."""
-    c_ext, layer_caches, pooled, t = cache
-    grads["head.w"] += np.outer(pooled, dlogits)
-    grads["head.b"] += dlogits
-    dpooled = w["head.w"] @ dlogits
-    dh = np.repeat((dpooled / t)[None, :], t, axis=0)
-    for i in reversed(range(cfg.num_layers)):
-        dh = _encoder_bwd(dh, layer_caches[i], cfg, i, grads)
-    grads["pos_embedding"][:t] += dh
-    _extract_bwd(dh, c_ext, cfg, grads)
+    return forward_batch([x], w, cfg)[0]
 
 
 def cross_entropy(logits: np.ndarray, label: int) -> float:
@@ -291,23 +325,25 @@ def loss_and_grads(batch: list[tuple[np.ndarray, int]], w: dict[str, np.ndarray]
                    cfg: ModelConfig) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch and its full parameter gradient.
 
-    Samples are processed sequentially in batch order so gradient
+    Chunks of clips run forward and backward in batch order, so gradient
     accumulation is deterministic.
     """
-    if not batch:
-        raise ValidationError("empty batch")
+    xs = [x for x, _ in batch]
+    labels = [label for _, label in batch]
+    for label in labels:
+        if not 0 <= label < cfg.num_classes:
+            raise ValidationError(f"label {label} outside [0, {cfg.num_classes})")
+    _check_batch(xs, w, cfg)
     grads = {name: np.zeros_like(w[name]) for name, _, _ in param_specs(cfg)}
     total = 0.0
     inv_b = 1.0 / len(batch)
-    for x, label in batch:
-        if not 0 <= label < cfg.num_classes:
-            raise ValidationError(f"label {label} outside [0, {cfg.num_classes})")
-        logits, cache = _forward_cached(x, w, cfg)
-        total += cross_entropy(logits, label)
+    for a, b in _chunks([x.shape[0] for x in xs]):
+        logits, cache = _chunk_fwd(xs[a:b], w, cfg)
+        total += sum(map(cross_entropy, logits, labels[a:b]))
         dlogits = softmax(logits)
-        dlogits[label] -= 1.0
+        dlogits[np.arange(b - a), labels[a:b]] -= 1.0
         dlogits *= inv_b
-        backward(dlogits, cache, w, cfg, grads)
+        _chunk_bwd(dlogits, cache, w, cfg, grads)
     return total * inv_b, grads
 
 

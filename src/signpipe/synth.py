@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .landmarks import DEFAULT_NUM_CLASSES, LabelMap, LandmarkRows, SignSample
+from .landmarks import LabelMap, LandmarkRows, SignSample
 from .preprocess import SelectionSpec, _resample_matrix
 
 __all__ = [
@@ -27,10 +27,8 @@ _NUM_ANCHORS = 4
 
 
 def synthetic_label_map(num_classes: int) -> LabelMap:
-    if not 1 <= num_classes <= DEFAULT_NUM_CLASSES:
-        raise ValidationError(
-            f"num_classes {num_classes} outside [1, {DEFAULT_NUM_CLASSES}]"
-        )
+    if num_classes < 1:
+        raise ValidationError(f"num_classes must be >= 1, got {num_classes}")
     return LabelMap(tuple(f"sign_{c:02d}" for c in range(num_classes)))
 
 

@@ -13,7 +13,7 @@ import pytest
 from signpipe import nn
 from signpipe.cli import main
 from signpipe.gesture import parse_markup
-from signpipe.landmarks import write_corpus, write_label_map, LabelMap
+from signpipe.landmarks import read_corpus, write_corpus, write_label_map, LabelMap
 from signpipe.netpipe import robot_sim, serve
 from signpipe.preprocess import SelectionSpec
 from signpipe.synth import make_synthetic_samples
@@ -295,6 +295,41 @@ class TestEval:
             "--weights", str(workdir / "model.sgnw"),
         ])
         assert code == 1
+
+
+class TestLabelRange:
+    """The model and the label map bound a label, not a fixed lexicon size."""
+
+    def test_label_299_round_trips_trains_and_evals(self, tmp_path, capsys):
+        samples = make_synthetic_samples(2, 2, seed=5)
+        for s in samples[2:]:
+            s.label = 299
+        corpus = tmp_path / "wide.csv"
+        write_corpus(samples, corpus)
+        assert read_corpus(corpus) == samples
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(dict(SMALL_MODEL, num_classes=300)))
+        out = tmp_path / "w.sgnw"
+        assert main(["train", str(corpus), "--out", str(out), "--model-config", str(model),
+                     "--epochs", "1", "--batch-size", "4"]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(corpus), "--weights", str(out)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()
+                if line.startswith("class\t")]
+        assert [(r[1], r[4]) for r in rows] == [("0", "2"), ("299", "2")]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_label_beyond_the_model_exits_2_before_output(self, workdir, tmp_path,
+                                                          capsys, command):
+        samples = make_synthetic_samples(1, 2, seed=5)
+        samples[1].label = 3  # the workdir model has 3 classes
+        corpus = tmp_path / "c.csv"
+        write_corpus(samples, corpus)
+        argv = {"train": ["--out", str(tmp_path / "w.sgnw"),
+                          "--model-config", str(workdir / "model.json")],
+                "eval": ["--weights", str(workdir / "model.sgnw")]}[command]
+        assert main([command, str(corpus), *argv]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestModelFit:

@@ -87,10 +87,9 @@ class TestFrameAndSample:
 
     def test_label_range(self):
         f = LandmarkFrame(0, LandmarkKind.POSE, 0, 0.1, 0.2, 0.3)
-        SignSample("s", [f], 249)
+        SignSample("s", [f], 0)
+        SignSample("s", [f], 299)  # the model and label map bound it, not the sample
         SignSample("s", [f], None)
-        with pytest.raises(ValidationError):
-            SignSample("s", [f], 250)
         with pytest.raises(ValidationError):
             SignSample("s", [f], -1)
 

@@ -907,6 +907,8 @@ class TestRobotReplies:
         ("script", ("timeline", "events", 0, "tag"), 3),
         ("script", ("timeline", "events", 1, "start_s"), "0"),
         ("script", ("timeline", "events", 1, "duration_s"), -math.inf),
+        ("script", ("timeline", "events", 1, "start_s"), -0.5),
+        ("script", ("timeline", "events", 0, "duration_s"), -1),
         ("script", ("timeline", "warnings"), [5]),
     ])
     def test_malformed_reply_fails_with_one_logged_error(self, tmp_path, caplog,
@@ -920,6 +922,34 @@ class TestRobotReplies:
         assert record.levelno == logging.ERROR
         assert f"{reply.upper()} reply" in record.getMessage()
         assert log.read_text(encoding="utf-8") == "SAMPLE s1\n"
+
+    def test_realtime_script_within_the_timeout_is_waited_out(self, tmp_path):
+        script = _with(GOOD_SCRIPT, ("timeline", "events", 2, "start_s"), 0.3)
+        with scripted_server(raw_frame("RESULT", GOOD_RESULT),
+                             raw_frame("SCRIPT", script)) as address:
+            t0 = time.monotonic()
+            status = robot_sim(address, [make_sample(sample_id="s1")],
+                               tmp_path / "robot.log", realtime=True, timeout_s=5.0)
+            elapsed = time.monotonic() - t0
+        assert status == 0
+        assert elapsed >= 0.3
+
+    @pytest.mark.parametrize("start_s", [1e9, 1e10])
+    def test_realtime_script_beyond_the_timeout_fails_without_waiting(
+            self, tmp_path, caplog, start_s):
+        script = _with(GOOD_SCRIPT, ("timeline", "events", 2, "start_s"), start_s)
+        with scripted_server(raw_frame("RESULT", GOOD_RESULT),
+                             raw_frame("SCRIPT", script)) as address:
+            t0 = time.monotonic()
+            with caplog.at_level(logging.ERROR, logger="signpipe.netpipe.robot"):
+                status = robot_sim(address, [make_sample(sample_id="s1")],
+                                   tmp_path / "robot.log", realtime=True, timeout_s=5.0)
+            elapsed = time.monotonic() - t0
+        assert status == 1
+        assert elapsed < 1.0
+        [record] = [r for r in caplog.records if r.name == "signpipe.netpipe.robot"]
+        assert record.levelno == logging.ERROR
+        assert "timeout" in record.getMessage()
 
     @settings(deadline=None, max_examples=60)
     @given(result=_RESULT_BODIES, script=_SCRIPT_BODIES)

@@ -1,5 +1,6 @@
 """Classifier: ops, assembly, training dynamics, serialization, latency."""
 
+import dataclasses
 import math
 import struct
 
@@ -23,6 +24,7 @@ from signpipe.nn import (
     encoder_layer,
     feature_extract,
     forward,
+    forward_batch,
     init_weights,
     load_tensors,
     load_weights,
@@ -33,6 +35,7 @@ from signpipe.nn import (
     save_weights,
     train_step,
 )
+from signpipe.nn.network import _CHUNK_ROWS
 from signpipe.nn.ops import layer_norm_fwd, mha_fwd, relu_fwd, softmax
 from signpipe.landmarks import LabelMap
 
@@ -369,6 +372,56 @@ class TestLossAndGradients:
             loss_and_grads([], tiny_weights, tiny_cfg)
         with pytest.raises(ValidationError):
             loss_and_grads([(golden_input(), 5)], tiny_weights, tiny_cfg)
+
+
+class TestRowStackedBatch:
+    """A batch runs in chunks of clips stacked row-wise; every clip must come
+    out as if it ran alone."""
+
+    # Mixed lengths: runs of equal-length clips of size 1 and 2, and more
+    # rows than one chunk holds.
+    LENGTHS = (32, 32, 1, 17, 17, 32, 5, 32, 9)
+
+    @pytest.fixture
+    def long_cfg(self, tiny_cfg):
+        return dataclasses.replace(tiny_cfg, max_seq_len=32)
+
+    def batch(self, cfg, dtype):
+        rng = np.random.default_rng(31)
+        assert sum(self.LENGTHS) > _CHUNK_ROWS
+        return [(rng.standard_normal((t, cfg.input_dim)).astype(dtype), i % cfg.num_classes)
+                for i, t in enumerate(self.LENGTHS)]
+
+    def test_gradients_are_the_mean_of_single_clips(self, long_cfg):
+        w = {k: v.astype(np.float64) for k, v in init_weights(long_cfg, seed=4).items()}
+        batch = self.batch(long_cfg, np.float64)
+        loss, grads = loss_and_grads(batch, w, long_cfg)
+        singles = [loss_and_grads([clip], w, long_cfg) for clip in batch]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-10)
+        for name in grads:
+            mean = sum(g[name] for _, g in singles) / len(batch)
+            np.testing.assert_allclose(grads[name], mean, rtol=1e-10, atol=1e-15,
+                                       err_msg=name)
+
+    def test_gradients_are_byte_identical_across_calls(self, long_cfg):
+        w = init_weights(long_cfg, seed=4)
+        batch = self.batch(long_cfg, np.float32)
+        _, first = loss_and_grads(batch, w, long_cfg)
+        _, second = loss_and_grads(batch, w, long_cfg)
+        for name in first:
+            assert first[name].tobytes() == second[name].tobytes(), name
+
+    def test_forward_is_the_one_clip_case(self, long_cfg):
+        w = init_weights(long_cfg, seed=4)
+        xs = [x for x, _ in self.batch(long_cfg, np.float32)]
+        logits = forward_batch(xs, w, long_cfg)
+        assert logits.shape == (len(xs), long_cfg.num_classes)
+        for x, row in zip(xs, logits):
+            np.testing.assert_allclose(forward(x, w, long_cfg), row, rtol=1e-6, atol=1e-7)
+
+    def test_rejects_an_empty_batch(self, tiny_cfg, tiny_weights):
+        with pytest.raises(ValidationError):
+            forward_batch([], tiny_weights, tiny_cfg)
 
 
 class TestTraining:
