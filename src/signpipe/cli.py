@@ -203,20 +203,23 @@ def _evaluate(xs, ys, w, cfg) -> tuple[float, float]:
 # -- subcommands ------------------------------------------------------------
 
 def cmd_preprocess(args, file_cfg: dict) -> int:
+    augment = None
+    if args.augment:
+        try:
+            augment = AugmentConfig(
+                resample_scale_range=tuple(args.resample_range),
+                mask_prob=args.mask_prob,
+                flip_prob=args.flip_prob,
+                scale_range=tuple(args.scale_range),
+                shift_range=tuple(args.shift_range),
+                rotate_deg_range=tuple(args.rotate_range),
+                shear_range=tuple(args.shear_range),
+            )
+        except ValidationError as e:
+            raise UsageError(f"augmentation flags: {e}") from None
     selection = _resolve_selection(args, file_cfg)
     seed = _setting(args, file_cfg, "seed", 0)
     samples = _read_corpus_arg(args.corpus)
-    augment = None
-    if args.augment:
-        augment = AugmentConfig(
-            resample_scale_range=tuple(args.resample_range),
-            mask_prob=args.mask_prob,
-            flip_prob=args.flip_prob,
-            scale_range=tuple(args.scale_range),
-            shift_range=tuple(args.shift_range),
-            rotate_deg_range=tuple(args.rotate_range),
-            shear_range=tuple(args.shear_range),
-        )
     tensors = {}
     for i, sample in enumerate(samples):
         cfg = replace(augment, rng_seed=seed + i) if augment else None
@@ -238,8 +241,6 @@ def cmd_train(args, file_cfg: dict) -> int:
     if args.val_corpus is not None:
         val_samples = _read_corpus_arg(args.val_corpus)
     elif args.val_split > 0.0:
-        if not args.val_split < 1.0:
-            raise UsageError(f"--val-split must be in (0, 1), got {args.val_split}")
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(train_samples))
         n_val = max(1, round(args.val_split * len(train_samples)))
@@ -400,14 +401,32 @@ def cmd_bench(args, file_cfg: dict) -> int:
 
 # -- parser -----------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
-    """argparse type of the count flags: 0, negatives and non-integers exit 2."""
+def _count_type(lowest: int, kind: str):
+    """argparse type of a count flag: non-integers and values below lowest
+    exit 2."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lowest - 1
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _count_type(1, "positive")
+_non_negative_int = _count_type(0, "non-negative")
+
+
+def _fraction(text: str) -> float:
+    """argparse type of --val-split: a number in [0, 1), else exit 2."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = -1.0
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1), got {text!r}")
     return value
 
 
@@ -463,11 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output weights file")
     p.add_argument("--spec", help="selection spec JSON")
     p.add_argument("--model-config", help="model config JSON")
-    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--epochs", type=_non_negative_int, default=20)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--val-corpus", help="held-out labeled corpus")
-    p.add_argument("--val-split", type=float, default=0.0,
+    p.add_argument("--val-split", type=_fraction, default=0.0,
                    help="fraction of the corpus held out when no --val-corpus")
     p.add_argument("--target-val-acc", type=float,
                    help="stop once validation accuracy reaches this")

@@ -9,6 +9,7 @@ the byte offset of the offending token and name the tag involved.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -59,9 +60,9 @@ class GestureDescriptor:
             raise ValidationError(
                 f"gesture tag {self.tag!r} contains whitespace or brackets"
             )
-        if not self.playtime_s > 0:
+        if not 0 < self.playtime_s <= sys.float_info.max:
             raise ValidationError(
-                f"gesture {self.tag!r}: playtime_s must be positive, "
+                f"gesture {self.tag!r}: playtime_s must be positive and finite, "
                 f"got {self.playtime_s}"
             )
         if not self.body_parts:

@@ -3,15 +3,16 @@
 Malformed means: bytes that are not UTF-8, text that is not JSON (an integer
 past the interpreter's digit limit or nesting too deep to parse included),
 or a value that does not fit its shape. Each raises the caller's own error
-class as one "{what}: ..." message. A shape is int (not bool), float (any
-number, not bool), str, list or dict; [shape], an array whose items fit
-shape; or {key: shape}, an object whose keys fit theirs. With required,
+class as one "{what}: ..." message. A shape is int (not bool), float (a
+finite number, not bool), str, list or dict; [shape], an array whose items
+fit shape; or {key: shape}, an object whose keys fit theirs. With required,
 every key a shape names must be present; other keys are never looked at.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 __all__ = ["decode_text", "read_text", "check_json", "parse_json", "load_json"]
@@ -38,6 +39,8 @@ def _fault(value, shape, where: str, required: bool) -> str | None:
     if isinstance(value, bool) or not isinstance(
             value, (int, float) if kind is float else kind):
         return f"{where} must be {_NAMES[kind]}" if where else f"expected {_NAMES[kind]}"
+    if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        return f"{where} must be a finite number" if where else "expected a finite number"
     if isinstance(shape, list):
         fields = ((f"{where}[{i}]", item, shape[0]) for i, item in enumerate(value))
     elif isinstance(shape, dict):

@@ -11,9 +11,13 @@ from .wire import (
     decode_frame,
     encode_frame,
     error_message,
+    hello_message,
     landmarks_message,
+    reply_body,
+    result_message,
     sample_from_body,
     sample_to_body,
+    script_message,
 )
 from .session import Session, SessionState
 from .server import ServerConfig, serve
@@ -30,9 +34,13 @@ __all__ = [
     "decode_frame",
     "encode_frame",
     "error_message",
+    "hello_message",
     "landmarks_message",
+    "reply_body",
+    "result_message",
     "sample_from_body",
     "sample_to_body",
+    "script_message",
     "Session",
     "SessionState",
     "ServerConfig",

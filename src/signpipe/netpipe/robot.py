@@ -11,70 +11,31 @@ from __future__ import annotations
 
 import logging
 import socket
-import sys
 import time
 from pathlib import Path
 from typing import Iterable
 
 from ..errors import ProtocolViolation, SignpipeError, TransportError, ValidationError
-from ..jsonio import check_json
 from ..landmarks import SignSample
-from .wire import PROTOCOL_VERSION, MessageSocket, WireMessage, check_port, landmarks_message
+from .wire import (MessageSocket, WireMessage, check_port, hello_message, landmarks_message,
+                   reply_body)
 
 __all__ = ["robot_sim"]
 
 log = logging.getLogger(__name__)
 
 
-# What the log writer and _play_realtime read from each reply type. A
-# SCRIPT's events are checked one by one against the shape of their kind.
-_BODY_SHAPES = {
-    "HELLO": {},
-    "RESULT": {"gloss": str, "confidence_pct": float},
-    "SCRIPT": {"tagged_text": str, "timeline": {"events": [dict], "warnings": [str]}},
-    "ERROR": {"code": str, "message": str},
-    "BYE": {},
-}
-_EVENT_SHAPES = {
-    "gesture": {"start_s": float, "duration_s": float, "tag": str},
-    "speech": {"start_s": float, "duration_s": float, "text": str},
-}
-
-
-def _finite(x: float) -> bool:
-    """False for NaN, infinities, and integers too large to be a float."""
-    return -sys.float_info.max <= x <= sys.float_info.max
-
-
-def _check_body(msg: WireMessage) -> dict:
-    what = f"{msg.type} reply"
-    body = check_json(msg.body, what, ProtocolViolation, _BODY_SHAPES[msg.type],
-                      required=True)
-    numbers = [body["confidence_pct"]] if msg.type == "RESULT" else []
-    for ev in body["timeline"]["events"] if msg.type == "SCRIPT" else ():
-        kind = ev.get("kind")
-        if not (isinstance(kind, str) and kind in _EVENT_SHAPES):
-            raise ProtocolViolation(f"{what}: unknown event kind {kind!r}")
-        check_json(ev, f"{what} event", ProtocolViolation, _EVENT_SHAPES[kind],
-                   required=True)
-        numbers += [ev["start_s"], ev["duration_s"]]
-        if ev["start_s"] < 0 or ev["duration_s"] < 0:
-            raise ProtocolViolation(f"{what}: an event time is negative")
-    if not all(map(_finite, numbers)):
-        raise ProtocolViolation(f"{what}: a number is not finite")
-    return body
-
-
-def _expect(link: MessageSocket, msg_type: str) -> WireMessage:
+def _expect(link: MessageSocket, msg_type: str) -> dict:
+    """The body of the next reply, which must be a well-formed msg_type."""
     msg = link.recv()
     if msg is None:
         raise TransportError("server closed the connection")
     if msg.type not in (msg_type, "ERROR"):
         raise ProtocolViolation(f"expected {msg_type}, server sent {msg.type}")
-    body = _check_body(msg)
+    body = reply_body(msg)
     if msg.type == "ERROR":
         raise ProtocolViolation(f"server error {body['code']}: {body['message']}")
-    return msg
+    return body
 
 
 def _write_script_block(out, result_body: dict, script_body: dict) -> None:
@@ -131,7 +92,7 @@ def robot_sim(address: tuple[str, int], samples: Iterable[SignSample],
         with sock:
             link = MessageSocket(sock)
             try:
-                link.send(WireMessage("HELLO", {"protocol_version": PROTOCOL_VERSION}))
+                link.send(hello_message())
                 _expect(link, "HELLO")
                 for sample in samples:
                     out.write(f"SAMPLE {sample.sample_id}\n")
@@ -139,10 +100,10 @@ def robot_sim(address: tuple[str, int], samples: Iterable[SignSample],
                     link.send(landmarks_message(sample))
                     result = _expect(link, "RESULT")
                     script = _expect(link, "SCRIPT")
-                    _write_script_block(out, result.body, script.body)
+                    _write_script_block(out, result, script)
                     out.flush()
                     if realtime:
-                        _play_realtime(script.body, timeout_s)
+                        _play_realtime(script, timeout_s)
                 link.send(WireMessage("BYE", {}))
                 _expect(link, "BYE")
             except (OSError, SignpipeError) as e:  # socket.timeout is an OSError

@@ -22,14 +22,14 @@ import numpy as np
 
 from ..dialogue import LlmBackend, PromptTemplate, RecognitionEvent, compose
 from ..errors import FrameError, ShapeError, SignpipeError, ValidationError
-from ..gesture import GestureDb, Timeline, render_markup, schedule
+from ..gesture import GestureDb, render_markup, schedule
 from ..landmarks import LabelMap
 from ..nn import ModelConfig, predict
 from ..nn.network import _check_weights
 from ..preprocess import SelectionSpec, preprocess_pipeline
 from .session import Session
 from .wire import (DEFAULT_PORT, MessageSocket, WireMessage, check_port, error_message,
-                   sample_from_body)
+                   result_message, sample_from_body, script_message)
 
 __all__ = ["ServerConfig", "ServerHandle", "serve"]
 
@@ -67,27 +67,6 @@ class ServerConfig:
         if self.max_retries < 0:
             raise ValidationError("max_retries must not be negative")
         check_port(self.port)
-
-
-def _timeline_body(timeline: Timeline, extra_warnings: tuple[str, ...]) -> dict:
-    events = []
-    for ev in timeline.events:
-        if hasattr(ev, "tag"):
-            events.append({
-                "kind": "gesture",
-                "tag": ev.tag,
-                "start_s": ev.start_s,
-                "duration_s": ev.duration_s,
-                "body_parts": sorted(ev.body_parts),
-            })
-        else:
-            events.append({
-                "kind": "speech",
-                "text": ev.text,
-                "start_s": ev.start_s,
-                "duration_s": ev.duration_s,
-            })
-    return {"events": events, "warnings": list(extra_warnings) + list(timeline.warnings)}
 
 
 class _Overdue(Exception):
@@ -162,8 +141,8 @@ class _Handler(socketserver.BaseRequestHandler):
             event = RecognitionEvent(pred.gloss, pred.confidence * 100.0)
             composed = compose(event, cfg.db, deadline, cfg.template, cfg.max_retries)
             timeline = schedule(composed.script, cfg.db, cfg.wpm)
-            script = {"tagged_text": render_markup(composed.script),
-                      "timeline": _timeline_body(timeline, composed.warnings)}
+            script = script_message(render_markup(composed.script), timeline,
+                                    composed.warnings)
             deadline.check()
         except _Overdue:
             return [error_message("TIMEOUT", f"processing exceeded {cfg.deadline_s:g}s")]
@@ -172,9 +151,7 @@ class _Handler(socketserver.BaseRequestHandler):
         except Exception:
             log.exception("unexpected error while processing a sample")
             return [error_message("INTERNAL", "unexpected server error")]
-        return [WireMessage("RESULT", {"gloss": event.gloss,
-                                       "confidence_pct": event.confidence_pct}),
-                WireMessage("SCRIPT", script)]
+        return [result_message(event.gloss, event.confidence_pct), script]
 
 
 class _PipelineServer(socketserver.ThreadingTCPServer):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .wire import PROTOCOL_VERSION, WireMessage, error_message
+from .wire import PROTOCOL_VERSION, WireMessage, error_message, hello_message
 
 __all__ = ["SessionState", "SessionEffect", "Session"]
 
@@ -49,17 +49,13 @@ class Session:
             if msg.type != "HELLO":
                 return self._reject(f"{msg.type} before HELLO")
             version = msg.body.get("protocol_version")
-            if version != PROTOCOL_VERSION:
+            if type(version) is not int or version != PROTOCOL_VERSION:
                 return self._reject(
                     f"unsupported protocol version {version!r}, "
                     f"expected {PROTOCOL_VERSION}"
                 )
             self.state = SessionState.READY
-            return SessionEffect(
-                replies=(
-                    WireMessage("HELLO", {"protocol_version": PROTOCOL_VERSION}),
-                )
-            )
+            return SessionEffect(replies=(hello_message(),))
         # READY
         if msg.type == "LANDMARKS":
             return SessionEffect(sample_body=msg.body)

@@ -1,10 +1,12 @@
-"""Length-prefixed JSON wire format.
+"""Length-prefixed JSON wire format and every message body.
 
 A frame is a 4-byte big-endian unsigned payload length followed by that many
 bytes of UTF-8 JSON shaped `{"type": ..., "body": {...}}`. Payloads are
 capped at 16 MiB. The decoder is incremental: bytes may arrive split at any
 boundary and frames are emitted as soon as they complete. MessageSocket
-puts both directions over one connected socket.
+puts both directions over one connected socket. The *_message functions
+are the only builders of each body, and reply_body the one check a client
+makes of what the server sends.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import FrameError, ValidationError
+from ..errors import FrameError, ProtocolViolation, ValidationError
+from ..gesture import GestureEvent, Timeline
 from ..jsonio import check_json, parse_json
 from ..landmarks import LandmarkRows, SignSample
 
@@ -31,8 +34,12 @@ __all__ = [
     "decode_frame",
     "FrameDecoder",
     "MessageSocket",
-    "error_message",
+    "hello_message",
     "landmarks_message",
+    "result_message",
+    "script_message",
+    "error_message",
+    "reply_body",
     "sample_to_body",
     "sample_from_body",
 ]
@@ -77,29 +84,10 @@ def encode_frame(msg: WireMessage) -> bytes:
     return _LEN.pack(len(payload)) + payload
 
 
-def _decode_payload(payload: bytes) -> WireMessage:
-    data = parse_json(payload, "payload", FrameError, {"type": str, "body": dict})
-    if data.keys() != {"type", "body"}:
-        raise FrameError("payload must have exactly the keys 'type' and 'body'")
-    if data["type"] not in WIRE_TYPES:
-        raise FrameError(f"unknown message type {data['type']!r}")
-    return WireMessage(data["type"], data["body"])
-
-
 def check_port(port: int) -> None:
     """Raise ValidationError unless port is a TCP port number."""
     if not 0 <= port <= 65535:
         raise ValidationError(f"port {port} is outside 0-65535")
-
-
-def _declared_length(data) -> int:
-    (length,) = _LEN.unpack_from(data)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"declared payload of {length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame cap"
-        )
-    return length
 
 
 class FrameDecoder:
@@ -118,15 +106,24 @@ class FrameDecoder:
     def feed(self, data: bytes) -> list[WireMessage]:
         self._buf.extend(data)
         out: list[WireMessage] = []
-        while True:
-            if len(self._buf) < _LEN.size:
-                return out
-            length = _declared_length(self._buf)
+        while len(self._buf) >= _LEN.size:
+            (length,) = _LEN.unpack_from(self._buf)
+            if length > MAX_FRAME_BYTES:
+                raise FrameError(
+                    f"declared payload of {length} bytes exceeds the "
+                    f"{MAX_FRAME_BYTES}-byte frame cap"
+                )
             if len(self._buf) < _LEN.size + length:
-                return out
-            payload = bytes(self._buf[_LEN.size:_LEN.size + length])
+                break
+            payload = self._buf[_LEN.size:_LEN.size + length]
             del self._buf[:_LEN.size + length]
-            out.append(_decode_payload(payload))
+            obj = parse_json(payload, "payload", FrameError, {"type": str, "body": dict})
+            if obj.keys() != {"type", "body"}:
+                raise FrameError("payload must have exactly the keys 'type' and 'body'")
+            if obj["type"] not in WIRE_TYPES:
+                raise FrameError(f"unknown message type {obj['type']!r}")
+            out.append(WireMessage(obj["type"], obj["body"]))
+        return out
 
 
 class MessageSocket:
@@ -155,19 +152,76 @@ class MessageSocket:
 
 def decode_frame(data: bytes) -> WireMessage:
     """Decode exactly one complete frame; partial or trailing bytes error."""
-    if len(data) < _LEN.size:
-        raise FrameError("incomplete frame header")
-    length = _declared_length(data)
-    if len(data) != _LEN.size + length:
+    decoder = FrameDecoder()
+    messages = decoder.feed(data)
+    if len(messages) != 1 or decoder.pending_bytes:
         raise FrameError(
-            f"frame declares {length} payload bytes but {len(data) - _LEN.size} "
-            "are present"
+            f"expected one frame, got {len(messages)} complete and "
+            f"{decoder.pending_bytes} bytes of an incomplete one"
         )
-    return _decode_payload(data[_LEN.size:])
+    return messages[0]
+
+
+def hello_message() -> WireMessage:
+    return WireMessage("HELLO", {"protocol_version": PROTOCOL_VERSION})
+
+
+def result_message(gloss: str, confidence_pct: float) -> WireMessage:
+    return WireMessage("RESULT", {"gloss": gloss, "confidence_pct": confidence_pct})
+
+
+def script_message(tagged_text: str, timeline: Timeline,
+                   warnings: tuple[str, ...]) -> WireMessage:
+    """SCRIPT for a scheduled reply: warnings go before the timeline's own."""
+    events = [
+        {"kind": "gesture", "tag": ev.tag, "start_s": ev.start_s,
+         "duration_s": ev.duration_s, "body_parts": sorted(ev.body_parts)}
+        if isinstance(ev, GestureEvent) else
+        {"kind": "speech", "text": ev.text, "start_s": ev.start_s,
+         "duration_s": ev.duration_s}
+        for ev in timeline.events
+    ]
+    return WireMessage("SCRIPT", {
+        "tagged_text": tagged_text,
+        "timeline": {"events": events, "warnings": [*warnings, *timeline.warnings]},
+    })
 
 
 def error_message(code: str, message: str) -> WireMessage:
     return WireMessage("ERROR", {"code": code, "message": message})
+
+
+_REPLY_SHAPES = {
+    "HELLO": {},
+    "RESULT": {"gloss": str, "confidence_pct": float},
+    "SCRIPT": {"tagged_text": str, "timeline": {"events": [dict], "warnings": [str]}},
+    "ERROR": {"code": str, "message": str},
+    "BYE": {},
+}
+_KIND_SHAPES = {
+    "gesture": {"start_s": float, "duration_s": float, "tag": str},
+    "speech": {"start_s": float, "duration_s": float, "text": str},
+}
+
+
+def reply_body(msg: WireMessage) -> dict:
+    """msg's body once it holds what a client reads of its type, each SCRIPT
+    event fits its kind's shape and no event time is negative; else
+    ProtocolViolation naming "{type} reply" (this is remote input)."""
+    what = f"{msg.type} reply"
+    if msg.type not in _REPLY_SHAPES:
+        raise ProtocolViolation(f"{what}: a server may not send {msg.type}")
+    body = check_json(msg.body, what, ProtocolViolation, _REPLY_SHAPES[msg.type],
+                      required=True)
+    for ev in body["timeline"]["events"] if msg.type == "SCRIPT" else ():
+        kind = ev.get("kind")
+        if not (isinstance(kind, str) and kind in _KIND_SHAPES):
+            raise ProtocolViolation(f"{what}: unknown event kind {kind!r}")
+        check_json(ev, f"{what} event", ProtocolViolation, _KIND_SHAPES[kind],
+                   required=True)
+        if ev["start_s"] < 0 or ev["duration_s"] < 0:
+            raise ProtocolViolation(f"{what}: an event time is negative")
+    return body
 
 
 def sample_to_body(sample: SignSample) -> dict:

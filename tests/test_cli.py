@@ -204,14 +204,17 @@ class TestTrain:
         ])
         assert code == 2
 
-    def test_bad_val_split(self, workdir, tmp_path):
-        code = main([
-            "train", str(workdir / "train.csv"),
-            "--out", str(tmp_path / "w.sgnw"),
-            "--model-config", str(workdir / "model.json"),
-            "--epochs", "1", "--val-split", "1.5",
-        ])
-        assert code == 2
+    def test_bad_val_split(self, workdir, tmp_path, capsys):
+        for split in ("1.5", "-0.5"):
+            code = main([
+                "train", str(workdir / "train.csv"),
+                "--out", str(tmp_path / "w.sgnw"),
+                "--model-config", str(workdir / "model.json"),
+                "--epochs", "1", "--val-split", split,
+            ])
+            assert code == 2
+            assert capsys.readouterr().out == ""
+            assert not (tmp_path / "w.sgnw").exists()
 
 
 class TestInfer:
@@ -445,6 +448,9 @@ class TestSettingPrecedence:
         assert main(["stats", "--config", str(bad)]) == 2
         bad.write_text('{"seed": [1]}')
         assert main(["stats", "--config", str(bad)]) == 2
+        for number in ("1e400", "-Infinity", "NaN", "9" * 400):
+            bad.write_text('{"wpm": ' + number + "}")
+            assert main(["stats", "--config", str(bad)]) == 2
 
     def test_bad_env_value_type(self, monkeypatch, capsys):
         monkeypatch.setenv("SIGNPIPE_SEED", "not-a-number")
@@ -524,6 +530,20 @@ class TestArgumentErrors:
         assert main(argv) == 2
         assert "positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--epochs", "-2"]),
+        ("preprocess", ["--augment", "--mask-prob", "2"]),
+        ("preprocess", ["--augment", "--resample-range", "2", "1"]),
+    ], ids=["epochs", "mask-prob", "resample-range"])
+    def test_out_of_range_flags_are_usage_errors(self, workdir, tmp_path, capsys,
+                                                  command, flags):
+        out_file = tmp_path / "w.sgnw"
+        target = ["--out", str(out_file)] if command == "train" else [str(out_file)]
+        assert main([command, str(workdir / "train.csv"), *target, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: " in err
+        assert not out_file.exists()
+
     def test_keyboard_interrupt_exit_code(self, monkeypatch):
         def boom(db):
             raise KeyboardInterrupt
@@ -568,7 +588,7 @@ class TestMalformedInputs:
     `error:` line and exit 1, before any output."""
 
     @pytest.mark.parametrize("case", ["descriptors", "model-config",
-                                      "robot-timeout", "robot-port"])
+                                      "robot-timeout", "robot-port", "descriptors-inf"])
     def test_one_error_line(self, tmp_path, capsys, case):
         bad = tmp_path / "bad.json"
         log = tmp_path / "robot.log"
@@ -581,6 +601,10 @@ class TestMalformedInputs:
                              ["bench", "--model-config", str(bad), "--runs", "1"]),
             "robot-timeout": ("", ["robot-sim", "--log", str(log), "--timeout", "-1"]),
             "robot-port": ("", ["robot-sim", "--log", str(log), "--port", "70000"]),
+            "descriptors-inf": (
+                '[{"tag": "A", "description": "d", "playtime_s": 1e400,'
+                ' "body_parts": ["Neck"]}]',
+                ["stats", "--descriptors", str(bad)]),
         }[case]
         bad.write_text(content)
         assert main(argv) == 1

@@ -56,6 +56,9 @@ class TestDescriptor:
             GestureDescriptor("Ok", "x", -1.0, parts)
         with pytest.raises(ValidationError):
             GestureDescriptor("Ok", "x", 1.0, frozenset())
+        for playtime in (math.inf, math.nan, 10**400):
+            with pytest.raises(ValidationError, match="playtime_s"):
+                GestureDescriptor("Ok", "x", playtime, parts)
 
 
 class TestDb:
@@ -85,6 +88,11 @@ class TestDb:
             descriptors_from_json(
                 '[{"tag": "A", "description": "x", "playtime_s": 1,'
                 ' "body_parts": [1]}]')
+        for playtime in ("1e400", "Infinity", "NaN"):
+            with pytest.raises(ValidationError, match="playtime_s"):
+                descriptors_from_json(
+                    f'[{{"tag": "A", "description": "x", "playtime_s": {playtime},'
+                    ' "body_parts": ["Neck"]}]')
 
     def test_bundled_db_contents(self):
         path = resources.files("signpipe.data") / "descriptors.sample.json"

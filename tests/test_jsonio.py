@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import struct
 from types import SimpleNamespace
 
@@ -116,6 +117,7 @@ class TestShapes:
     @pytest.mark.parametrize("value, shape", [
         (3, int), (3, float), (2.5, float), ("s", str), ([1, 2], [int]),
         ({"a": [1.5, 2]}, {"a": [float]}), ({"other": True}, {"a": int}),
+        (1e308, float), (-1e308, float),
     ])
     def test_fits(self, value, shape):
         assert check_json(value, "x", ValidationError, shape) is value
@@ -126,6 +128,11 @@ class TestShapes:
         (2.0, int, "x: expected an integer"),
         ([1, "2"], [int], r"x: \[1\] must be an integer"),
         ({"a": {"b": None}}, {"a": {"b": str}}, "x: a.b must be a string"),
+        (math.nan, float, "x: expected a finite number"),
+        (math.inf, float, "x: expected a finite number"),
+        (-math.inf, float, "x: expected a finite number"),
+        pytest.param(10**400, float, "x: expected a finite number", id="400-digit-int"),
+        ({"a": [1.0, math.inf]}, {"a": [float]}, r"x: a\[1\] must be a finite number"),
     ])
     def test_misfits(self, value, shape, message):
         with pytest.raises(ValidationError, match=message):

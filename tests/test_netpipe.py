@@ -19,8 +19,10 @@ from signpipe.dialogue import LlmBackend, MockLlmBackend, PromptTemplate, Script
 from signpipe.errors import (
     BackendError,
     FrameError,
+    ProtocolViolation,
     ValidationError,
 )
+from signpipe.gesture import GestureEvent, parse_markup, render_markup, schedule
 from signpipe.landmarks import (
     KIND_CAPACITY,
     LabelMap,
@@ -43,15 +45,18 @@ from signpipe.netpipe import (
     encode_frame,
     error_message,
     landmarks_message,
+    reply_body,
+    result_message,
     robot_sim,
     sample_from_body,
     sample_to_body,
+    script_message,
     serve,
 )
 from signpipe.nn import ModelConfig, init_weights
 from signpipe.preprocess import SelectionSpec
 
-from conftest import make_sample, sign_samples
+from conftest import TAGGED_FIXTURE, make_sample, sign_samples
 
 HELLO = WireMessage("HELLO", {"protocol_version": PROTOCOL_VERSION})
 BYE = WireMessage("BYE", {})
@@ -142,6 +147,8 @@ class TestDecodeFrame:
             decode_frame(good + b"x")
         with pytest.raises(FrameError):
             decode_frame(good[:-1])
+        with pytest.raises(FrameError, match="got 2 complete"):
+            decode_frame(good + good)
 
     def test_declared_length_over_cap(self):
         with pytest.raises(FrameError, match="cap"):
@@ -408,7 +415,8 @@ class TestSession:
         assert session.state is SessionState.CLOSED
 
     def test_wrong_protocol_version_rejected(self):
-        for body in ({"protocol_version": 2}, {}, {"protocol_version": "1"}):
+        for body in ({"protocol_version": 2}, {}, {"protocol_version": "1"},
+                     {"protocol_version": True}, {"protocol_version": 1.0}):
             session = Session()
             effect = session.on_message(WireMessage("HELLO", body))
             assert effect.close
@@ -421,6 +429,67 @@ class TestSession:
             effect = session.on_message(WireMessage(msg_type, {}))
             assert effect.close
             assert effect.replies[0].body["code"] == "PROTOCOL"
+
+
+_WIRE_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+_PLAIN = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="[]"),
+                 max_size=12)
+
+
+@st.composite
+def _markups(draw, tags):
+    """Markup that parses against a db holding tags: plain text and spans."""
+    parts = draw(st.lists(st.tuples(st.none() | st.sampled_from(tags), _PLAIN),
+                          max_size=5))
+    return "".join(text if tag is None else f"[{tag}]{text}[/{tag}]"
+                   for tag, text in parts)
+
+
+class TestReplyMessages:
+    """The builders in wire.py against the client's reply check."""
+
+    def test_golden_result_and_script_frames_digest(self, fixture_db):
+        script = parse_markup(TAGGED_FIXTURE, fixture_db)
+        frames = encode_frame(result_message("cloud", 93.5)) + encode_frame(
+            script_message(render_markup(script), schedule(script, fixture_db, 150.0),
+                           ("degraded to untagged speech",)))
+        assert hashlib.sha256(frames).hexdigest() == (
+            "1d0cc155cb8066d8dedf3859ee41a69acdd68327601eec858ed350cad39dd26e")
+
+    def test_any_scheduled_script_passes_the_reply_check(self, fixture_db):
+        @settings(deadline=None)
+        @given(markup=_markups(fixture_db.tags), wpm=st.floats(60, 300),
+               warnings=st.lists(_WIRE_TEXT, max_size=3).map(tuple))
+        def check(markup, wpm, warnings):
+            script = parse_markup(markup, fixture_db)
+            timeline = schedule(script, fixture_db, wpm)
+            msg = decode_frame(encode_frame(
+                script_message(render_markup(script), timeline, warnings)))
+            body = reply_body(msg)
+            assert msg.type == "SCRIPT"
+            assert parse_markup(body["tagged_text"], fixture_db) == script
+            assert body["timeline"]["warnings"] == [*warnings, *timeline.warnings]
+            assert [(ev["kind"], ev.get("tag", ev.get("text")), ev["start_s"],
+                     ev["duration_s"], ev.get("body_parts"))
+                    for ev in body["timeline"]["events"]] == [
+                ("gesture", ev.tag, ev.start_s, ev.duration_s, sorted(ev.body_parts))
+                if isinstance(ev, GestureEvent) else
+                ("speech", ev.text, ev.start_s, ev.duration_s, None)
+                for ev in timeline.events]
+
+        check()
+
+    @settings(deadline=None)
+    @given(gloss=_WIRE_TEXT,
+           confidence_pct=st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_result_passes_the_reply_check(self, gloss, confidence_pct):
+        msg = decode_frame(encode_frame(result_message(gloss, confidence_pct)))
+        assert msg.type == "RESULT"
+        assert reply_body(msg) == {"gloss": gloss, "confidence_pct": confidence_pct}
+
+    def test_a_client_message_is_not_a_reply(self):
+        with pytest.raises(ProtocolViolation, match="LANDMARKS reply"):
+            reply_body(landmarks_message(make_sample()))
 
 
 SERVER_MODEL = ModelConfig(input_dim=176, extractor_dims=(16,), model_dim=16,
