@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import threading
@@ -33,6 +34,7 @@ from .dialogue import (
 from .errors import SignpipeError, UsageError, ValidationError
 from .gesture import (
     GestureDb,
+    check_speech_rate,
     load_descriptors,
     playtime_stats,
     render_markup,
@@ -148,6 +150,16 @@ def _resolve_model(args, file_cfg) -> tuple[
     labels = _load_file(_setting(args, file_cfg, "labels"), "label map", read_label_map)
     _check_fit(cfg, selection, labels)
     return w, cfg, selection, labels
+
+
+def _resolve_wpm(args, file_cfg) -> float | None:
+    wpm = _setting(args, file_cfg, "wpm")
+    if wpm is not None:
+        try:
+            check_speech_rate(wpm)
+        except ValidationError as e:
+            raise UsageError(str(e)) from None
+    return wpm
 
 
 def _resolve_backend_factory(args, file_cfg):
@@ -335,7 +347,7 @@ def cmd_serve(args, file_cfg: dict) -> int:
         **_given(
             host=args.host,
             port=_setting(args, file_cfg, "port"),
-            wpm=_setting(args, file_cfg, "wpm"),
+            wpm=_resolve_wpm(args, file_cfg),
             max_retries=args.max_retries,
             deadline_s=args.deadline,
         ),
@@ -430,6 +442,18 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _learning_rate(text: str) -> float:
+    """argparse type of --lr: a finite number >= 0 (0 trains nothing), else
+    exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _range_pair(parser, name, default, help_text):
     parser.add_argument(name, nargs=2, type=float, metavar=("LO", "HI"),
                         default=default, help=help_text)
@@ -483,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="selection spec JSON")
     p.add_argument("--model-config", help="model config JSON")
     p.add_argument("--epochs", type=_non_negative_int, default=20)
-    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--lr", type=_learning_rate, default=0.1)
     p.add_argument("--batch-size", type=_positive_int, default=32)
     p.add_argument("--val-corpus", help="held-out labeled corpus")
     p.add_argument("--val-split", type=_fraction, default=0.0,

@@ -8,6 +8,7 @@ the byte offset of the offending token and name the tag involved.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -38,6 +39,7 @@ __all__ = [
     "SpeechEvent",
     "GestureEvent",
     "Timeline",
+    "check_speech_rate",
     "schedule",
 ]
 
@@ -300,6 +302,14 @@ class Timeline:
 OVERRUN_SLACK_S = 0.5
 
 
+def check_speech_rate(wpm: float) -> None:
+    """Raise ValidationError unless wpm is a positive finite rate whose
+    60/wpm seconds per word is finite too."""
+    if not (wpm > 0 and math.isfinite(wpm) and math.isfinite(60.0 / wpm)):
+        raise ValidationError(
+            f"speech rate must be a finite wpm > 0 with finite 60/wpm, got {wpm}")
+
+
 def schedule(script: TaggedScript, db: GestureDb,
              speech_rate_wpm: float = 150.0) -> Timeline:
     """Lay script segments on a timeline at 60/speech_rate_wpm seconds per
@@ -308,8 +318,7 @@ def schedule(script: TaggedScript, db: GestureDb,
     Warnings flag gestures that overrun their span by more than
     OVERRUN_SLACK_S and pairs of overlapping gestures sharing a body part.
     """
-    if not speech_rate_wpm > 0:
-        raise ValidationError(f"speech_rate_wpm must be positive, got {speech_rate_wpm}")
+    check_speech_rate(speech_rate_wpm)
     per_word = 60.0 / speech_rate_wpm
     cursor = 0.0
     events: list[Union[SpeechEvent, GestureEvent]] = []

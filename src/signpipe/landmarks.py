@@ -21,7 +21,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from itertools import accumulate, groupby, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -308,17 +309,158 @@ def _parse_int(text: str, column: str, line: int) -> int:
         raise CorpusFormatError(f"non-integer {column} value {text!r}", line) from None
 
 
+_KIND_CODE = {name: kind.value for name, kind in _KIND_BY_NAME.items()}
+_EMPTY_AS_NAN = {"": "nan"}  # .get(v, v): an empty coordinate reads as NaN
+# Records parsed together: enough to spread the per-chunk work thin, few
+# enough that a chunk's strings are still in cache when it is converted.
+_CHUNK_ROWS = 512
+
+
+def _record_lines(row: list[str]) -> int:
+    """Physical lines a record spans: one plus the line breaks in its
+    quoted fields (newline="" keeps them as written)."""
+    return 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+
+
+def _chunks(reader):
+    """Chunks of up to _CHUNK_ROWS records, each with the physical lines its
+    records start on. The records read before a decode or csv error are
+    yielded before the error is raised, so their faults come first."""
+    while True:
+        before = reader.line_num
+        chunk: list[list[str]] = []
+        try:
+            chunk.extend(islice(reader, _CHUNK_ROWS))
+        except (UnicodeDecodeError, csv.Error):
+            yield chunk, _starts(chunk, before, reader.line_num)
+            raise
+        if not chunk:
+            return
+        yield chunk, _starts(chunk, before, reader.line_num)
+
+
+def _starts(chunk: list[list[str]], before: int, after: int) -> Sequence[int]:
+    if after - before == len(chunk):  # every record is one line
+        return range(before + 1, after + 1)
+    return list(accumulate(map(_record_lines, chunk[:-1]), initial=before + 1))
+
+
+def _runs(chunk: list[list[str]], starts: Sequence[int]) -> list[tuple]:
+    """The chunk's runs of consecutive records that share a sample_id, each
+    with its start lines; blank lines are dropped."""
+    if [] in chunk:
+        kept = [i for i, row in enumerate(chunk) if row]
+        chunk, starts = [chunk[i] for i in kept], [starts[i] for i in kept]
+    runs, i = [], 0
+    for _, group in groupby(map(itemgetter(0), chunk)):
+        j = i + len(list(group))
+        runs.append((chunk[i:j], starts[i:j]))
+        i = j
+    return runs
+
+
+def _parse_run(run: list[list[str]]):
+    """(label, frames, kinds, indices, x, y, z) of a run with no malformed
+    field, one C-level conversion per column; None if a field is malformed
+    or the labels are not all the same text."""
+    try:
+        ids, frames, kinds, indices, x, y, z, labels = zip(*run, strict=True)
+    except ValueError:
+        return None  # a record has the wrong number of fields
+    if not ids[0] or labels.count(labels[0]) != len(labels):
+        return None
+    try:
+        return (None if labels[0] == "" else int(labels[0]),
+                list(map(int, frames)),
+                list(map(_KIND_CODE.__getitem__, kinds)),
+                list(map(int, indices)),
+                *(array("d", map(float, map(_EMPTY_AS_NAN.get, col, col)
+                                  if "" in col else col))
+                  for col in (x, y, z)))
+    except (KeyError, ValueError):
+        return None
+
+
+class _CorpusSamples:
+    """Each sample's columns and label, in order of first appearance."""
+
+    def __init__(self):
+        # sample_id -> frame, kind, landmark_index, x, y, z and line columns
+        self.columns: dict[str, tuple] = {}
+        self.labels: dict[str, int | None] = {}
+
+    def _columns(self, sample_id: str, label: int | None, line: int) -> tuple:
+        if sample_id not in self.columns:
+            self.columns[sample_id] = ([], [], [], array("d"), array("d"), array("d"),
+                                       array("q"))
+            self.labels[sample_id] = label
+        elif self.labels[sample_id] != label:
+            raise CorpusFormatError(f"inconsistent label for sample {sample_id!r}", line)
+        return self.columns[sample_id]
+
+    def add_run(self, run: list[list[str]], starts: Sequence[int]) -> None:
+        parsed = _parse_run(run)
+        if parsed is None:
+            self._add_rows(run, starts)
+            return
+        label, *values = parsed
+        # The first record's fields before the label check are good.
+        for column, part in zip(self._columns(run[0][0], label, starts[0]),
+                                (*values, starts)):
+            column.extend(part)
+
+    def _add_rows(self, run: list[list[str]], starts: Sequence[int]) -> None:
+        """One record at a time, each field through its own parser: the
+        error path, and runs whose labels differ in text only ("7", "07")."""
+        for row, line in zip(run, starts):
+            if len(row) != len(CORPUS_HEADER):
+                raise CorpusFormatError(
+                    f"expected {len(CORPUS_HEADER)} columns, got {len(row)}", line
+                )
+            sample_id, frame_s, kind_s, index_s, x_s, y_s, z_s, label_s = row
+            if not sample_id:
+                raise CorpusFormatError("empty sample_id", line)
+            label = None if label_s == "" else _parse_int(label_s, "label", line)
+            frames, kinds, indices, x, y, z, lines = self._columns(sample_id, label, line)
+            try:
+                kinds.append(_KIND_CODE[kind_s])
+            except KeyError:
+                raise CorpusFormatError(
+                    f"unknown landmark kind {kind_s!r}", line) from None
+            frames.append(_parse_int(frame_s, "frame", line))
+            indices.append(_parse_int(index_s, "landmark_index", line))
+            x.append(_parse_float(x_s, "x", line))
+            y.append(_parse_float(y_s, "y", line))
+            z.append(_parse_float(z_s, "z", line))
+            lines.append(line)
+
+    def samples(self) -> list[SignSample]:
+        samples = []
+        for sample_id, (frames, kinds, indices, x, y, z, lines) in self.columns.items():
+            try:
+                rows = LandmarkRows(frames, kinds, indices, np.column_stack((x, y, z)))
+            except _RowError as e:
+                raise CorpusFormatError(f"sample {sample_id!r}: {e}", lines[e.row]) from None
+            samples.append(SignSample(sample_id, rows, self.labels[sample_id]))
+        return samples
+
+
 def read_corpus(path: str | Path) -> list[SignSample]:
     """Parse a corpus CSV into samples, grouped by sample_id.
 
     Row order within a sample is preserved. Any malformed content, including
-    a row that breaks a sample invariant, raises CorpusFormatError with the
-    1-based line number.
+    a row that breaks a sample invariant, raises CorpusFormatError naming the
+    physical line (1-based) on which the offending record starts.
+
+    Errors come in file order: the first malformed record is reported, and
+    within it the first bad field in this order: column count, empty
+    sample_id, label, label consistency with the sample's earlier rows,
+    kind, frame, landmark_index, x, y, z. Sample invariants (`LandmarkRows`)
+    are checked once the whole file has parsed, sample by sample in order of
+    first appearance.
     """
     path = Path(path)
-    # sample_id -> frame, kind, landmark_index, (x, y, z) and line columns
-    columns: dict[str, tuple] = {}
-    labels: dict[str, int | None] = {}
+    samples = _CorpusSamples()
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -330,46 +472,12 @@ def read_corpus(path: str | Path) -> list[SignSample]:
                 raise CorpusFormatError(
                     f"bad header {header!r}, expected {CORPUS_HEADER!r}", 1
                 )
-            for line, row in enumerate(reader, start=2):
-                if not row:
-                    continue  # tolerate blank trailing lines
-                if len(row) != len(CORPUS_HEADER):
-                    raise CorpusFormatError(
-                        f"expected {len(CORPUS_HEADER)} columns, got {len(row)}", line
-                    )
-                sample_id, frame_s, kind_s, index_s, x_s, y_s, z_s, label_s = row
-                if not sample_id:
-                    raise CorpusFormatError("empty sample_id", line)
-                label = None if label_s == "" else _parse_int(label_s, "label", line)
-                if sample_id not in columns:
-                    columns[sample_id] = ([], [], [], array("d"), array("q"))
-                    labels[sample_id] = label
-                elif labels[sample_id] != label:
-                    raise CorpusFormatError(
-                        f"inconsistent label for sample {sample_id!r}", line
-                    )
-                frames, kinds, indices, coords, lines = columns[sample_id]
-                try:
-                    kinds.append(_KIND_BY_NAME[kind_s].value)
-                except KeyError:
-                    raise CorpusFormatError(
-                        f"unknown landmark kind {kind_s!r}", line) from None
-                frames.append(_parse_int(frame_s, "frame", line))
-                indices.append(_parse_int(index_s, "landmark_index", line))
-                coords.extend((_parse_float(x_s, "x", line),
-                               _parse_float(y_s, "y", line),
-                               _parse_float(z_s, "z", line)))
-                lines.append(line)
+            for chunk, starts in _chunks(reader):
+                for run, run_starts in _runs(chunk, starts):
+                    samples.add_run(run, run_starts)
     except UnicodeDecodeError as e:
         raise CorpusFormatError(f"corpus {path}: not UTF-8 text ({e.reason})") from None
-    samples = []
-    for sample_id, (frames, kinds, indices, coords, lines) in columns.items():
-        try:
-            rows = LandmarkRows(frames, kinds, indices, coords)
-        except _RowError as e:
-            raise CorpusFormatError(f"sample {sample_id!r}: {e}", lines[e.row]) from None
-        samples.append(SignSample(sample_id, rows, labels[sample_id]))
-    return samples
+    return samples.samples()
 
 
 def write_corpus(samples: list[SignSample], path: str | Path) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..dialogue import LlmBackend, PromptTemplate, RecognitionEvent, compose
 from ..errors import FrameError, ShapeError, SignpipeError, ValidationError
-from ..gesture import GestureDb, render_markup, schedule
+from ..gesture import GestureDb, check_speech_rate, render_markup, schedule
 from ..landmarks import LabelMap
 from ..nn import ModelConfig, predict
 from ..nn.network import _check_weights
@@ -62,8 +62,7 @@ class ServerConfig:
         self.model_config.check_inputs(self.selection.feature_dim, self.labels)
         if not self.deadline_s > 0:
             raise ValidationError("deadline_s must be positive")
-        if not self.wpm > 0:
-            raise ValidationError("wpm must be positive")
+        check_speech_rate(self.wpm)
         if self.max_retries < 0:
             raise ValidationError("max_retries must not be negative")
         check_port(self.port)

@@ -204,6 +204,19 @@ class TestTrain:
         ])
         assert code == 2
 
+    def test_zero_lr_keeps_the_initial_weights(self, workdir, tmp_path, capsys):
+        out = tmp_path / "w.sgnw"
+        code = main([
+            "train", str(workdir / "train.csv"), "--out", str(out),
+            "--model-config", str(workdir / "model.json"),
+            "--epochs", "1", "--lr", "0",
+        ])
+        assert code == 0
+        init = nn.init_weights(nn.ModelConfig.from_dict(SMALL_MODEL), seed=0)
+        saved = nn.load_weights(out)
+        for name in init:
+            np.testing.assert_array_equal(saved[name], init[name])
+
     def test_bad_val_split(self, workdir, tmp_path, capsys):
         for split in ("1.5", "-0.5"):
             code = main([
@@ -534,7 +547,12 @@ class TestArgumentErrors:
         ("train", ["--epochs", "-2"]),
         ("preprocess", ["--augment", "--mask-prob", "2"]),
         ("preprocess", ["--augment", "--resample-range", "2", "1"]),
-    ], ids=["epochs", "mask-prob", "resample-range"])
+        ("train", ["--lr", "nan"]),
+        ("train", ["--lr", "-0.1"]),
+        ("train", ["--lr", "inf"]),
+        ("train", ["--lr", "fast"]),
+    ], ids=["epochs", "mask-prob", "resample-range", "lr-nan", "lr-negative",
+            "lr-inf", "lr-text"])
     def test_out_of_range_flags_are_usage_errors(self, workdir, tmp_path, capsys,
                                                   command, flags):
         out_file = tmp_path / "w.sgnw"
@@ -543,6 +561,24 @@ class TestArgumentErrors:
         out, err = capsys.readouterr()
         assert out == "" and "error: " in err
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("wpm", ["1e-307", "inf", "nan", "0", "config:1e-307"])
+    def test_serve_rejects_a_rate_without_finite_timings(self, workdir, tmp_path,
+                                                        monkeypatch, capsys, wpm):
+        def never_serve(cfg):
+            raise AssertionError("serve started with a bad speech rate")
+
+        monkeypatch.setattr("signpipe.cli.serve", never_serve)
+        rate = ["--wpm", wpm]
+        if wpm.startswith("config:"):
+            config = tmp_path / "cfg.json"
+            config.write_text('{"wpm": %s}' % wpm.removeprefix("config:"))
+            rate = ["--config", str(config)]
+        code = main(["serve", "--weights", str(workdir / "model.sgnw"),
+                     "--port", "0", *rate])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "wpm" in err
 
     def test_keyboard_interrupt_exit_code(self, monkeypatch):
         def boom(db):

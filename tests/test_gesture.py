@@ -17,6 +17,7 @@ from signpipe.gesture import (
     MarkupError,
     PlainText,
     TaggedScript,
+    check_speech_rate,
     descriptors_from_json,
     load_descriptors,
     normalize_spoken_text,
@@ -350,6 +351,16 @@ class TestSchedule:
         script = parse_markup("hi", fixture_db)
         with pytest.raises(ValidationError):
             schedule(script, fixture_db, speech_rate_wpm=0.0)
+
+    @pytest.mark.parametrize("wpm", [1e-307, 5e-324, math.inf, math.nan, -150.0])
+    def test_rate_must_give_finite_word_times(self, fixture_db, wpm):
+        # 60/1e-307 overflows to inf seconds per word; an infinite rate puts
+        # every event at 0 s.
+        script = parse_markup(TAGGED_FIXTURE, fixture_db)
+        with pytest.raises(ValidationError, match="wpm"):
+            check_speech_rate(wpm)
+        with pytest.raises(ValidationError, match="wpm"):
+            schedule(script, fixture_db, speech_rate_wpm=wpm)
 
     def test_events_sorted_by_start(self, fixture_db):
         script = parse_markup(TAGGED_FIXTURE, fixture_db)

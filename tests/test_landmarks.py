@@ -1,11 +1,15 @@
 """Corpus format, domain types, and their invariants."""
 
+import csv
 import hashlib
 import math
+from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from signpipe import landmarks
 from signpipe.errors import CorpusFormatError, ValidationError
 from signpipe.landmarks import (
     CORPUS_HEADER,
@@ -201,6 +205,27 @@ class TestReadCorpus:
         assert [s.sample_id for s in samples] == ["a", "b"]
         assert len(samples[0].frames) == 2
 
+    def test_errors_name_the_physical_line(self, tmp_path):
+        # A quoted sample_id may hold a line break, as write_corpus writes it:
+        # records 2 and 3 span lines 2-3 and 4-5, and the bad x is on line 6.
+        p = write_text(
+            tmp_path / "c.csv",
+            f"{HEADER}\n"
+            '"two\nlines",0,pose,0,0.1,0.1,,1\n'
+            '"two\nlines",1,pose,0,0.1,0.1,,1\n'
+            "b,0,pose,0,abc,0.1,,1\n",
+        )
+        with pytest.raises(CorpusFormatError, match=r"'abc' \(line 6\)$"):
+            read_corpus(p)
+        p = write_text(
+            tmp_path / "c.csv",
+            f"{HEADER}\n"
+            '"two\nlines",0,pose,0,0.1,0.1,,1\n\n'
+            '"two\nlines",0,pose,0,0.1,0.1,,1\n',
+        )
+        with pytest.raises(CorpusFormatError, match=r"repeats.*\(line 5\)$"):
+            read_corpus(p)
+
     def test_empty_label_is_none(self, tmp_path):
         p = write_text(tmp_path / "c.csv", f"{HEADER}\ns1,0,pose,0,0.5,0.5,0.0,\n")
         assert read_corpus(p)[0].label is None
@@ -272,3 +297,154 @@ class TestDuplicateRows:
         )
         with pytest.raises(CorpusFormatError, match=r"'s1'.*repeats.*line 5"):
             read_corpus(p)
+
+
+def reference_read_corpus(path):
+    """The per-record reader that `read_corpus` replaced, kept as its
+    reference: every field of every record through its own parser. It
+    differs from the original only in naming the physical line a record
+    starts on, not the record's count."""
+    columns, labels = {}, {}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CorpusFormatError("missing header", 1) from None
+            if header != CORPUS_HEADER:
+                raise CorpusFormatError(
+                    f"bad header {header!r}, expected {CORPUS_HEADER!r}", 1)
+            start = reader.line_num + 1
+            for row in reader:
+                line, start = start, reader.line_num + 1
+                if not row:
+                    continue
+                if len(row) != len(CORPUS_HEADER):
+                    raise CorpusFormatError(
+                        f"expected {len(CORPUS_HEADER)} columns, got {len(row)}", line)
+                sample_id, frame_s, kind_s, index_s, x_s, y_s, z_s, label_s = row
+                if not sample_id:
+                    raise CorpusFormatError("empty sample_id", line)
+                label = (None if label_s == ""
+                         else landmarks._parse_int(label_s, "label", line))
+                if sample_id not in columns:
+                    columns[sample_id] = ([], [], [], array("d"), array("q"))
+                    labels[sample_id] = label
+                elif labels[sample_id] != label:
+                    raise CorpusFormatError(
+                        f"inconsistent label for sample {sample_id!r}", line)
+                frames, kinds, indices, coords, lines = columns[sample_id]
+                try:
+                    kinds.append(kind_from_name(kind_s).value)
+                except ValidationError:
+                    raise CorpusFormatError(
+                        f"unknown landmark kind {kind_s!r}", line) from None
+                frames.append(landmarks._parse_int(frame_s, "frame", line))
+                indices.append(landmarks._parse_int(index_s, "landmark_index", line))
+                coords.extend(landmarks._parse_float(v, c, line)
+                              for v, c in zip((x_s, y_s, z_s), "xyz"))
+                lines.append(line)
+    except UnicodeDecodeError as e:
+        raise CorpusFormatError(f"corpus {path}: not UTF-8 text ({e.reason})") from None
+    samples = []
+    for sample_id, (frames, kinds, indices, coords, lines) in columns.items():
+        try:
+            rows = landmarks.LandmarkRows(frames, kinds, indices, coords)
+        except landmarks._RowError as e:
+            raise CorpusFormatError(f"sample {sample_id!r}: {e}", lines[e.row]) from None
+        samples.append(SignSample(sample_id, rows, labels[sample_id]))
+    return samples
+
+
+def outcome(read, path):
+    """The samples read, or the class and message of the error raised."""
+    try:
+        return read(path)
+    except ValidationError as e:
+        return type(e), str(e)
+
+
+# Field values that break a record, and some that parse only one way
+# ("07" is label 7, "" is a missing coordinate, "nan" and "1_0" are floats).
+_BAD_FIELDS = ["", " ", "x", "07", " 7", "-1", "1.5", "nan", "inf", "-inf",
+               "1e400", "1_0", "\u0663", "9" * 30, "face", "torso", "POSE",
+               "468", "21"]
+_QUOTED_IDS = ["a", "b,c", 'q"d', "line\nbreak", "cr\r\nlf", "lone\rcr", " "]
+
+
+@st.composite
+def corpus_rows(draw):
+    """Rows of a written corpus, interleaved across samples, with blank
+    lines and up to four field, column-count and row faults."""
+    samples = draw(st.lists(sign_samples(), min_size=1, max_size=3))
+    ids = draw(st.lists(st.one_of(st.sampled_from(_QUOTED_IDS), st.text(min_size=1, max_size=4)),
+                        min_size=len(samples), max_size=len(samples), unique=True))
+    queues = [[[sid, str(frame), landmarks._KINDS[code].csv_name, str(index),
+                *map(str, xyz), "" if s.label is None else str(s.label)]
+               for frame, code, index, *xyz in s.frames.tolist(missing="")]
+              for sid, s in zip(ids, samples)]
+    rows = []
+    while any(queues):  # interleave, keeping each sample's row order
+        queue = draw(st.sampled_from([q for q in queues if q]))
+        rows.append(queue.pop(0))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["field", "field", "width", "blank", "repeat"]))
+        if fault == "field" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_BAD_FIELDS))
+        elif fault == "width":
+            rows[i] = (rows[i] + ["0"])[:draw(st.integers(1, 9))]
+        elif fault == "blank":
+            rows.insert(i, [])
+        else:
+            rows.insert(i, list(rows[i]))
+    return rows
+
+
+class TestReaderAgainstReference:
+    @settings(deadline=None, max_examples=300)
+    @given(corpus_rows(), st.sampled_from([1, 2, 3, 7, 512]),
+           st.sampled_from(["\r\n", "\n"]))
+    def test_same_samples_or_same_error(self, tmp_path_factory, rows, chunk_rows,
+                                        terminator):
+        p = tmp_path_factory.mktemp("corpus") / "c.csv"
+        with p.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator=terminator)
+            writer.writerow(CORPUS_HEADER)
+            writer.writerows(rows)
+        with mock.patch.object(landmarks, "_CHUNK_ROWS", chunk_rows):
+            got = outcome(read_corpus, p)
+        assert got == outcome(reference_read_corpus, p)
+
+    def test_first_of_several_faults_wins(self, tmp_path):
+        rows = [
+            "a,0,pose,0,0.1,0.1,,1",
+            "a,1,pose,0,0.1,0.1,,1",
+            "a,2,pose,x,0.1,0.1,,1",     # line 4: landmark_index
+            "a,3,torso,0,y,0.1,,1",      # line 5: kind before x
+            "a,4,pose,0,0.1,0.1,,2",     # line 6: label
+        ]
+        p = write_text(tmp_path / "c.csv", "\n".join([HEADER, *rows]) + "\n")
+        for chunk_rows in (1, 2, 512):
+            with mock.patch.object(landmarks, "_CHUNK_ROWS", chunk_rows):
+                with pytest.raises(CorpusFormatError,
+                                   match=r"^non-integer landmark_index value 'x' \(line 4\)$"):
+                    read_corpus(p)
+        p = write_text(tmp_path / "c.csv", "\n".join([HEADER, *rows[:2], *rows[3:]]) + "\n")
+        with pytest.raises(CorpusFormatError,
+                           match=r"^unknown landmark kind 'torso' \(line 4\)$"):
+            read_corpus(p)
+
+    def test_fault_before_undecodable_bytes_wins(self, tmp_path):
+        # The bad x sits in an earlier 8 KiB decode block than the bytes that
+        # are not UTF-8, so the per-record reader reports it first.
+        good = "".join(f"a,{t},pose,0,0.1,0.1,,1\n" for t in range(1, 600))
+        p = tmp_path / "c.csv"
+        p.write_bytes(f"{HEADER}\na,0,pose,0,abc,0.1,,1\n{good}".encode()
+                      + b"a,600,pose,0,\xff,0.1,,1\n")
+        assert outcome(read_corpus, p) == outcome(reference_read_corpus, p) == (
+            CorpusFormatError, "non-numeric x value 'abc' (line 2)")
+        p.write_bytes(f"{HEADER}\n{good}".encode() + b"a,600,pose,0,\xff,0.1,,1\n")
+        kind, message = outcome(read_corpus, p)
+        assert kind is CorpusFormatError and "not UTF-8" in message

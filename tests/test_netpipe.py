@@ -564,6 +564,7 @@ class TestServer:
         with pytest.raises(ValidationError, match="deadline"):
             cfg.validate()
         for setting, value in [("wpm", 0.0), ("wpm", float("nan")),
+                               ("wpm", 1e-307), ("wpm", math.inf),
                                ("max_retries", -1), ("port", 70000),
                                ("port", -1)]:
             cfg = server_config(db=fixture_db, **{setting: value})
