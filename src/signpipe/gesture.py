@@ -327,6 +327,10 @@ def schedule(script: TaggedScript, db: GestureDb,
     for seg in script.segments:
         words = seg.text.split()
         span_duration = len(words) * per_word
+        if not math.isfinite(cursor + span_duration):
+            raise ValidationError(
+                f"at speech rate {speech_rate_wpm} wpm the script's timeline "
+                f"is not finite")
         if isinstance(seg, GestureSpan):
             desc = db.get(seg.tag)
             ev = GestureEvent(desc.tag, cursor, desc.playtime_s, desc.body_parts)

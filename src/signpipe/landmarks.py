@@ -322,17 +322,25 @@ def _record_lines(row: list[str]) -> int:
     return 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
 
 
+def _csv_fault(e: csv.Error, line: int) -> CorpusFormatError:
+    return CorpusFormatError(f"unreadable CSV record: {e}", line)
+
+
 def _chunks(reader):
     """Chunks of up to _CHUNK_ROWS records, each with the physical lines its
     records start on. The records read before a decode or csv error are
-    yielded before the error is raised, so their faults come first."""
+    yielded before the error is raised, so their faults come first; a csv
+    error becomes a CorpusFormatError naming the line its record starts on."""
     while True:
         before = reader.line_num
         chunk: list[list[str]] = []
         try:
             chunk.extend(islice(reader, _CHUNK_ROWS))
-        except (UnicodeDecodeError, csv.Error):
-            yield chunk, _starts(chunk, before, reader.line_num)
+        except (UnicodeDecodeError, csv.Error) as e:
+            *starts, failed = accumulate(map(_record_lines, chunk), initial=before + 1)
+            yield chunk, starts
+            if isinstance(e, csv.Error):
+                raise _csv_fault(e, failed) from None
             raise
         if not chunk:
             return
@@ -361,8 +369,9 @@ def _runs(chunk: list[list[str]], starts: Sequence[int]) -> list[tuple]:
 
 def _parse_run(run: list[list[str]]):
     """(label, frames, kinds, indices, x, y, z) of a run with no malformed
-    field, one C-level conversion per column; None if a field is malformed
-    or the labels are not all the same text."""
+    field, one C-level conversion per column into an `array`; None if a
+    field is malformed or outside int64, or the labels are not all the same
+    text."""
     try:
         ids, frames, kinds, indices, x, y, z, labels = zip(*run, strict=True)
     except ValueError:
@@ -371,13 +380,13 @@ def _parse_run(run: list[list[str]]):
         return None
     try:
         return (None if labels[0] == "" else int(labels[0]),
-                list(map(int, frames)),
-                list(map(_KIND_CODE.__getitem__, kinds)),
-                list(map(int, indices)),
+                array("q", map(int, frames)),
+                array("b", map(_KIND_CODE.__getitem__, kinds)),
+                array("q", map(int, indices)),
                 *(array("d", map(float, map(_EMPTY_AS_NAN.get, col, col)
                                   if "" in col else col))
                   for col in (x, y, z)))
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, OverflowError):
         return None
 
 
@@ -386,13 +395,13 @@ class _CorpusSamples:
 
     def __init__(self):
         # sample_id -> frame, kind, landmark_index, x, y, z and line columns
-        self.columns: dict[str, tuple] = {}
+        self.columns: dict[str, list] = {}
         self.labels: dict[str, int | None] = {}
 
-    def _columns(self, sample_id: str, label: int | None, line: int) -> tuple:
+    def _columns(self, sample_id: str, label: int | None, line: int) -> list:
         if sample_id not in self.columns:
-            self.columns[sample_id] = ([], [], [], array("d"), array("d"), array("d"),
-                                       array("q"))
+            self.columns[sample_id] = [array("q"), array("b"), array("q"),
+                                       array("d"), array("d"), array("d"), array("q")]
             self.labels[sample_id] = label
         elif self.labels[sample_id] != label:
             raise CorpusFormatError(f"inconsistent label for sample {sample_id!r}", line)
@@ -421,14 +430,19 @@ class _CorpusSamples:
             if not sample_id:
                 raise CorpusFormatError("empty sample_id", line)
             label = None if label_s == "" else _parse_int(label_s, "label", line)
-            frames, kinds, indices, x, y, z, lines = self._columns(sample_id, label, line)
+            columns = self._columns(sample_id, label, line)
+            _, kinds, _, x, y, z, lines = columns
             try:
                 kinds.append(_KIND_CODE[kind_s])
             except KeyError:
                 raise CorpusFormatError(
                     f"unknown landmark kind {kind_s!r}", line) from None
-            frames.append(_parse_int(frame_s, "frame", line))
-            indices.append(_parse_int(index_s, "landmark_index", line))
+            for i, text, what in ((0, frame_s, "frame"), (2, index_s, "landmark_index")):
+                value = _parse_int(text, what, line)
+                try:
+                    columns[i].append(value)
+                except OverflowError:  # LandmarkRows reports it, with its row
+                    columns[i] = [*columns[i], value]
             x.append(_parse_float(x_s, "x", line))
             y.append(_parse_float(y_s, "y", line))
             z.append(_parse_float(z_s, "z", line))
@@ -436,7 +450,8 @@ class _CorpusSamples:
 
     def samples(self) -> list[SignSample]:
         samples = []
-        for sample_id, (frames, kinds, indices, x, y, z, lines) in self.columns.items():
+        for sample_id in list(self.columns):
+            frames, kinds, indices, x, y, z, lines = self.columns.pop(sample_id)
             try:
                 rows = LandmarkRows(frames, kinds, indices, np.column_stack((x, y, z)))
             except _RowError as e:
@@ -468,6 +483,8 @@ def read_corpus(path: str | Path) -> list[SignSample]:
                 header = next(reader)
             except StopIteration:
                 raise CorpusFormatError("missing header", 1) from None
+            except csv.Error as e:
+                raise _csv_fault(e, 1) from None
             if header != CORPUS_HEADER:
                 raise CorpusFormatError(
                     f"bad header {header!r}, expected {CORPUS_HEADER!r}", 1

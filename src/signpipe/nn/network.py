@@ -16,6 +16,12 @@ rows. Training runs each chunk forward then backward, in batch order, and
 adds every weight gradient (one x.T @ dy per chunk) into one gradient dict,
 so the result is deterministic. forward() on one clip is the one-chunk,
 one-clip case of the same code.
+
+Only one chunk's activations are alive at a time, and they are kept lean:
+LayerNorm outputs are not cached but recomputed in backward from the
+LayerNorm cache (bit for bit, so ReLU masks taken from them match the
+forward pass), ReLUs run in place, and train_step writes the new weights
+into the gradient buffers.
 """
 
 from __future__ import annotations
@@ -34,10 +40,10 @@ from .ops import (
     attention_fwd,
     dense_bwd,
     dense_fwd,
+    dense_param_grads,
     layer_norm_bwd,
     layer_norm_fwd,
-    relu_bwd,
-    relu_fwd,
+    layer_norm_out,
     softmax,
 )
 
@@ -60,9 +66,10 @@ __all__ = [
 # biases/LN offsets zero, LN gains one, positional embedding N(0, 0.02).
 _DENSE, _ZEROS, _ONES, _POS = "dense", "zeros", "ones", "pos"
 
-# Rows per forward/backward chunk: four clips of the default 32 frames. Fewer
-# rows cost Python overhead per op; more cost peak memory for no speed.
-_CHUNK_ROWS = 128
+# Rows per forward/backward chunk: eight clips of the default 32 frames.
+# Fewer rows cost Python overhead per op and smaller, slower GEMMs; the
+# activations of one chunk grow with it (~10 MB at 256 rows, default model).
+_CHUNK_ROWS = 256
 
 
 def param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -165,52 +172,71 @@ def _extract_fwd(x, w, cfg):
     for i in range(len(cfg.extractor_dims)):
         p = f"extractor.{i}"
         z, c_dense = dense_fwd(h, w[f"{p}.dense.w"], w[f"{p}.dense.b"])
-        n, c_ln = layer_norm_fwd(z, w[f"{p}.ln.gain"], w[f"{p}.ln.bias"])
-        h, c_relu = relu_fwd(n)
-        caches.append((c_dense, c_ln, c_relu))
+        h, c_ln = layer_norm_fwd(z, w[f"{p}.ln.gain"], w[f"{p}.ln.bias"])
+        np.maximum(h, 0.0, out=h)  # ReLU; backward takes its mask from the LN output
+        caches.append((c_dense, c_ln))
     return h, caches
 
 
-def _extract_bwd(dy, caches, cfg, grads):
+def _extract_bwd(dy, caches, w, cfg, grads):
+    """Add the extractor's gradients into grads; dy is overwritten."""
     for i in reversed(range(len(cfg.extractor_dims))):
-        c_dense, c_ln, c_relu = caches[i]
+        c_dense, c_ln = caches[i]
         p = f"extractor.{i}"
-        dz = layer_norm_bwd(relu_bwd(dy, c_relu), c_ln,
-                            grads[f"{p}.ln.gain"], grads[f"{p}.ln.bias"])
-        dy = dense_bwd(dz, c_dense, grads[f"{p}.dense.w"], grads[f"{p}.dense.b"])
+        dy *= layer_norm_out(c_ln, w[f"{p}.ln.bias"]) > 0
+        dz = layer_norm_bwd(dy, c_ln, grads[f"{p}.ln.gain"], grads[f"{p}.ln.bias"])
+        dw, db = grads[f"{p}.dense.w"], grads[f"{p}.dense.b"]
+        if i:
+            dy = dense_bwd(dz, c_dense, dw, db)
+        else:  # the input's gradient is not needed
+            dense_param_grads(dz, c_dense[0], dw, db)
 
 
 def _encoder_fwd(h, w, runs, cfg, i):
+    """One encoder layer. Its LayerNorm outputs are not cached: backward
+    recomputes them from the LayerNorm caches."""
     p = f"layer.{i}"
     ln1, c_ln1 = layer_norm_fwd(h, w[f"{p}.ln1.gain"], w[f"{p}.ln1.bias"])
-    qkv = [dense_fwd(ln1, w[f"{p}.attn.w{m}"], w[f"{p}.attn.b{m}"]) for m in "qkv"]
-    ctx, c_att = attention_fwd(*(y for y, _ in qkv), runs, cfg.num_heads)
-    attn_out, c_o = dense_fwd(ctx, w[f"{p}.attn.wo"], w[f"{p}.attn.bo"])
-    h1 = h + attn_out
+    q, k, v = (dense_fwd(ln1, w[f"{p}.attn.w{m}"], w[f"{p}.attn.b{m}"])[0] for m in "qkv")
+    del ln1
+    ctx, c_att = attention_fwd(q, k, v, runs, cfg.num_heads)
+    h1, _ = dense_fwd(ctx, w[f"{p}.attn.wo"], w[f"{p}.attn.bo"])
+    h1 += h
     ln2, c_ln2 = layer_norm_fwd(h1, w[f"{p}.ln2.gain"], w[f"{p}.ln2.bias"])
-    f1, c_d1 = dense_fwd(ln2, w[f"{p}.ffn.w1"], w[f"{p}.ffn.b1"])
-    a1, c_relu = relu_fwd(f1)
-    f2, c_d2 = dense_fwd(a1, w[f"{p}.ffn.w2"], w[f"{p}.ffn.b2"])
-    caches = (c_ln1, [c for _, c in qkv], c_att, c_o, c_ln2, c_d1, c_relu, c_d2)
-    return h1 + f2, caches
+    a1, _ = dense_fwd(ln2, w[f"{p}.ffn.w1"], w[f"{p}.ffn.b1"])
+    del ln2
+    np.maximum(a1, 0.0, out=a1)  # ReLU; its mask is a1 > 0
+    out, _ = dense_fwd(a1, w[f"{p}.ffn.w2"], w[f"{p}.ffn.b2"])
+    out += h1
+    return out, (c_ln1, c_att, ctx, c_ln2, a1)
 
 
-def _encoder_bwd(dy, cache, i, grads):
-    c_ln1, c_qkv, c_att, c_o, c_ln2, c_d1, c_relu, c_d2 = cache
+def _encoder_bwd(dy, cache, w, i, grads):
+    c_ln1, c_att, ctx, c_ln2, a1 = cache
     p = f"layer.{i}"
 
-    def g(name):
-        return grads[f"{p}.{name}"]
+    def dense(dm, x, name, bias):
+        return dense_bwd(dm, (x, w[f"{p}.{name}"]),
+                         grads[f"{p}.{name}"], grads[f"{p}.{bias}"])
+
+    def norm(dm, c_ln, ln):
+        return layer_norm_bwd(dm, c_ln, grads[f"{p}.{ln}.gain"], grads[f"{p}.{ln}.bias"])
 
     # out = h1 + FFN(LN2(h1))
-    da1 = dense_bwd(dy, c_d2, g("ffn.w2"), g("ffn.b2"))
-    dln2 = dense_bwd(relu_bwd(da1, c_relu), c_d1, g("ffn.w1"), g("ffn.b1"))
-    dh1 = dy + layer_norm_bwd(dln2, c_ln2, g("ln2.gain"), g("ln2.bias"))
+    da1 = dense(dy, a1, "ffn.w2", "ffn.b2")
+    da1 *= a1 > 0
+    dln2 = dense(da1, layer_norm_out(c_ln2, w[f"{p}.ln2.bias"]), "ffn.w1", "ffn.b1")
+    dh1 = norm(dln2, c_ln2, "ln2")
+    dh1 += dy
     # h1 = h + MHA(LN1(h))
-    dctx = dense_bwd(dh1, c_o, g("attn.wo"), g("attn.bo"))
-    dln1 = sum(dense_bwd(dm, c, g(f"attn.w{m}"), g(f"attn.b{m}"))
-               for m, dm, c in zip("qkv", attention_bwd(dctx, c_att), c_qkv))
-    return dh1 + layer_norm_bwd(dln1, c_ln1, g("ln1.gain"), g("ln1.bias"))
+    dq, dk, dv = attention_bwd(dense(dh1, ctx, "attn.wo", "attn.bo"), c_att)
+    ln1 = layer_norm_out(c_ln1, w[f"{p}.ln1.bias"])
+    dln1 = dense(dq, ln1, "attn.wq", "attn.bq")
+    dln1 += dense(dk, ln1, "attn.wk", "attn.bk")
+    dln1 += dense(dv, ln1, "attn.wv", "attn.bv")
+    dx = norm(dln1, c_ln1, "ln1")
+    dx += dh1
+    return dx
 
 
 def _chunks(lengths):
@@ -263,11 +289,11 @@ def _chunk_bwd(dlogits, cache, w, cfg, grads):
     dpooled /= lengths[:, None]
     dh = np.repeat(dpooled, lengths, axis=0)
     for i in reversed(range(cfg.num_layers)):
-        dh = _encoder_bwd(dh, c_layers[i], i, grads)
+        dh = _encoder_bwd(dh, c_layers[i], w, i, grads)
     for start, stop, n in runs:
         t = (stop - start) // n
         grads["pos_embedding"][:t] += dh[start:stop].reshape(n, t, -1).sum(axis=0)
-    _extract_bwd(dh, c_ext, cfg, grads)
+    _extract_bwd(dh, c_ext, w, cfg, grads)
 
 
 def _check_batch(xs, w, cfg):
@@ -334,16 +360,25 @@ def loss_and_grads(batch: list[tuple[np.ndarray, int]], w: dict[str, np.ndarray]
         if not 0 <= label < cfg.num_classes:
             raise ValidationError(f"label {label} outside [0, {cfg.num_classes})")
     _check_batch(xs, w, cfg)
-    grads = {name: np.zeros_like(w[name]) for name, _, _ in param_specs(cfg)}
+    grads: dict[str, np.ndarray] = {}
     total = 0.0
     inv_b = 1.0 / len(batch)
     for a, b in _chunks([x.shape[0] for x in xs]):
         logits, cache = _chunk_fwd(xs[a:b], w, cfg)
+        if not grads:
+            # Allocated once the first chunk's activations exist, so that
+            # they, not the gradients, reuse the memory the previous weights
+            # freed. The other way round, every chunk's activations sat at
+            # the top of the heap, which glibc's malloc returns to the OS on
+            # free and faults back in for the next chunk (~11k page faults
+            # per train_step(32)).
+            grads = {name: np.zeros_like(w[name]) for name, _, _ in param_specs(cfg)}
         total += sum(map(cross_entropy, logits, labels[a:b]))
         dlogits = softmax(logits)
         dlogits[np.arange(b - a), labels[a:b]] -= 1.0
         dlogits *= inv_b
         _chunk_bwd(dlogits, cache, w, cfg, grads)
+        del cache  # so only one chunk's activations are alive at a time
     return total * inv_b, grads
 
 
@@ -356,8 +391,10 @@ def train_step(batch: list[tuple[np.ndarray, int]], w: dict[str, np.ndarray],
     loss, grads = loss_and_grads(batch, w, cfg)
     if not math.isfinite(loss):
         raise DivergenceError(f"non-finite training loss {loss}")
-    new_w = {name: w[name] - lr * grads[name] for name in w}
-    return new_w, loss
+    for name, g in grads.items():  # w - lr * g, written into the gradient
+        g *= -lr
+        g += w[name]
+    return {name: grads[name] for name in w}, loss
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ Forward functions return (output, cache); the matching *_bwd function takes
 the upstream gradient and the cache. Everything follows the input dtype: the
 training path runs float32, while gradient checks run the same code in
 float64. Accumulation is plain sequential numpy in a fixed row and run
-order, so results are deterministic for a fixed input.
+order, so results are deterministic for a fixed input. No op writes into its
+inputs; each works in place only on arrays it allocated itself.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ import numpy as np
 __all__ = [
     "STD_FLOOR",
     "dense_fwd",
+    "dense_param_grads",
     "dense_bwd",
     "relu_fwd",
     "relu_bwd",
     "layer_norm_fwd",
+    "layer_norm_out",
     "layer_norm_bwd",
     "softmax",
     "softmax_bwd",
@@ -39,14 +42,22 @@ STD_FLOOR = 1e-8
 
 
 def dense_fwd(x, w, b):
-    return x @ w + b, (x, w)
+    """x @ w + b; the cache is (x, w)."""
+    y = x @ w
+    y += b
+    return y, (x, w)
+
+
+def dense_param_grads(dy, x, dw, db):
+    """Add the weight and bias gradients of dense_fwd(x, ...) into dw and db."""
+    dw += x.T @ dy
+    db += dy.sum(axis=0)
 
 
 def dense_bwd(dy, cache, dw, db):
     """Add the weight and bias gradients into dw and db; return dx."""
     x, w = cache
-    dw += x.T @ dy
-    db += dy.sum(axis=0)
+    dense_param_grads(dy, x, dw, db)
     return dy @ w.T
 
 
@@ -58,38 +69,75 @@ def relu_bwd(dy, x):
     return dy * (x > 0)  # a masked multiply: np.where is ~10x slower here
 
 
+def _row_dot(a, b):
+    """Sum of a * b over the last axis, keepdims, without an a * b temporary."""
+    return np.einsum("...i,...i->...", a, b)[..., None]
+
+
 def layer_norm_fwd(x, gain, bias):
     """Row-wise layer norm with population std; std below STD_FLOOR -> 1."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    std = np.sqrt(var)
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / d
+    std = _row_dot(xc, xc)
+    std /= d
+    np.sqrt(std, out=std)
     floored = std < STD_FLOOR
-    std = np.where(floored, 1.0, std)
-    xhat = xc / std
-    return xhat * gain + bias, (xhat, std, floored, gain)
+    std[floored] = 1.0
+    xc /= std  # now xhat
+    cache = (xc, std, floored, gain)
+    return layer_norm_out(cache, bias), cache
+
+
+def layer_norm_out(cache, bias):
+    """layer_norm_fwd's output rebuilt bit for bit from its cache, so a
+    caller can drop the output and recompute it in backward."""
+    xhat, _, _, gain = cache
+    out = xhat * gain
+    out += bias
+    return out
 
 
 def layer_norm_bwd(dy, cache, dgain, dbias):
     """Add the gain and bias gradients into dgain and dbias; return dx."""
     xhat, std, floored, gain = cache
-    dgain += (dy * xhat).sum(axis=0)
+    d = dy.shape[-1]
+    dgain += np.einsum("ij,ij->j", dy, xhat)
     dbias += dy.sum(axis=0)
-    dxhat = dy * gain
-    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
+    dx = dy * gain  # dxhat, then dx in place
+    mean_dxhat = np.add.reduce(dx, axis=-1, keepdims=True) / d
+    proj = _row_dot(dx, xhat)
+    proj /= d
     # On the floored path std is the constant 1, so the variance term vanishes.
-    var_term = np.where(floored, 0.0, xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True))
-    return (dxhat - mean_dxhat - var_term) / std
+    proj[floored] = 0.0
+    dx -= mean_dxhat
+    dx -= xhat * proj
+    dx /= std
+    return dx
 
 
 def softmax(z, axis=-1):
-    s = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(s)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax_bwd(dy, p, axis=-1):
     return p * (dy - (dy * p).sum(axis=axis, keepdims=True))
+
+
+def _softmax_inplace(z):
+    """softmax over the last axis, written into z."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
+
+
+def _softmax_bwd_inplace(dy, p):
+    """softmax_bwd over the last axis, written into dy."""
+    dy -= _row_dot(dy, p)
+    dy *= p
+    return dy
 
 
 def attention_fwd(q, k, v, runs, num_heads):
@@ -110,7 +158,9 @@ def attention_fwd(q, k, v, runs, num_heads):
         t = (stop - start) // n
         qh, kh, vh = (m[start:stop].reshape(n, t, num_heads, dh).transpose(0, 2, 1, 3)
                       for m in (q, k, v))
-        attn = softmax((qh @ kh.transpose(0, 1, 3, 2)) * scale)
+        scores = qh @ kh.transpose(0, 1, 3, 2)
+        scores *= scale
+        attn = _softmax_inplace(scores)
         ctx[start:stop].reshape(n, t, num_heads, dh)[...] = (attn @ vh).transpose(0, 2, 1, 3)
         per_run.append((qh, kh, vh, attn))
     return ctx, (runs, scale, per_run)
@@ -127,7 +177,8 @@ def attention_bwd(dctx, cache):
             return m[start:stop].reshape(n, t, heads, dh)
 
         dc = rows(dctx).transpose(0, 2, 1, 3)
-        dscores = softmax_bwd(dc @ vh.transpose(0, 1, 3, 2), attn) * scale
+        dscores = _softmax_bwd_inplace(dc @ vh.transpose(0, 1, 3, 2), attn)
+        dscores *= scale
         rows(dq)[...] = (dscores @ kh).transpose(0, 2, 1, 3)
         rows(dk)[...] = (dscores.transpose(0, 1, 3, 2) @ qh).transpose(0, 2, 1, 3)
         rows(dv)[...] = (attn.transpose(0, 1, 3, 2) @ dc).transpose(0, 2, 1, 3)

@@ -40,10 +40,11 @@ def save_tensors(tensors: dict[str, np.ndarray], path: str | Path) -> None:
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    data = Path(path).read_bytes()
+    data = memoryview(Path(path).read_bytes())
     off = 0
 
-    def take(n: int, what: str) -> bytes:
+    def take(n: int, what: str) -> memoryview:
+        """The next n bytes, as a view: each tensor is copied once, by astype."""
         nonlocal off
         if off + n > len(data):
             raise WeightFormatError(f"truncated file: expected {what} at byte {off}")
@@ -59,7 +60,7 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = decode_text(take(name_len, "name"), "tensor name", WeightFormatError)
+        name = decode_text(bytes(take(name_len, "name")), "tensor name", WeightFormatError)
         (rank,) = struct.unpack("<B", take(1, "rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
         n_elems = 1

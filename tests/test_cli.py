@@ -108,6 +108,16 @@ class TestPreprocess:
         assert outs[0] == outs[1]
         assert outs[0] != outs[2]
 
+    def test_unreadable_csv_record_is_one_error_line(self, tmp_path, capsys):
+        corpus = tmp_path / "long.csv"
+        corpus.write_text("sample_id,frame,kind,landmark_index,x,y,z,label\n"
+                          f"{'s' * 200_000},0,pose,0,0.1,0.1,,1\n")
+        assert main(["preprocess", str(corpus), str(tmp_path / "o.sgnw")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: unreadable CSV record: field larger than field "
+                       "limit (131072) (line 2)\n")
+
     def test_missing_corpus_is_usage_error(self, tmp_path):
         code = main(["preprocess", str(tmp_path / "none.csv"),
                      str(tmp_path / "o.sgnw")])

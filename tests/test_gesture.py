@@ -362,6 +362,15 @@ class TestSchedule:
         with pytest.raises(ValidationError, match="wpm"):
             schedule(script, fixture_db, speech_rate_wpm=wpm)
 
+    def test_rate_must_give_finite_event_times(self, fixture_db):
+        # 60/1e-306 s per word is finite and passes check_speech_rate, but
+        # ten words run to inf seconds, which no SCRIPT can carry.
+        check_speech_rate(1e-306)
+        script = parse_markup("one two three four five six seven eight nine ten",
+                              fixture_db)
+        with pytest.raises(ValidationError, match="1e-306 wpm"):
+            schedule(script, fixture_db, speech_rate_wpm=1e-306)
+
     def test_events_sorted_by_start(self, fixture_db):
         script = parse_markup(TAGGED_FIXTURE, fixture_db)
         tl = schedule(script, fixture_db)

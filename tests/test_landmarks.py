@@ -230,6 +230,40 @@ class TestReadCorpus:
         p = write_text(tmp_path / "c.csv", f"{HEADER}\ns1,0,pose,0,0.5,0.5,0.0,\n")
         assert read_corpus(p)[0].label is None
 
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path):
+        # csv refuses fields over 131072 characters; the record spanning
+        # lines 3-4 comes before the one that is too long.
+        p = write_text(
+            tmp_path / "c.csv",
+            f"{HEADER}\n"
+            "a,0,pose,0,0.1,0.1,,1\n"
+            '"two\nlines",0,pose,0,0.1,0.1,,1\n'
+            f"{'b' * 200_000},0,pose,0,0.1,0.1,,1\n",
+        )
+        for chunk_rows in (1, 2, 512):
+            with mock.patch.object(landmarks, "_CHUNK_ROWS", chunk_rows):
+                with pytest.raises(CorpusFormatError,
+                                   match=r"^unreadable CSV record: field larger .*\(line 5\)$"):
+                    read_corpus(p)
+        p = write_text(tmp_path / "c.csv", f"{'b' * 200_000}\n")
+        with pytest.raises(CorpusFormatError, match=r"field larger .*\(line 1\)$"):
+            read_corpus(p)
+
+    @pytest.mark.parametrize("column", [1, 3])
+    def test_int_outside_int64_names_its_line(self, tmp_path, column):
+        # The run's columns parse at C level until the 2**63 on line 4; that
+        # sample then reads record by record and LandmarkRows names the row.
+        rows = [["a", str(t), "pose", "0", "0.1", "0.1", "", "1"] for t in range(4)]
+        rows[2][column] = str(2 ** 63)
+        p = write_text(tmp_path / "c.csv",
+                       "\n".join([HEADER, *map(",".join, rows)]) + "\n")
+        what = "frame index" if column == 1 else "landmark index"
+        for chunk_rows in (1, 512):
+            with mock.patch.object(landmarks, "_CHUNK_ROWS", chunk_rows):
+                assert outcome(read_corpus, p) == outcome(reference_read_corpus, p) == (
+                    CorpusFormatError,
+                    f"sample 'a': row 2: {what} outside the int64 range (line 4)")
+
 
 class TestWriteCorpus:
     def test_round_trip_three_synthetic_samples(self, tmp_path):

@@ -36,7 +36,15 @@ from signpipe.nn import (
     train_step,
 )
 from signpipe.nn.network import _CHUNK_ROWS
-from signpipe.nn.ops import layer_norm_fwd, mha_fwd, relu_fwd, softmax
+from signpipe.nn.ops import (
+    dense_bwd,
+    dense_fwd,
+    layer_norm_bwd,
+    layer_norm_fwd,
+    mha_fwd,
+    relu_fwd,
+    softmax,
+)
 from signpipe.landmarks import LabelMap
 
 # Frozen reference logits: tiny_cfg weights (seed 123) applied to
@@ -178,6 +186,55 @@ class TestOps:
     def test_relu(self):
         out, _ = relu_fwd(np.array([-2.0, 0.0, 3.0]))
         np.testing.assert_array_equal(out, [0.0, 0.0, 3.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ops_leave_their_inputs_unchanged(self, dtype):
+        rng = np.random.default_rng(12)
+        x, dy = (rng.standard_normal((6, 4)).astype(dtype) for _ in range(2))
+        w = rng.standard_normal((4, 4)).astype(dtype)
+        b, gain, bias = (rng.standard_normal(4).astype(dtype) for _ in range(3))
+        inputs = (x, dy, w, b, gain, bias)
+        before = [a.copy() for a in inputs]
+        _, c_dense = dense_fwd(x, w, b)
+        relu_fwd(x)
+        _, c_ln = layer_norm_fwd(x, gain, bias)
+        softmax(x)
+        dense_bwd(dy, c_dense, np.zeros_like(w), np.zeros_like(b))
+        layer_norm_bwd(dy, c_ln, np.zeros_like(gain), np.zeros_like(bias))
+        for a, copy in zip(inputs, before):
+            np.testing.assert_array_equal(a, copy)
+
+    def test_layer_norm_floored_row_matches_finite_difference(self):
+        # A near-constant row takes the std floor: its output is
+        # (x - mean(x)) * gain + bias, and its gradient is that map's.
+        rng = np.random.default_rng(21)
+        row = np.full(5, 0.5)
+        row[2] += 2.0 ** -32
+        x = np.vstack([row, rng.standard_normal(5)])
+        gain, bias, r = rng.standard_normal(5), rng.standard_normal(5), rng.standard_normal((2, 5))
+        out, cache = layer_norm_fwd(x, gain, bias)
+        np.testing.assert_allclose(out[0], (row - row.mean()) * gain + bias, rtol=1e-12)
+        dgain, dbias = np.zeros(5), np.zeros(5)
+        dx = layer_norm_bwd(r, cache, dgain, dbias)
+
+        def loss(x, gain, bias):
+            out, (_, _, floored, _) = layer_norm_fwd(x, gain, bias)
+            assert floored.ravel().tolist() == [True, False]
+            return float((out * r).sum())
+
+        def central(params, k, idx, eps):
+            up, down = ([p.copy() for p in params] for _ in range(2))
+            up[k][idx] += eps
+            down[k][idx] -= eps
+            return (loss(*up) - loss(*down)) / (2 * eps)
+
+        params = [x, gain, bias]
+        for j in range(5):
+            # 2**-30 is exact at 0.5 and keeps the row's std under STD_FLOOR.
+            assert central(params, 0, (0, j), 2.0 ** -30) == pytest.approx(
+                dx[0, j], rel=1e-5, abs=1e-5)
+            assert central(params, 1, j, 1e-6) == pytest.approx(dgain[j], rel=1e-6, abs=1e-8)
+            assert central(params, 2, j, 1e-6) == pytest.approx(dbias[j], rel=1e-6, abs=1e-8)
 
     def test_attention_rows_are_distributions(self):
         rng = np.random.default_rng(3)
@@ -378,9 +435,9 @@ class TestRowStackedBatch:
     """A batch runs in chunks of clips stacked row-wise; every clip must come
     out as if it ran alone."""
 
-    # Mixed lengths: runs of equal-length clips of size 1 and 2, and more
-    # rows than one chunk holds.
-    LENGTHS = (32, 32, 1, 17, 17, 32, 5, 32, 9)
+    # Mixed lengths: runs of equal-length clips of size 1, 2 and 4, and more
+    # rows than one chunk holds, with a chunk boundary inside a run.
+    LENGTHS = (32, 32, 1, 17, 17, 32, 5, 32, 9, 32, 32, 32, 32, 3)
 
     @pytest.fixture
     def long_cfg(self, tiny_cfg):
@@ -435,6 +492,17 @@ class TestTraining:
             w, loss = train_step(batch, w, tiny_cfg, lr=0.05)
             losses.append(loss)
         assert losses[-1] < losses[0]
+
+    def test_leaves_the_callers_weights_alone(self, tiny_cfg, tiny_weights):
+        before = {name: arr.copy() for name, arr in tiny_weights.items()}
+        new_w, _ = train_step([(golden_input(), 2)], tiny_weights, tiny_cfg, lr=0.1)
+        assert list(new_w) == list(tiny_weights)
+        for name, arr in tiny_weights.items():
+            np.testing.assert_array_equal(arr, before[name])
+            assert not any(np.shares_memory(new_w[name], old)
+                           for old in tiny_weights.values()), name
+        assert any(not np.array_equal(new_w[name], arr)
+                   for name, arr in tiny_weights.items())
 
     def test_zero_lr_keeps_weights(self, tiny_cfg, tiny_weights):
         batch = [(golden_input(), 2)]
