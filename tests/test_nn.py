@@ -42,8 +42,10 @@ from signpipe.nn.ops import (
     layer_norm_bwd,
     layer_norm_fwd,
     mha_fwd,
+    relu_bwd,
     relu_fwd,
     softmax,
+    softmax_bwd,
 )
 from signpipe.landmarks import LabelMap
 
@@ -184,8 +186,18 @@ class TestOps:
         np.testing.assert_allclose(out, [[12.0, 8.0]])
 
     def test_relu(self):
-        out, _ = relu_fwd(np.array([-2.0, 0.0, 3.0]))
+        out, cache = relu_fwd(np.array([-2.0, 0.0, 3.0]))
         np.testing.assert_array_equal(out, [0.0, 0.0, 3.0])
+        np.testing.assert_array_equal(relu_bwd(np.array([5.0, 6.0, 7.0]), cache),
+                                      [0.0, 0.0, 7.0])
+
+    def test_softmax_and_its_backward_along_axis_0(self):
+        z, dy = np.random.default_rng(5).standard_normal((2, 3, 4))
+        p = softmax(z, axis=0)
+        np.testing.assert_allclose(p, softmax(z.T).T, rtol=1e-12)
+        np.testing.assert_allclose(p.sum(axis=0), np.ones(4), rtol=1e-12)
+        expected = p * (dy - (dy * p).sum(axis=0, keepdims=True))
+        np.testing.assert_allclose(softmax_bwd(dy, p, axis=0), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_ops_leave_their_inputs_unchanged(self, dtype):
@@ -198,7 +210,9 @@ class TestOps:
         _, c_dense = dense_fwd(x, w, b)
         relu_fwd(x)
         _, c_ln = layer_norm_fwd(x, gain, bias)
-        softmax(x)
+        p = softmax(x)
+        relu_bwd(dy, x)
+        softmax_bwd(dy, p)
         dense_bwd(dy, c_dense, np.zeros_like(w), np.zeros_like(b))
         layer_norm_bwd(dy, c_ln, np.zeros_like(gain), np.zeros_like(bias))
         for a, copy in zip(inputs, before):
