@@ -413,45 +413,25 @@ def cmd_bench(args, file_cfg: dict) -> int:
 
 # -- parser -----------------------------------------------------------------
 
-def _count_type(lowest: int, kind: str):
-    """argparse type of a count flag: non-integers and values below lowest
-    exit 2."""
-    def parse(text: str) -> int:
+def _number(cast, ok, expected: str):
+    """argparse type of a number flag: cast(text) when ok accepts it, else
+    exit 2 with "expected {expected}"."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
+            if ok(value):
+                return value
         except ValueError:
-            value = lowest - 1
-        if value < lowest:
-            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return parse
 
 
-_positive_int = _count_type(1, "positive")
-_non_negative_int = _count_type(0, "non-negative")
-
-
-def _fraction(text: str) -> float:
-    """argparse type of --val-split: a number in [0, 1), else exit 2."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a number in [0, 1), got {text!r}")
-    return value
-
-
-def _learning_rate(text: str) -> float:
-    """argparse type of --lr: a finite number >= 0 (0 trains nothing), else
-    exit 2."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return value
+_positive_int = _number(int, lambda n: n >= 1, "a positive integer")
+_non_negative_int = _number(int, lambda n: n >= 0, "a non-negative integer")
+# nan fails every comparison, so both float types reject it.
+_fraction = _number(float, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)")
+_learning_rate = _number(float, lambda x: 0.0 <= x < math.inf, "a finite number >= 0")
 
 
 def _range_pair(parser, name, default, help_text):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Union
@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _TAG_FORBIDDEN = re.compile(r"[\s\[\]]")
+# One markup token: '[' up to the next ']'; group 2 is empty when no ']' follows.
+_TOKEN = re.compile(r"\[([^\]]*)(\]?)")
 
 
 @dataclass(frozen=True)
@@ -175,9 +177,11 @@ class MarkupError(SignpipeError):
         self.tag = tag
 
 
-def _byte_offset(text: str, char_index: int) -> int:
-    # A JSON reply can carry a lone surrogate ("\ud800"); it counts 3 bytes.
-    return len(text[:char_index].encode("utf-8", "surrogatepass"))
+def _markup_error(text: str, index: int, message: str,
+                  tag: str | None = None) -> MarkupError:
+    """MarkupError at text[index], its offset in UTF-8 bytes. A JSON reply can
+    carry a lone surrogate ("\\ud800"); it counts 3 bytes."""
+    return MarkupError(message, len(text[:index].encode("utf-8", "surrogatepass")), tag)
 
 
 def parse_markup(text: str, db: GestureDb) -> TaggedScript:
@@ -186,63 +190,37 @@ def parse_markup(text: str, db: GestureDb) -> TaggedScript:
     mismatched closes, or unclosed spans."""
     segments: list[Segment] = []
     plain_start = 0
-    open_span: tuple[str, int, int] | None = None  # (tag, inner_start, open_pos)
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] != "[":
-            i += 1
-            continue
-        end = text.find("]", i)
-        if end == -1:
-            raise MarkupError("unterminated tag token", _byte_offset(text, i))
-        token = text[i + 1:end]
-        closing = token.startswith("/")
-        name = token[1:] if closing else token
+    opener: re.Match | None = None  # the open span's token; group 1 is its tag
+    for token in _TOKEN.finditer(text):
+        body, closed = token.groups()
+        i = token.start()
+        if not closed:
+            raise _markup_error(text, i, "unterminated tag token")
+        name = body.removeprefix("/")
         if not name or _TAG_FORBIDDEN.search(name):
-            raise MarkupError(
-                f"malformed tag token {token!r}", _byte_offset(text, i), name or None
-            )
-        if not closing:
-            if open_span is not None:
-                raise MarkupError(
-                    f"tag {name!r} opened inside span {open_span[0]!r}: "
-                    "spans cannot nest",
-                    _byte_offset(text, i),
-                    name,
-                )
+            raise _markup_error(text, i, f"malformed tag token {body!r}", name or None)
+        if name == body:  # an opening tag
+            if opener is not None:
+                raise _markup_error(text, i, f"tag {name!r} opened inside span "
+                                    f"{opener[1]!r}: spans cannot nest", name)
             if name not in db:
-                raise MarkupError(
-                    f"unknown gesture tag {name!r}", _byte_offset(text, i), name
-                )
+                raise _markup_error(text, i, f"unknown gesture tag {name!r}", name)
             if plain_start < i:
                 segments.append(PlainText(text[plain_start:i]))
-            open_span = (name, end + 1, i)
+            opener = token
+        elif opener is None:
+            raise _markup_error(text, i, f"closing tag {name!r} without an open span", name)
+        elif name != opener[1]:
+            raise _markup_error(text, i, f"closing tag {name!r} does not match open span "
+                                f"{opener[1]!r}", name)
         else:
-            if open_span is None:
-                raise MarkupError(
-                    f"closing tag {name!r} without an open span",
-                    _byte_offset(text, i),
-                    name,
-                )
-            if name != open_span[0]:
-                raise MarkupError(
-                    f"closing tag {name!r} does not match open span "
-                    f"{open_span[0]!r}",
-                    _byte_offset(text, i),
-                    name,
-                )
-            segments.append(GestureSpan(name, text[open_span[1]:i]))
-            open_span = None
-            plain_start = end + 1
-        i = end + 1
-    if open_span is not None:
-        raise MarkupError(
-            f"span {open_span[0]!r} is never closed",
-            _byte_offset(text, open_span[2]),
-            open_span[0],
-        )
-    if plain_start < n:
+            segments.append(GestureSpan(name, text[opener.end():i]))
+            opener = None
+            plain_start = token.end()
+    if opener is not None:
+        raise _markup_error(text, opener.start(), f"span {opener[1]!r} is never closed",
+                            opener[1])
+    if plain_start < len(text):
         segments.append(PlainText(text[plain_start:]))
     return TaggedScript(tuple(segments))
 

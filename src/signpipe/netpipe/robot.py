@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import socket
+import threading
 import time
 from pathlib import Path
 from typing import Iterable
@@ -75,13 +76,15 @@ def robot_sim(address: tuple[str, int], samples: Iterable[SignSample],
     0: every sample got its RESULT and SCRIPT and the session closed
     cleanly. 1: transport or protocol failure, a malformed reply included
     (the log keeps everything received up to that point), and, with
-    realtime, a script whose last event starts after timeout_s. A bad port or
-    timeout raises ValidationError. Text that is not valid Unicode (a lone
-    surrogate) is logged backslash-escaped.
+    realtime, a script whose last event starts after timeout_s. A bad port, or a
+    timeout outside (0, threading.TIMEOUT_MAX] (the most a socket accepts),
+    raises ValidationError. Text that is not valid Unicode (a lone surrogate) is
+    logged backslash-escaped.
     """
     check_port(address[1])
-    if not timeout_s > 0:
-        raise ValidationError("timeout_s must be positive")
+    if not 0 < timeout_s <= threading.TIMEOUT_MAX:
+        raise ValidationError(
+            f"timeout_s must be positive and at most {threading.TIMEOUT_MAX:.0f} s")
     log_path = Path(log_path)
     with log_path.open("w", encoding="utf-8", errors="backslashreplace") as out:
         try:

@@ -474,6 +474,9 @@ class TestSettingPrecedence:
         for number in ("1e400", "-Infinity", "NaN", "9" * 400):
             bad.write_text('{"wpm": ' + number + "}")
             assert main(["stats", "--config", str(bad)]) == 2
+        bad.write_text('{"backend": "nope"}')
+        assert main(["compose", "--gloss", "x", "--confidence", "50",
+                     "--config", str(bad)]) == 2
 
     def test_bad_env_value_type(self, monkeypatch, capsys):
         monkeypatch.setenv("SIGNPIPE_SEED", "not-a-number")
@@ -552,6 +555,22 @@ class TestArgumentErrors:
     def test_count_flags_must_be_positive(self, argv, capsys):
         assert main(argv) == 2
         assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "c.csv", "--out", "w.sgnw", "--batch-size", "0"],
+         "argument --batch-size: expected a positive integer, got '0'"),
+        (["train", "c.csv", "--out", "w.sgnw", "--epochs", "-2"],
+         "argument --epochs: expected a non-negative integer, got '-2'"),
+        (["train", "c.csv", "--out", "w.sgnw", "--val-split", "1"],
+         "argument --val-split: expected a number in [0, 1), got '1'"),
+        (["train", "c.csv", "--out", "w.sgnw", "--lr", "nan"],
+         "argument --lr: expected a finite number >= 0, got 'nan'"),
+        (["bench", "--runs", "two"],
+         "argument --runs: expected a positive integer, got 'two'"),
+    ], ids=["batch-size", "epochs", "val-split", "lr", "runs"])
+    def test_number_flag_error_text(self, argv, message, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.endswith(f": error: {message}\n")
 
     @pytest.mark.parametrize("command, flags", [
         ("train", ["--epochs", "-2"]),
@@ -634,7 +653,9 @@ class TestMalformedInputs:
     `error:` line and exit 1, before any output."""
 
     @pytest.mark.parametrize("case", ["descriptors", "model-config",
-                                      "robot-timeout", "robot-port", "descriptors-inf"])
+                                      "robot-timeout", "robot-timeout-inf",
+                                      "robot-timeout-1e10", "robot-port",
+                                      "descriptors-inf"])
     def test_one_error_line(self, tmp_path, capsys, case):
         bad = tmp_path / "bad.json"
         log = tmp_path / "robot.log"
@@ -646,6 +667,8 @@ class TestMalformedInputs:
             "model-config": (json.dumps(dict(SMALL_MODEL, input_dim="176")),
                              ["bench", "--model-config", str(bad), "--runs", "1"]),
             "robot-timeout": ("", ["robot-sim", "--log", str(log), "--timeout", "-1"]),
+            "robot-timeout-inf": ("", ["robot-sim", "--log", str(log), "--timeout", "inf"]),
+            "robot-timeout-1e10": ("", ["robot-sim", "--log", str(log), "--timeout", "1e10"]),
             "robot-port": ("", ["robot-sim", "--log", str(log), "--port", "70000"]),
             "descriptors-inf": (
                 '[{"tag": "A", "description": "d", "playtime_s": 1e400,'

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from signpipe.errors import ValidationError
 from signpipe.gesture import (
+    _TAG_FORBIDDEN,
     OVERRUN_SLACK_S,
     GestureDb,
     GestureDescriptor,
@@ -257,6 +258,82 @@ class TestParseMarkup:
             return
         assert isinstance(script, TaggedScript)
         assert render_markup(script) == text
+
+
+def reference_parse_markup(text, db):
+    """The character scanner that `parse_markup` replaced, kept as its
+    reference: it walks to each '[' and finds the ']' that ends its token."""
+
+    def byte_offset(char_index):
+        return len(text[:char_index].encode("utf-8", "surrogatepass"))
+
+    segments = []
+    plain_start = 0
+    open_span = None  # (tag, inner_start, open_pos)
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] != "[":
+            i += 1
+            continue
+        end = text.find("]", i)
+        if end == -1:
+            raise MarkupError("unterminated tag token", byte_offset(i))
+        token = text[i + 1:end]
+        closing = token.startswith("/")
+        name = token[1:] if closing else token
+        if not name or _TAG_FORBIDDEN.search(name):
+            raise MarkupError(f"malformed tag token {token!r}", byte_offset(i), name or None)
+        if not closing:
+            if open_span is not None:
+                raise MarkupError(f"tag {name!r} opened inside span {open_span[0]!r}: "
+                                  "spans cannot nest", byte_offset(i), name)
+            if name not in db:
+                raise MarkupError(f"unknown gesture tag {name!r}", byte_offset(i), name)
+            if plain_start < i:
+                segments.append(PlainText(text[plain_start:i]))
+            open_span = (name, end + 1, i)
+        else:
+            if open_span is None:
+                raise MarkupError(f"closing tag {name!r} without an open span",
+                                  byte_offset(i), name)
+            if name != open_span[0]:
+                raise MarkupError(f"closing tag {name!r} does not match open span "
+                                  f"{open_span[0]!r}", byte_offset(i), name)
+            segments.append(GestureSpan(name, text[open_span[1]:i]))
+            open_span = None
+            plain_start = end + 1
+        i = end + 1
+    if open_span is not None:
+        raise MarkupError(f"span {open_span[0]!r} is never closed",
+                          byte_offset(open_span[2]), open_span[0])
+    if plain_start < n:
+        segments.append(PlainText(text[plain_start:]))
+    return TaggedScript(tuple(segments))
+
+
+def parse_outcome(parse, text):
+    """The segments parse gives text, or its MarkupError's message, offset
+    and tag."""
+    try:
+        return parse(text, MARKUP_DB).segments
+    except MarkupError as e:
+        return str(e), e.offset, e.tag
+
+
+# Texts built from brackets, slashes, whitespace, a 2-byte and a 3-byte
+# (lone surrogate) character, and tokens with known, unknown and empty tags.
+MARKUP_TEXTS = st.lists(st.sampled_from([
+    "[", "]", "/", " ", "\n", "\u00e9", "\ud800", "Yes", "Bogus", "a b",
+    "[Yes]", "[/Yes]", "[ShowSky]", "[/ShowSky]", "[Bogus]", "[/Bogus]", "[]", "[/]",
+]), max_size=12).map("".join)
+
+
+class TestParserAgainstReference:
+    @settings(deadline=None, max_examples=400)
+    @given(text=MARKUP_TEXTS)
+    def test_same_segments_or_same_error(self, text):
+        assert parse_outcome(parse_markup, text) == parse_outcome(reference_parse_markup, text)
 
 
 class TestNormalizeSpokenText:

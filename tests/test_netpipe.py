@@ -305,6 +305,11 @@ class TestSampleBody:
         with pytest.raises(ValidationError):
             sample_from_body(body)
 
+    def test_coordinate_beyond_float64_is_named(self):
+        body = {"sample": {"id": "s", "frames": [[0, 2, 11, 10**400, 0.5, None]]}}
+        with pytest.raises(ValidationError, match="outside the float64 range"):
+            sample_from_body(body)
+
 
 @st.composite
 def malformed_bodies(draw) -> dict:
@@ -769,6 +774,10 @@ class TestServerRejectsBadRows:
         row = [0, 2, 11, 0.5, 0.5, None]
         assert self.landmarks_reply(fixture_db, [row, row]) == "PROTOCOL"
 
+    def test_coordinate_beyond_float64_is_protocol_error(self, fixture_db):
+        assert self.landmarks_reply(
+            fixture_db, [[0, 2, 11, 10**400, 0.5, None]]) == "PROTOCOL"
+
 
 class TestRobotSim:
     def test_single_sample_session(self, fixture_db, tmp_path):
@@ -851,7 +860,8 @@ def raw_frame(msg_type, body) -> bytes:
 @contextlib.contextmanager
 def scripted_server(*frames: bytes):
     """A one-connection server: it answers HELLO and BYE in kind and every
-    LANDMARKS with frames, sent as they are. Yields its address."""
+    LANDMARKS with frames, sent as they are; given none, it hangs up on
+    LANDMARKS. Yields its address."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(10.0)
     replies = {"HELLO": encode_frame(HELLO), "LANDMARKS": b"".join(frames),
@@ -864,7 +874,7 @@ def scripted_server(*frames: bytes):
             conn.settimeout(10.0)
             link = MessageSocket(conn)
             try:
-                while (msg := link.recv()) is not None:
+                while (msg := link.recv()) is not None and replies[msg.type]:
                     conn.sendall(replies[msg.type])
             except OSError:
                 pass  # the robot hung up on a reply it rejected
@@ -991,6 +1001,22 @@ class TestRobotReplies:
         [record] = [r for r in caplog.records if r.name == "signpipe.netpipe.robot"]
         assert record.levelno == logging.ERROR
         assert f"{reply.upper()} reply" in record.getMessage()
+        assert log.read_text(encoding="utf-8") == "SAMPLE s1\n"
+
+    @pytest.mark.parametrize("frames, message", [
+        ((), "server closed the connection"),
+        ((encode_frame(HELLO),), "expected RESULT, server sent HELLO"),
+    ], ids=["hang-up", "wrong-type"])
+    def test_missing_or_wrong_reply_fails_with_one_logged_error(self, tmp_path, caplog,
+                                                                frames, message):
+        log = tmp_path / "robot.log"
+        with scripted_server(*frames) as address:
+            with caplog.at_level(logging.ERROR, logger="signpipe.netpipe.robot"):
+                status = robot_sim(address, [make_sample(sample_id="s1")], log,
+                                   timeout_s=5.0)
+        assert status == 1
+        [record] = [r for r in caplog.records if r.name == "signpipe.netpipe.robot"]
+        assert record.getMessage() == f"session failed: {message}"
         assert log.read_text(encoding="utf-8") == "SAMPLE s1\n"
 
     def test_realtime_script_within_the_timeout_is_waited_out(self, tmp_path):

@@ -100,6 +100,8 @@ class TestConfig:
             ModelConfig(num_layers=0)
         with pytest.raises(ValidationError):
             ModelConfig(ff_dim=0)
+        with pytest.raises(ValidationError, match="extractor_dims"):
+            ModelConfig(extractor_dims=())
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValidationError):
@@ -382,6 +384,23 @@ class TestForward:
             forward(golden_input(), w, tiny_cfg)
 
 
+def assert_gradient_matches(batch, w, cfg, grads, name, j, eps=1e-4):
+    """grads[name] at flat index j agrees with a central difference of the
+    loss to a relative 1e-3; w is float64 and left as it was."""
+    flat = w[name].ravel()
+    orig = flat[j]
+    flat[j] = orig + eps
+    up, _ = loss_and_grads(batch, w, cfg)
+    flat[j] = orig - eps
+    down, _ = loss_and_grads(batch, w, cfg)
+    flat[j] = orig
+    numeric = (up - down) / (2 * eps)
+    analytic = grads[name].ravel()[j]
+    denom = max(abs(numeric), abs(analytic), 1e-8)
+    assert abs(numeric - analytic) / denom < 1e-3, (
+        f"{name}[{j}]: numeric {numeric} vs analytic {analytic}")
+
+
 class TestLossAndGradients:
     def test_cross_entropy_uniform(self):
         assert cross_entropy(np.zeros(4), 2) == pytest.approx(math.log(4))
@@ -400,27 +419,29 @@ class TestLossAndGradients:
         loss, grads = loss_and_grads(batch, w, tiny_cfg)
         assert math.isfinite(loss)
 
-        eps = 1e-4
         coord_rng = np.random.default_rng(5)
         names = [n for n, _, _ in param_specs(tiny_cfg)]
         checked = 0
         for _ in range(50):
             name = names[coord_rng.integers(len(names))]
-            flat = w[name].ravel()
-            j = int(coord_rng.integers(flat.size))
-            orig = flat[j]
-            flat[j] = orig + eps
-            up, _ = loss_and_grads(batch, w, tiny_cfg)
-            flat[j] = orig - eps
-            down, _ = loss_and_grads(batch, w, tiny_cfg)
-            flat[j] = orig
-            numeric = (up - down) / (2 * eps)
-            analytic = grads[name].ravel()[j]
-            denom = max(abs(numeric), abs(analytic), 1e-8)
-            assert abs(numeric - analytic) / denom < 1e-3, (
-                f"{name}[{j}]: numeric {numeric} vs analytic {analytic}")
+            j = int(coord_rng.integers(w[name].size))
+            assert_gradient_matches(batch, w, tiny_cfg, grads, name, j)
             checked += 1
         assert checked == 50
+
+    def test_gradcheck_float64_two_extractor_layers(self):
+        """Every extractor weight of a 6 -> 5 -> 8 extractor, so the gradient
+        that the second layer hands back to the first is checked too."""
+        cfg = ModelConfig(input_dim=6, extractor_dims=(5, 8), model_dim=8, num_layers=1,
+                          num_heads=2, ff_dim=16, num_classes=5, max_seq_len=4)
+        w = {k: v.astype(np.float64) for k, v in init_weights(cfg, seed=123).items()}
+        rng = np.random.default_rng(17)
+        batch = [(rng.standard_normal((4, 6)), 1), (rng.standard_normal((3, 6)), 4)]
+        _, grads = loss_and_grads(batch, w, cfg)
+        for name in w:
+            if name.startswith("extractor."):
+                for j in range(w[name].size):
+                    assert_gradient_matches(batch, w, cfg, grads, name, j)
 
     def test_gradients_cover_every_parameter(self, tiny_cfg, tiny_weights):
         x = golden_input()
