@@ -413,21 +413,27 @@ def cmd_bench(args, file_cfg: dict) -> int:
 
 # -- parser -----------------------------------------------------------------
 
-def _number(cast, ok, expected: str):
-    """argparse type of a number flag: cast(text) when ok accepts it, else
-    exit 2 with "expected {expected}"."""
+def _number(cast, ok, expected: str, most=None):
+    """argparse type of a number flag: cast(text) when ok accepts it and it
+    is at most `most` (if given), else exit 2 with "expected {expected}" or
+    "expected at most {most}"."""
     def parse(text: str):
         try:
             value = cast(text)
-            if ok(value):
-                return value
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"expected at most {most}, got {text!r}")
+        return value
     return parse
 
 
 _positive_int = _number(int, lambda n: n >= 1, "a positive integer")
+# benchmark_inference allocates 8 bytes per run before the first one, and a
+# run of the default model takes a few ms.
+_run_count = _number(int, lambda n: n >= 1, "a positive integer", most=1_000_000)
 _non_negative_int = _number(int, lambda n: n >= 0, "a non-negative integer")
 # nan fails every comparison, so both float types reject it.
 _fraction = _number(float, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)")
@@ -541,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[common],
                        help="forward-pass latency (p50/p99)")
     p.add_argument("--model-config")
-    p.add_argument("--runs", type=_positive_int)
+    p.add_argument("--runs", type=_run_count)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -1,9 +1,11 @@
 """The recognition server: preprocess -> classify -> compose, over TCP.
 
-One thread per connection: each gets its own protocol session, message
-socket, and LLM backend instance, and serves its samples inline on that
-thread. Model weights, the descriptor DB, and templates are shared and
-immutable. A sample's deadline starts when it arrives and is checked between
+One process per connection: the accept loop forks a child for each accepted
+connection, and the child serves its samples inline with its own protocol
+session, message socket, and LLM backend instance. Model weights, the
+descriptor DB, and templates are shared copy-on-write and never written.
+Each child runs BLAS on its share of the cores: cores // live connections,
+at least 1. A sample's deadline starts when it arrives and is checked between
 stages and before each backend call; a backend call already in flight is not
 interrupted. The replies to one inbound message leave in one write. Every
 ERROR reply closes the connection; the client reconnects for a fresh session.
@@ -11,8 +13,14 @@ ERROR reply closes the connection; the client reconnects for a fresh session.
 
 from __future__ import annotations
 
+import ctypes
 import logging
+import mmap
+import os
+import resource
+import signal
 import socketserver
+import stat
 import threading
 import time
 from dataclasses import dataclass
@@ -35,8 +43,11 @@ __all__ = ["ServerConfig", "ServerHandle", "serve"]
 
 log = logging.getLogger(__name__)
 
-# How often the accept loop checks for shutdown; close() waits up to this long.
+# How often the accept loop checks for shutdown and reaps exited children.
 _POLL_INTERVAL_S = 0.05
+# How long close() lets live children finish an in-flight sample before it
+# kills them; a child waiting on an idle client would otherwise never exit.
+_CLOSE_GRACE_S = 0.5
 
 
 @dataclass
@@ -136,6 +147,7 @@ class _Handler(socketserver.BaseRequestHandler):
                 return [error_message("PROTOCOL", str(e))]
             x = preprocess_pipeline(sample, cfg.selection, cfg.model_config.max_seq_len)
             deadline.check()
+            self.server.share_blas_threads()
             pred = predict(x, cfg.weights, cfg.model_config, cfg.labels)
             event = RecognitionEvent(pred.gloss, pred.confidence * 100.0)
             composed = compose(event, cfg.db, deadline, cfg.template, cfg.max_retries)
@@ -153,13 +165,96 @@ class _Handler(socketserver.BaseRequestHandler):
         return [result_message(event.gloss, event.confidence_pct), script]
 
 
-class _PipelineServer(socketserver.ThreadingTCPServer):
+def _blas_thread_setter() -> Callable[[int], None]:
+    """OpenBLAS's set_num_threads, found through numpy's own extension module:
+    dlsym on its handle also searches the libraries it links, so no path to
+    the BLAS library is needed. A no-op where numpy's BLAS is not OpenBLAS."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    lib = ctypes.CDLL(umath.__file__)
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            return setter
+    return lambda n: None
+
+
+def _close_inherited_sockets(keep: int) -> None:
+    """Close every socket in this process except fd `keep`. A forked child
+    inherits the listener and every socket the parent had open, among them
+    an in-process client's end of the child's own connection; while the
+    child holds that end, the client's close never reaches it as EOF.
+
+    Each socket is replaced by /dev/null rather than closed, so a stale
+    socket object that closes its fd later cannot close a reused one."""
+    try:
+        fds = [int(fd) for fd in os.listdir("/proc/self/fd")]
+    except FileNotFoundError:  # no /proc: try every possible descriptor
+        fds = range(resource.getrlimit(resource.RLIMIT_NOFILE)[0])
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            try:
+                is_socket = stat.S_ISSOCK(os.fstat(fd).st_mode)
+            except OSError:
+                continue  # not open (the listing's own fd, or a gap in the range)
+            if is_socket and fd != keep:
+                os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
+class _PipelineServer(socketserver.ForkingMixIn, socketserver.TCPServer):
+    """Forks one child per accepted connection. The parent alone writes the
+    live-connection count, when it forks a child and when it reaps one; the
+    count sits in shared memory, where every child reads it."""
+
     allow_reuse_address = True
-    daemon_threads = True
+    block_on_close = False  # close() kills what its grace leaves; see server_close
 
     def __init__(self, cfg: ServerConfig):
         self.cfg = cfg
+        self._cores = os.cpu_count() or 1
+        self._live = ctypes.c_int.from_buffer(mmap.mmap(-1, ctypes.sizeof(ctypes.c_int)))
+        self._set_blas_threads = _blas_thread_setter()
         super().__init__((cfg.host, cfg.port), _Handler)
+
+    def share_blas_threads(self) -> None:
+        """Give this child's BLAS its share of the cores. The count includes
+        this child until the parent reaps it, so it is at least 1 here."""
+        self._set_blas_threads(max(1, self._cores // self._live.value))
+
+    def process_request(self, request, client_address):
+        self._live.value = len(self.active_children or ()) + 1
+        super().process_request(request, client_address)
+
+    def collect_children(self, *, blocking=False):
+        super().collect_children(blocking=blocking)
+        self._live.value = len(self.active_children or ())
+
+    def finish_request(self, request, client_address):
+        # ForkingMixIn calls this in the child only.
+        _close_inherited_sockets(keep=request.fileno())
+        super().finish_request(request, client_address)
+
+    def server_close(self):
+        """Stop listening, give live children _CLOSE_GRACE_S to finish an
+        in-flight sample, then kill and reap the rest."""
+        super().server_close()
+        give_up = time.monotonic() + _CLOSE_GRACE_S
+        while self.active_children and time.monotonic() < give_up:
+            time.sleep(0.01)
+            self.collect_children()
+        for pid in self.active_children or ():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # exited since the last poll; reaped below
+        self.collect_children(blocking=True)
 
 
 class ServerHandle:
@@ -176,9 +271,11 @@ class ServerHandle:
         return host, port
 
     def close(self) -> None:
+        """Stop accepting, then end every connection's child; see
+        _PipelineServer.server_close. Never waits on a client."""
         self._server.shutdown()
-        self._server.server_close()
         self._thread.join(timeout=5)
+        self._server.server_close()
 
     def __enter__(self) -> "ServerHandle":
         return self

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import glob
 import math
 import threading
 import time
@@ -38,6 +39,32 @@ def no_leaked_threads():
         thread.join(timeout=max(0.0, give_up - time.monotonic()))
     alive = [t.name for t in started if t.is_alive()]
     assert not alive, f"threads still running after the test: {alive}"
+
+
+def child_pids() -> set[int]:
+    """This process's child processes, unreaped zombies included, as Linux
+    lists them per thread under /proc; empty where /proc does not."""
+    pids: set[int] = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        try:
+            with open(path) as f:
+                pids.update(map(int, f.read().split()))
+        except OSError:
+            pass  # the thread ended while we looked
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_children():
+    """Fail a test that leaves a child process it started running, or
+    unreaped, for more than 1 s after it ends: a server's close() must end
+    every child it forked."""
+    before = child_pids()
+    yield
+    give_up = time.monotonic() + 1.0
+    while (left := child_pids() - before) and time.monotonic() < give_up:
+        time.sleep(0.01)
+    assert not left, f"child processes still running after the test: {sorted(left)}"
 
 
 @pytest.fixture

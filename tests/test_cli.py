@@ -567,7 +567,9 @@ class TestArgumentErrors:
          "argument --lr: expected a finite number >= 0, got 'nan'"),
         (["bench", "--runs", "two"],
          "argument --runs: expected a positive integer, got 'two'"),
-    ], ids=["batch-size", "epochs", "val-split", "lr", "runs"])
+        (["bench", "--runs", "100000000000000000000000"],
+         "argument --runs: expected at most 1000000, got '100000000000000000000000'"),
+    ], ids=["batch-size", "epochs", "val-split", "lr", "runs", "runs-over-limit"])
     def test_number_flag_error_text(self, argv, message, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.endswith(f": error: {message}\n")

@@ -8,8 +8,11 @@ import math
 import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +59,7 @@ from signpipe.netpipe import (
 from signpipe.nn import ModelConfig, init_weights
 from signpipe.preprocess import SelectionSpec
 
-from conftest import TAGGED_FIXTURE, make_sample, sign_samples
+from conftest import TAGGED_FIXTURE, child_pids, make_sample, sign_samples
 
 HELLO = WireMessage("HELLO", {"protocol_version": PROTOCOL_VERSION})
 BYE = WireMessage("BYE", {})
@@ -520,14 +523,22 @@ def server_config(**overrides):
 
 
 class SlowBackend(LlmBackend):
-    """Sleeps on every call and records when each call started."""
+    """Sleeps on every call and records when each call started, one
+    time.monotonic() line per call in starts_path, so that the test process
+    can read what the server's child recorded."""
 
-    def __init__(self, delay_s):
+    def __init__(self, delay_s, starts_path):
         self.delay_s = delay_s
-        self.starts = []
+        self.starts_path = starts_path
+        starts_path.touch()
+
+    @property
+    def starts(self) -> list[float]:
+        return [float(line) for line in self.starts_path.read_text().split()]
 
     def complete(self, prompt):
-        self.starts.append(time.monotonic())
+        with open(self.starts_path, "a") as f:
+            f.write(f"{time.monotonic()!r}\n")
         time.sleep(self.delay_s)
         return "too late"
 
@@ -576,17 +587,20 @@ class TestServer:
             with pytest.raises(ValidationError, match=setting):
                 cfg.validate()
 
-    def test_landmarks_replies_leave_in_one_write(self, fixture_db, monkeypatch):
-        writes = []
+    def test_landmarks_replies_leave_in_one_write(self, fixture_db, monkeypatch,
+                                                  tmp_path):
+        record = tmp_path / "writes.jsonl"  # the server's child appends here
         send = MessageSocket.send
 
         def recording_send(link, *messages):
-            writes.append([m.type for m in messages])
+            with open(record, "a") as f:
+                f.write(json.dumps([m.type for m in messages]) + "\n")
             send(link, *messages)
 
         monkeypatch.setattr(MessageSocket, "send", recording_send)
         with serve(server_config(db=fixture_db)) as handle:
             talk(handle.address, HELLO, landmarks_message(make_sample()), BYE)
+        writes = [json.loads(line) for line in record.read_text().splitlines()]
         assert writes == [["HELLO"], ["RESULT", "SCRIPT"], ["BYE"]]
 
     def test_full_exchange(self, fixture_db):
@@ -676,16 +690,16 @@ class TestServer:
         assert [m.type for m in replies] == ["HELLO", "ERROR"]
         assert replies[1].body["code"] == "INTERNAL"
 
-    def test_slow_pipeline_times_out(self, fixture_db):
+    def test_slow_pipeline_times_out(self, fixture_db, tmp_path):
         cfg = server_config(db=fixture_db, deadline_s=0.2,
-                            backend_factory=lambda: SlowBackend(1.0))
+                            backend_factory=lambda: SlowBackend(1.0, tmp_path / "starts"))
         with serve(cfg) as handle:
             replies = talk(handle.address, HELLO, landmarks_message(make_sample()))
         assert [m.type for m in replies] == ["HELLO", "ERROR"]
         assert replies[1].body["code"] == "TIMEOUT"
 
-    def test_no_backend_call_starts_after_the_deadline(self, fixture_db):
-        backend = SlowBackend(0.5)
+    def test_no_backend_call_starts_after_the_deadline(self, fixture_db, tmp_path):
+        backend = SlowBackend(0.5, tmp_path / "starts")
         cfg = server_config(db=fixture_db, deadline_s=0.2,
                             backend_factory=lambda: backend)
         with serve(cfg) as handle:
@@ -702,16 +716,27 @@ class TestServer:
             replies = talk(handle.address, HELLO, landmarks_message(make_sample()), BYE)
         assert [m.type for m in replies] == ["HELLO", "RESULT", "SCRIPT", "BYE"]
 
-    def test_unencodable_reply_is_internal_error(self, fixture_db, caplog):
+    def test_unencodable_reply_is_internal_error(self, fixture_db, tmp_path):
         # A lone surrogate parses as markup but has no UTF-8 encoding.
         cfg = server_config(db=fixture_db, backend_factory=lambda: ScriptedLlmBackend(
             ["\ud800 hi"] * 2))
-        with caplog.at_level(logging.ERROR, logger="signpipe.netpipe.server"):
+        # The server logs in its child, so the records travel through a file.
+        log_path = tmp_path / "server.log"
+        handler = logging.FileHandler(log_path, encoding="utf-8")
+        handler.setFormatter(logging.Formatter("%(name)s\t%(message)s"))
+        logger = logging.getLogger("signpipe.netpipe.server")
+        logger.addHandler(handler)
+        try:
             with serve(cfg) as handle:
                 replies = talk(handle.address, HELLO, landmarks_message(make_sample()))
+        finally:
+            logger.removeHandler(handler)
+            handler.close()
+        records = [logging.makeLogRecord(dict(zip(("name", "msg"), line.split("\t", 1))))
+                   for line in log_path.read_text(encoding="utf-8").splitlines()]
         assert [m.type for m in replies] == ["HELLO", "ERROR"]
         assert replies[1].body["code"] == "INTERNAL"
-        [record] = [r for r in caplog.records if r.name == "signpipe.netpipe.server"]
+        [record] = [r for r in records if r.name == "signpipe.netpipe.server"]
         assert record.getMessage().startswith("cannot encode a reply")
         assert "surrogates not allowed" in record.getMessage()
 
@@ -722,6 +747,86 @@ class TestServer:
             replies = talk(handle.address, HELLO, landmarks_message(make_sample()))
         assert [m.type for m in replies] == ["HELLO", "ERROR"]
         assert replies[1].body["code"] == "INTERNAL"
+
+
+def _hello(address) -> tuple[socket.socket, MessageSocket]:
+    """A connection that has exchanged HELLO and now sits idle."""
+    sock = socket.create_connection(address, timeout=10.0)
+    link = MessageSocket(sock)
+    link.send(HELLO)
+    assert link.recv() == HELLO
+    return sock, link
+
+
+class TestServerProcesses:
+    """Each connection is served in its own forked child."""
+
+    def test_close_does_not_wait_on_an_idle_client(self, fixture_db):
+        before = child_pids()
+        with serve(server_config(db=fixture_db)) as handle:
+            sock, link = _hello(handle.address)
+            with sock:
+                assert len(child_pids() - before) == 1
+                t0 = time.monotonic()
+                handle.close()
+                took = time.monotonic() - t0
+                assert link.recv() is None
+        assert took < 2.0
+        assert child_pids() == before
+
+    def test_client_closing_without_bye_frees_its_child(self, fixture_db):
+        before = child_pids()
+        with serve(server_config(db=fixture_db)) as handle:
+            sock, _ = _hello(handle.address)
+            with sock:
+                [child] = child_pids() - before
+            give_up = time.monotonic() + 5.0
+            while child in child_pids() and time.monotonic() < give_up:
+                time.sleep(0.01)
+            assert child not in child_pids()
+
+    def test_concurrent_clients_log_what_they_log_one_at_a_time(self, fixture_db,
+                                                                 tmp_path):
+        streams = [[make_sample(sample_id=f"c{c}s{i}", seed=10 * c + i) for i in range(4)]
+                   for c in range(2)]
+        alone = [tmp_path / f"alone{c}.log" for c in range(2)]
+        together = [tmp_path / f"together{c}.log" for c in range(2)]
+        codes = [None, None]
+        with serve(server_config(db=fixture_db)) as handle:
+            for samples, log in zip(streams, alone):
+                assert robot_sim(handle.address, samples, log) == 0
+
+            def client(c):
+                codes[c] = robot_sim(handle.address, streams[c], together[c])
+
+            threads = [threading.Thread(target=client, args=(c,)) for c in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        assert codes == [0, 0]
+        for a, b in zip(alone, together):
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_forward_is_bitwise_equal_at_one_blas_thread(self):
+        # In a fresh interpreter, so that OpenBLAS starts at its default
+        # thread count and this process's count is left alone.
+        code = (
+            "import numpy as np\n"
+            "from signpipe.netpipe.server import _blas_thread_setter\n"
+            "from signpipe.nn import DEFAULT_CONFIG as cfg, forward, init_weights\n"
+            "w = init_weights(cfg, seed=1)\n"
+            "x = np.random.default_rng(2).standard_normal("
+            "(cfg.max_seq_len, cfg.input_dim)).astype(np.float32)\n"
+            "default = forward(x, w, cfg)\n"
+            "_blas_thread_setter()(1)\n"
+            "assert np.array_equal(forward(x, w, cfg), default)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 _LLM_TEXT = st.lists(
