@@ -4,10 +4,10 @@ One process per connection: the accept loop forks a child for each accepted
 connection, and the child serves its samples inline with its own protocol
 session, message socket, and LLM backend instance. Model weights, the
 descriptor DB, and templates are shared copy-on-write and never written.
-Each child runs BLAS on its share of the cores: cores // live connections,
-at least 1. A sample's deadline starts when it arrives and is checked between
-stages and before each backend call; a backend call already in flight is not
-interrupted. The replies to one inbound message leave in one write. Every
+Each child runs BLAS on its share of the parent's threads: the parent's
+OpenBLAS thread count // live connections, at least 1. A sample's deadline
+starts when it arrives and is checked between stages and before each backend
+call; a backend call already in flight is not interrupted. The replies to one inbound message leave in one write. Every
 ERROR reply closes the connection; the client reconnects for a fresh session.
 """
 
@@ -17,10 +17,10 @@ import ctypes
 import logging
 import mmap
 import os
-import resource
 import signal
 import socketserver
 import stat
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -165,22 +165,25 @@ class _Handler(socketserver.BaseRequestHandler):
         return [result_message(event.gloss, event.confidence_pct), script]
 
 
-def _blas_thread_setter() -> Callable[[int], None]:
-    """OpenBLAS's set_num_threads, found through numpy's own extension module:
-    dlsym on its handle also searches the libraries it links, so no path to
-    the BLAS library is needed. A no-op where numpy's BLAS is not OpenBLAS."""
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """OpenBLAS's get_num_threads and set_num_threads, found through numpy's
+    own extension module: dlsym on its handle also searches the libraries it
+    links, so no path to the BLAS library is needed. The names differ by
+    build (scipy-openblas or plain, 64- or 32-bit integers). None where
+    numpy's BLAS is not OpenBLAS."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath as umath
     lib = ctypes.CDLL(umath.__file__)
-    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            setter.argtypes = [ctypes.c_int]
-            setter.restype = None
-            return setter
-    return lambda n: None
+    for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("scipy_", ""), ("", "")):
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 def _close_inherited_sockets(keep: int) -> None:
@@ -189,19 +192,16 @@ def _close_inherited_sockets(keep: int) -> None:
     an in-process client's end of the child's own connection; while the
     child holds that end, the client's close never reaches it as EOF.
 
-    Each socket is replaced by /dev/null rather than closed, so a stale
-    socket object that closes its fd later cannot close a reused one."""
-    try:
-        fds = [int(fd) for fd in os.listdir("/proc/self/fd")]
-    except FileNotFoundError:  # no /proc: try every possible descriptor
-        fds = range(resource.getrlimit(resource.RLIMIT_NOFILE)[0])
+    The open descriptors are listed by /dev/fd (Linux and macOS). Each
+    socket is replaced by /dev/null rather than closed, so a stale socket
+    object that closes its fd later cannot close a reused one."""
     null = os.open(os.devnull, os.O_RDWR)
     try:
-        for fd in fds:
+        for fd in map(int, os.listdir("/dev/fd")):
             try:
                 is_socket = stat.S_ISSOCK(os.fstat(fd).st_mode)
             except OSError:
-                continue  # not open (the listing's own fd, or a gap in the range)
+                continue  # the listing's own fd, closed once listdir returned
             if is_socket and fd != keep:
                 os.dup2(null, fd)
     finally:
@@ -215,18 +215,30 @@ class _PipelineServer(socketserver.ForkingMixIn, socketserver.TCPServer):
 
     allow_reuse_address = True
     block_on_close = False  # close() kills what its grace leaves; see server_close
+    # No cap on live children, as there was none on threads. At ForkingMixIn's
+    # default cap (40) the accept loop blocks in waitpid(-1) until a child
+    # exits, so close() would wait on idle clients, and that waitpid can reap
+    # processes the server did not fork.
+    max_children = sys.maxsize
 
     def __init__(self, cfg: ServerConfig):
         self.cfg = cfg
-        self._cores = os.cpu_count() or 1
         self._live = ctypes.c_int.from_buffer(mmap.mmap(-1, ctypes.sizeof(ctypes.c_int)))
-        self._set_blas_threads = _blas_thread_setter()
+        blas = _openblas_threads()
+        if blas is None:
+            self._blas_threads, self._set_blas_threads = 1, lambda n: None
+        else:
+            # The parent's own count honours OPENBLAS_NUM_THREADS and the
+            # CPU affinity; the children split it.
+            get, self._set_blas_threads = blas
+            self._blas_threads = get()
         super().__init__((cfg.host, cfg.port), _Handler)
 
     def share_blas_threads(self) -> None:
-        """Give this child's BLAS its share of the cores. The count includes
-        this child until the parent reaps it, so it is at least 1 here."""
-        self._set_blas_threads(max(1, self._cores // self._live.value))
+        """Give this child's BLAS its share of the parent's threads. The live
+        count includes this child until the parent reaps it, so it is at
+        least 1 here."""
+        self._set_blas_threads(max(1, self._blas_threads // self._live.value))
 
     def process_request(self, request, client_address):
         self._live.value = len(self.active_children or ()) + 1

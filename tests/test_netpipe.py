@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import socket
+import socketserver
 import struct
 import subprocess
 import sys
@@ -56,6 +57,7 @@ from signpipe.netpipe import (
     script_message,
     serve,
 )
+from signpipe.netpipe.server import _openblas_threads
 from signpipe.nn import ModelConfig, init_weights
 from signpipe.preprocess import SelectionSpec
 
@@ -809,23 +811,79 @@ class TestServerProcesses:
         for a, b in zip(alone, together):
             assert a.read_bytes() == b.read_bytes()
 
+    def test_close_does_not_wait_past_forkings_default_cap(self, fixture_db):
+        # One idle client more than ForkingMixIn's default cap of live children.
+        n = socketserver.ForkingMixIn.max_children + 1
+        before = child_pids()
+        with serve(server_config(db=fixture_db)) as handle:
+            with contextlib.ExitStack() as clients:
+                for _ in range(n):
+                    sock, _ = _hello(handle.address)
+                    clients.enter_context(sock)
+                assert len(child_pids() - before) == n
+                t0 = time.monotonic()
+                handle.close()
+                took = time.monotonic() - t0
+        assert took < 2.0
+        assert child_pids() == before
+
+    def test_children_split_the_parents_blas_threads(self, fixture_db, tmp_path):
+        blas = _openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        get, set_threads = blas
+        default = get()
+        record = tmp_path / "threads"  # the server's child appends here
+
+        class ThreadCountingBackend(MockLlmBackend):
+            def complete(self, prompt):
+                with record.open("a") as f:
+                    f.write(f"{get()}\n")
+                return super().complete(prompt)
+
+        def threads_per_sample(parent_threads, idle_clients):
+            record.write_text("")
+            set_threads(parent_threads)  # as OPENBLAS_NUM_THREADS would
+            try:
+                cfg = server_config(db=fixture_db, backend_factory=ThreadCountingBackend)
+                with serve(cfg) as handle, contextlib.ExitStack() as clients:
+                    for _ in range(idle_clients):
+                        clients.enter_context(_hello(handle.address)[0])
+                    replies = talk(handle.address, HELLO,
+                                   landmarks_message(make_sample()), BYE)
+            finally:
+                set_threads(default)
+            assert [m.type for m in replies] == ["HELLO", "RESULT", "SCRIPT", "BYE"]
+            return set(map(int, record.read_text().split()))
+
+        assert threads_per_sample(default, 0) == {default}
+        assert threads_per_sample(default, 1) == {max(1, default // 2)}
+        assert threads_per_sample(1, 0) == {1}
+
     def test_forward_is_bitwise_equal_at_one_blas_thread(self):
         # In a fresh interpreter, so that OpenBLAS starts at its default
         # thread count and this process's count is left alone.
         code = (
             "import numpy as np\n"
-            "from signpipe.netpipe.server import _blas_thread_setter\n"
+            "from signpipe.netpipe.server import _openblas_threads\n"
             "from signpipe.nn import DEFAULT_CONFIG as cfg, forward, init_weights\n"
+            "blas = _openblas_threads()\n"
+            "if blas is None:\n"
+            "    raise SystemExit('no OpenBLAS')\n"
+            "get, set_threads = blas\n"
             "w = init_weights(cfg, seed=1)\n"
             "x = np.random.default_rng(2).standard_normal("
             "(cfg.max_seq_len, cfg.input_dim)).astype(np.float32)\n"
             "default = forward(x, w, cfg)\n"
-            "_blas_thread_setter()(1)\n"
+            "set_threads(1)\n"
+            "assert get() == 1\n"
             "assert np.array_equal(forward(x, w, cfg), default)\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+        if proc.stderr.strip() == "no OpenBLAS":
+            pytest.skip("numpy's BLAS is not OpenBLAS")
         assert proc.returncode == 0, proc.stderr
 
 
