@@ -171,8 +171,11 @@ def _resolve_backend_factory(args, file_cfg):
         url = args.http_url or os.environ.get(ENV_PREFIX + "HTTP_URL")
         if not url:
             raise UsageError("http backend needs --http-url or SIGNPIPE_HTTP_URL")
-        model = args.http_model or "gpt-4"
-        return lambda: HttpLlmBackend(url, model)
+        try:
+            backend = HttpLlmBackend(url, args.http_model or "gpt-4")
+        except ValidationError as e:
+            raise UsageError(str(e)) from None
+        return lambda: backend
     raise UsageError(f"unknown backend {kind!r} (choose mock or http)")
 
 

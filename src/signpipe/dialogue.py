@@ -16,6 +16,7 @@ import json
 import os
 import random
 import re
+import urllib.parse
 import urllib.request
 import warnings
 from dataclasses import dataclass
@@ -319,8 +320,8 @@ class HttpLlmBackend(LlmBackend):
     """
 
     def __init__(self, base_url: str, model: str, timeout_s: float = 30.0):
-        if not base_url:
-            raise ValidationError("base_url must be non-empty")
+        if urllib.parse.urlsplit(base_url).scheme not in ("http", "https"):
+            raise ValidationError(f"base_url {base_url!r} is not an http or https URL")
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.timeout_s = timeout_s

@@ -21,7 +21,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, groupby, islice
+from itertools import groupby, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -316,55 +316,14 @@ _EMPTY_AS_NAN = {"": "nan"}  # .get(v, v): an empty coordinate reads as NaN
 _CHUNK_ROWS = 512
 
 
-def _record_lines(row: list[str]) -> int:
-    """Physical lines a record spans: one plus the line breaks in its
-    quoted fields (newline="" keeps them as written)."""
-    return 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
-
-
-def _csv_fault(e: csv.Error, line: int) -> CorpusFormatError:
-    return CorpusFormatError(f"unreadable CSV record: {e}", line)
-
-
-def _chunks(reader):
-    """Chunks of up to _CHUNK_ROWS records, each with the physical lines its
-    records start on. The records read before a decode or csv error are
-    yielded before the error is raised, so their faults come first; a csv
-    error becomes a CorpusFormatError naming the line its record starts on."""
-    while True:
-        before = reader.line_num
-        chunk: list[list[str]] = []
-        try:
-            chunk.extend(islice(reader, _CHUNK_ROWS))
-        except (UnicodeDecodeError, csv.Error) as e:
-            *starts, failed = accumulate(map(_record_lines, chunk), initial=before + 1)
-            yield chunk, starts
-            if isinstance(e, csv.Error):
-                raise _csv_fault(e, failed) from None
-            raise
-        if not chunk:
-            return
-        yield chunk, _starts(chunk, before, reader.line_num)
-
-
-def _starts(chunk: list[list[str]], before: int, after: int) -> Sequence[int]:
-    if after - before == len(chunk):  # every record is one line
-        return range(before + 1, after + 1)
-    return list(accumulate(map(_record_lines, chunk[:-1]), initial=before + 1))
-
-
-def _runs(chunk: list[list[str]], starts: Sequence[int]) -> list[tuple]:
-    """The chunk's runs of consecutive records that share a sample_id, each
-    with its start lines; blank lines are dropped."""
-    if [] in chunk:
-        kept = [i for i, row in enumerate(chunk) if row]
-        chunk, starts = [chunk[i] for i in kept], [starts[i] for i in kept]
-    runs, i = [], 0
-    for _, group in groupby(map(itemgetter(0), chunk)):
-        j = i + len(list(group))
-        runs.append((chunk[i:j], starts[i:j]))
-        i = j
-    return runs
+def _check_header(reader) -> None:
+    """Read and check the header record; a csv error is the caller's."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CorpusFormatError("missing header", 1) from None
+    if header != CORPUS_HEADER:
+        raise CorpusFormatError(f"bad header {header!r}, expected {CORPUS_HEADER!r}", 1)
 
 
 def _parse_run(run: list[list[str]]):
@@ -390,74 +349,98 @@ def _parse_run(run: list[list[str]]):
         return None
 
 
-class _CorpusSamples:
-    """Each sample's columns and label, in order of first appearance."""
+def _samples(columns: dict[str, list], labels: dict[str, int | None],
+             lines: dict[str, list[int]] | None = None) -> list[SignSample] | None:
+    """Each sample from its frame, kind, landmark_index, x, y and z columns,
+    in order of first appearance. At a row that breaks a sample invariant:
+    None, or, given each row's start line, a CorpusFormatError naming it."""
+    samples = []
+    for sample_id in list(columns):
+        frames, kinds, indices, *xyz = columns.pop(sample_id)
+        try:
+            rows = LandmarkRows(frames, kinds, indices, np.column_stack(xyz))
+        except _RowError as e:
+            if lines is None:
+                return None
+            raise CorpusFormatError(f"sample {sample_id!r}: {e}",
+                                    lines[sample_id][e.row]) from None
+        samples.append(SignSample(sample_id, rows, labels[sample_id]))
+    return samples
 
-    def __init__(self):
-        # sample_id -> frame, kind, landmark_index, x, y, z and line columns
-        self.columns: dict[str, list] = {}
-        self.labels: dict[str, int | None] = {}
 
-    def _columns(self, sample_id: str, label: int | None, line: int) -> list:
-        if sample_id not in self.columns:
-            self.columns[sample_id] = [array("q"), array("b"), array("q"),
-                                       array("d"), array("d"), array("d"), array("q")]
-            self.labels[sample_id] = label
-        elif self.labels[sample_id] != label:
-            raise CorpusFormatError(f"inconsistent label for sample {sample_id!r}", line)
-        return self.columns[sample_id]
+def _read_columns(fh) -> list[SignSample] | None:
+    """The corpus read a chunk of records at a time, with one C-level
+    conversion per column of each run of records that share a sample_id;
+    None at the first fault of any kind, and when a sample's labels differ
+    in text only ("7", "07")."""
+    reader = csv.reader(fh)
+    columns, labels = {}, {}
+    try:
+        _check_header(reader)
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            if [] in chunk:  # blank lines
+                chunk = [row for row in chunk if row]
+            for sample_id, run in groupby(chunk, itemgetter(0)):
+                parsed = _parse_run(list(run))
+                if parsed is None:
+                    return None
+                label, *values = parsed
+                if sample_id not in columns:
+                    columns[sample_id] = [array("q"), array("b"), array("q"),
+                                          array("d"), array("d"), array("d")]
+                    labels[sample_id] = label
+                elif labels[sample_id] != label:
+                    return None
+                for column, part in zip(columns[sample_id], values):
+                    column.extend(part)
+    except (csv.Error, UnicodeDecodeError):
+        return None
+    return _samples(columns, labels)
 
-    def add_run(self, run: list[list[str]], starts: Sequence[int]) -> None:
-        parsed = _parse_run(run)
-        if parsed is None:
-            self._add_rows(run, starts)
-            return
-        label, *values = parsed
-        # The first record's fields before the label check are good.
-        for column, part in zip(self._columns(run[0][0], label, starts[0]),
-                                (*values, starts)):
-            column.extend(part)
 
-    def _add_rows(self, run: list[list[str]], starts: Sequence[int]) -> None:
-        """One record at a time, each field through its own parser: the
-        error path, and runs whose labels differ in text only ("7", "07")."""
-        for row, line in zip(run, starts):
+def _read_records(fh) -> list[SignSample]:
+    """The corpus read one record at a time, each field through its own
+    parser, so that the first fault in file order is raised, naming the
+    physical line its record starts on: one past the line on which the
+    record before it ended."""
+    reader = csv.reader(fh)
+    columns, labels, lines = {}, {}, {}
+    start = 1
+    try:
+        _check_header(reader)
+        start = reader.line_num + 1
+        for row in reader:
+            line, start = start, reader.line_num + 1
+            if not row:
+                continue
             if len(row) != len(CORPUS_HEADER):
                 raise CorpusFormatError(
-                    f"expected {len(CORPUS_HEADER)} columns, got {len(row)}", line
-                )
+                    f"expected {len(CORPUS_HEADER)} columns, got {len(row)}", line)
             sample_id, frame_s, kind_s, index_s, x_s, y_s, z_s, label_s = row
             if not sample_id:
                 raise CorpusFormatError("empty sample_id", line)
             label = None if label_s == "" else _parse_int(label_s, "label", line)
-            columns = self._columns(sample_id, label, line)
-            _, kinds, _, x, y, z, lines = columns
+            if sample_id not in columns:
+                # Python ints, so LandmarkRows names a row outside int64.
+                columns[sample_id] = ([], array("b"), [],
+                                      array("d"), array("d"), array("d"))
+                labels[sample_id], lines[sample_id] = label, []
+            elif labels[sample_id] != label:
+                raise CorpusFormatError(f"inconsistent label for sample {sample_id!r}", line)
+            frames, kinds, indices, x, y, z = columns[sample_id]
             try:
                 kinds.append(_KIND_CODE[kind_s])
             except KeyError:
-                raise CorpusFormatError(
-                    f"unknown landmark kind {kind_s!r}", line) from None
-            for i, text, what in ((0, frame_s, "frame"), (2, index_s, "landmark_index")):
-                value = _parse_int(text, what, line)
-                try:
-                    columns[i].append(value)
-                except OverflowError:  # LandmarkRows reports it, with its row
-                    columns[i] = [*columns[i], value]
+                raise CorpusFormatError(f"unknown landmark kind {kind_s!r}", line) from None
+            frames.append(_parse_int(frame_s, "frame", line))
+            indices.append(_parse_int(index_s, "landmark_index", line))
             x.append(_parse_float(x_s, "x", line))
             y.append(_parse_float(y_s, "y", line))
             z.append(_parse_float(z_s, "z", line))
-            lines.append(line)
-
-    def samples(self) -> list[SignSample]:
-        samples = []
-        for sample_id in list(self.columns):
-            frames, kinds, indices, x, y, z, lines = self.columns.pop(sample_id)
-            try:
-                rows = LandmarkRows(frames, kinds, indices, np.column_stack((x, y, z)))
-            except _RowError as e:
-                raise CorpusFormatError(f"sample {sample_id!r}: {e}", lines[e.row]) from None
-            samples.append(SignSample(sample_id, rows, self.labels[sample_id]))
-        return samples
+            lines[sample_id].append(line)
+    except csv.Error as e:
+        raise CorpusFormatError(f"unreadable CSV record: {e}", start) from None
+    return _samples(columns, labels, lines)
 
 
 def read_corpus(path: str | Path) -> list[SignSample]:
@@ -472,29 +455,20 @@ def read_corpus(path: str | Path) -> list[SignSample]:
     sample_id, label, label consistency with the sample's earlier rows,
     kind, frame, landmark_index, x, y, z. Sample invariants (`LandmarkRows`)
     are checked once the whole file has parsed, sample by sample in order of
-    first appearance.
+    first appearance. A faulty file is read a second time, record by record,
+    to name its fault, and so is one whose consecutive records of a sample
+    write its label two ways ("7", "07").
     """
     path = Path(path)
-    samples = _CorpusSamples()
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise CorpusFormatError("missing header", 1) from None
-            except csv.Error as e:
-                raise _csv_fault(e, 1) from None
-            if header != CORPUS_HEADER:
-                raise CorpusFormatError(
-                    f"bad header {header!r}, expected {CORPUS_HEADER!r}", 1
-                )
-            for chunk, starts in _chunks(reader):
-                for run, run_starts in _runs(chunk, starts):
-                    samples.add_run(run, run_starts)
+            samples = _read_columns(fh)
+        if samples is None:
+            with path.open(newline="", encoding="utf-8") as fh:
+                samples = _read_records(fh)
     except UnicodeDecodeError as e:
         raise CorpusFormatError(f"corpus {path}: not UTF-8 text ({e.reason})") from None
-    return samples.samples()
+    return samples
 
 
 def write_corpus(samples: list[SignSample], path: str | Path) -> None:

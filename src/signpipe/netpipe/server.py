@@ -7,8 +7,9 @@ descriptor DB, and templates are shared copy-on-write and never written.
 Each child runs BLAS on its share of the parent's threads: the parent's
 OpenBLAS thread count // live connections, at least 1. A sample's deadline
 starts when it arrives and is checked between stages and before each backend
-call; a backend call already in flight is not interrupted. The replies to one inbound message leave in one write. Every
-ERROR reply closes the connection; the client reconnects for a fresh session.
+call; a backend call already in flight is not interrupted. The replies to
+one inbound message leave in one write. Every ERROR reply closes the
+connection; the client reconnects for a fresh session.
 """
 
 from __future__ import annotations

@@ -129,6 +129,8 @@ class AugmentConfig:
         for name in ("resample_scale_range", "scale_range", "shift_range",
                      "rotate_deg_range", "shear_range"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValidationError(f"{name}: bounds {lo}, {hi} must be finite")
             if lo > hi:
                 raise ValidationError(f"{name}: lo {lo} > hi {hi}")
         for name in ("mask_prob", "flip_prob"):

@@ -518,6 +518,15 @@ class TestCompose:
                      "--backend", "http"])
         assert code == 2
 
+    @pytest.mark.parametrize("url", ["foo", "ftp://x"])
+    def test_http_backend_url_needs_an_http_scheme(self, monkeypatch, capsys, url):
+        monkeypatch.setenv("SIGNPIPE_API_KEY", "k")
+        code = main(["compose", "--gloss", "cloud", "--confidence", "90",
+                     "--backend", "http", "--http-url", url])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and err == f"error: base_url {url!r} is not an http or https URL\n"
+
     def test_bad_confidence_value(self):
         code = main(["compose", "--gloss", "x", "--confidence", "150"])
         assert code == 1  # validation failure at runtime, not usage
@@ -578,12 +587,14 @@ class TestArgumentErrors:
         ("train", ["--epochs", "-2"]),
         ("preprocess", ["--augment", "--mask-prob", "2"]),
         ("preprocess", ["--augment", "--resample-range", "2", "1"]),
+        ("preprocess", ["--augment", "--rotate-range", "inf", "inf"]),
+        ("preprocess", ["--augment", "--scale-range", "nan", "nan"]),
         ("train", ["--lr", "nan"]),
         ("train", ["--lr", "-0.1"]),
         ("train", ["--lr", "inf"]),
         ("train", ["--lr", "fast"]),
-    ], ids=["epochs", "mask-prob", "resample-range", "lr-nan", "lr-negative",
-            "lr-inf", "lr-text"])
+    ], ids=["epochs", "mask-prob", "resample-range", "rotate-inf", "scale-nan",
+            "lr-nan", "lr-negative", "lr-inf", "lr-text"])
     def test_out_of_range_flags_are_usage_errors(self, workdir, tmp_path, capsys,
                                                   command, flags):
         out_file = tmp_path / "w.sgnw"
@@ -592,6 +603,18 @@ class TestArgumentErrors:
         out, err = capsys.readouterr()
         assert out == "" and "error: " in err
         assert not out_file.exists()
+
+    def test_serve_rejects_a_non_http_backend_url(self, workdir, monkeypatch, capsys):
+        def never_serve(cfg):
+            raise AssertionError("serve started with a bad backend URL")
+
+        monkeypatch.setattr("signpipe.cli.serve", never_serve)
+        monkeypatch.setenv("SIGNPIPE_API_KEY", "k")
+        code = main(["serve", "--weights", str(workdir / "model.sgnw"), "--port", "0",
+                     "--backend", "http", "--http-url", "foo"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and err == "error: base_url 'foo' is not an http or https URL\n"
 
     @pytest.mark.parametrize("wpm", ["1e-307", "inf", "nan", "0", "config:1e-307"])
     def test_serve_rejects_a_rate_without_finite_timings(self, workdir, tmp_path,

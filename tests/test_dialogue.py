@@ -242,5 +242,11 @@ class TestHttpBackend:
 
     def test_url_normalization_and_validation(self):
         assert HttpLlmBackend("http://x/", "m").base_url == "http://x"
+        assert HttpLlmBackend("https://x/v1", "m").base_url == "https://x/v1"
         with pytest.raises(ValidationError):
             HttpLlmBackend("", "m")
+
+    @pytest.mark.parametrize("url", ["foo", "ftp://x"])
+    def test_url_scheme_must_be_http(self, url):
+        with pytest.raises(ValidationError, match="not an http or https URL"):
+            HttpLlmBackend(url, "m")

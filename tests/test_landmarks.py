@@ -230,6 +230,23 @@ class TestReadCorpus:
         p = write_text(tmp_path / "c.csv", f"{HEADER}\ns1,0,pose,0,0.5,0.5,0.0,\n")
         assert read_corpus(p)[0].label is None
 
+    def test_labels_that_differ_in_text_only(self, tmp_path):
+        # "7" and "07" are one label. A chunk that holds both is not taken
+        # by the column reader, so at 512 the file is read record by record.
+        p = write_text(
+            tmp_path / "c.csv",
+            f"{HEADER}\n"
+            "s1,0,pose,0,0.5,0.5,0.0,7\n"
+            "s1,1,pose,0,0.5,0.5,,07\n"
+            "s2,0,face,3,0.1,0.2,0.3,\n",
+        )
+        for chunk_rows in (1, 512):
+            with mock.patch.object(landmarks, "_CHUNK_ROWS", chunk_rows):
+                samples = read_corpus(p)
+            assert [(s.sample_id, s.label, len(s.frames)) for s in samples] == [
+                ("s1", 7, 2), ("s2", None, 1)]
+            assert math.isnan(samples[0].frames[1].z)
+
     def test_field_over_the_csv_limit_names_its_line(self, tmp_path):
         # csv refuses fields over 131072 characters; the record spanning
         # lines 3-4 comes before the one that is too long.

@@ -297,6 +297,14 @@ class TestAugment:
         with pytest.raises(ValidationError):
             AugmentConfig(flip_prob=-0.1)
 
+    @pytest.mark.parametrize("name", ["resample_scale_range", "scale_range",
+                                      "shift_range", "rotate_deg_range", "shear_range"])
+    @pytest.mark.parametrize("bounds", [(math.inf, math.inf), (math.nan, math.nan),
+                                        (0.0, math.nan), (-math.inf, 0.0)])
+    def test_range_bounds_must_be_finite(self, name, bounds):
+        with pytest.raises(ValidationError, match=f"^{name}: bounds .* must be finite$"):
+            AugmentConfig(**{name: bounds})
+
 
 class TestPipeline:
     def test_shape_dtype_and_finiteness(self):
