@@ -4,7 +4,7 @@ Settings read through _setting resolve as flags > SIGNPIPE_* environment
 variables > --config JSON file > built-in defaults; options left unset keep
 the library's defaults. Machine-readable output (CSV/TSV) goes to stdout;
 progress and errors go to stderr. Exit codes: 0 success, 1 runtime failure,
-2 usage or configuration error.
+2 usage or configuration error, or a file or port the OS refuses (OSError).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import os
 import sys
 import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -34,7 +35,6 @@ from .dialogue import (
 from .errors import SignpipeError, UsageError, ValidationError
 from .gesture import (
     GestureDb,
-    check_speech_rate,
     load_descriptors,
     playtime_stats,
     render_markup,
@@ -64,8 +64,7 @@ def _load_config_file(args) -> dict:
     path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if not path:
         return {}
-    return load_json(_existing(path, "config file"), f"config file {path}",
-                     UsageError, _SETTINGS)
+    return load_json(path, f"config file {path}", UsageError, _SETTINGS)
 
 
 def _setting(args, file_cfg: dict, key: str, default=None):
@@ -88,37 +87,35 @@ def _given(**options) -> dict:
     return {k: v for k, v in options.items() if v is not None}
 
 
-def _existing(path, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"{what} {str(path)!r} does not exist")
-    return p
+def _seed(args, file_cfg) -> int:
+    seed = _setting(args, file_cfg, "seed", 0)
+    if seed < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"seed must not be negative, got {seed}")
+    return seed
 
 
-def _load_file(path, what: str, load, default=None):
-    """load(path) once the file is known to exist; default when path is None."""
-    return default if path is None else load(_existing(path, what))
+@contextmanager
+def _usage_errors(prefix: str = ""):
+    """Raise a ValidationError from the block as a UsageError (exit 2)."""
+    try:
+        yield
+    except ValidationError as e:
+        raise UsageError(f"{prefix}{e}") from None
 
 
 def _resolve_selection(args, file_cfg) -> SelectionSpec:
-    return _load_file(_setting(args, file_cfg, "spec"), "selection spec",
-                      SelectionSpec.load, SelectionSpec())
+    path = _setting(args, file_cfg, "spec")
+    return SelectionSpec() if path is None else SelectionSpec.load(path)
 
 
 def _resolve_descriptors(args, file_cfg) -> GestureDb:
     bundled = resources.files("signpipe") / "data" / "descriptors.sample.json"
-    return _load_file(_setting(args, file_cfg, "descriptors", bundled),
-                      "descriptor db", load_descriptors)
+    return load_descriptors(_setting(args, file_cfg, "descriptors", bundled))
 
 
 def _resolve_templates(args, file_cfg) -> PromptTemplate:
     bundled = resources.files("signpipe") / "data" / "templates"
-    d = Path(_setting(args, file_cfg, "templates", bundled))
-    if not d.is_dir():
-        raise UsageError(f"template directory {str(d)!r} does not exist")
-    _existing(d / "step1.txt", "step-1 template")
-    _existing(d / "step2.txt", "step-2 template")
-    return PromptTemplate.load_dir(d)
+    return PromptTemplate.load_dir(_setting(args, file_cfg, "templates", bundled))
 
 
 def _resolve_model_config(args, weights_path: str | None = None) -> nn.ModelConfig:
@@ -127,15 +124,7 @@ def _resolve_model_config(args, weights_path: str | None = None) -> nn.ModelConf
     if path is None and weights_path is not None:
         sidecar = Path(f"{weights_path}.json")
         path = sidecar if sidecar.is_file() else None
-    return _load_file(path, "model config", nn.ModelConfig.load, nn.DEFAULT_CONFIG)
-
-
-def _check_fit(cfg: nn.ModelConfig, selection: SelectionSpec,
-               labels: LabelMap | None = None) -> None:
-    try:
-        cfg.check_inputs(selection.feature_dim, labels)
-    except ValidationError as e:
-        raise UsageError(str(e)) from None
+    return nn.DEFAULT_CONFIG if path is None else nn.ModelConfig.load(path)
 
 
 def _resolve_model(args, file_cfg) -> tuple[
@@ -144,37 +133,27 @@ def _resolve_model(args, file_cfg) -> tuple[
     path = _setting(args, file_cfg, "weights")
     if path is None:
         raise UsageError("no weights file: pass --weights or set SIGNPIPE_WEIGHTS")
-    w = _load_file(path, "weights file", nn.load_weights)
+    w = nn.load_weights(path)
     cfg = _resolve_model_config(args, path)
     selection = _resolve_selection(args, file_cfg)
-    labels = _load_file(_setting(args, file_cfg, "labels"), "label map", read_label_map)
-    _check_fit(cfg, selection, labels)
+    labels_path = _setting(args, file_cfg, "labels")
+    labels = None if labels_path is None else read_label_map(labels_path)
+    with _usage_errors():
+        cfg.check_inputs(selection.feature_dim, labels)
     return w, cfg, selection, labels
-
-
-def _resolve_wpm(args, file_cfg) -> float | None:
-    wpm = _setting(args, file_cfg, "wpm")
-    if wpm is not None:
-        try:
-            check_speech_rate(wpm)
-        except ValidationError as e:
-            raise UsageError(str(e)) from None
-    return wpm
 
 
 def _resolve_backend_factory(args, file_cfg):
     kind = _setting(args, file_cfg, "backend", "mock")
-    seed = _setting(args, file_cfg, "seed", 0)
+    seed = _seed(args, file_cfg)
     if kind == "mock":
         return lambda: MockLlmBackend(seed)
     if kind == "http":
         url = args.http_url or os.environ.get(ENV_PREFIX + "HTTP_URL")
         if not url:
             raise UsageError("http backend needs --http-url or SIGNPIPE_HTTP_URL")
-        try:
+        with _usage_errors():
             backend = HttpLlmBackend(url, args.http_model or "gpt-4")
-        except ValidationError as e:
-            raise UsageError(str(e)) from None
         return lambda: backend
     raise UsageError(f"unknown backend {kind!r} (choose mock or http)")
 
@@ -182,7 +161,7 @@ def _resolve_backend_factory(args, file_cfg):
 # -- shared pipeline helpers ------------------------------------------------
 
 def _read_corpus_arg(path) -> list:
-    samples = read_corpus(_existing(path, "corpus"))
+    samples = read_corpus(path)
     if not samples:
         raise ValidationError(f"corpus {path} has no samples")
     return samples
@@ -220,7 +199,7 @@ def _evaluate(xs, ys, w, cfg) -> tuple[float, float]:
 def cmd_preprocess(args, file_cfg: dict) -> int:
     augment = None
     if args.augment:
-        try:
+        with _usage_errors("augmentation flags: "):
             augment = AugmentConfig(
                 resample_scale_range=tuple(args.resample_range),
                 mask_prob=args.mask_prob,
@@ -230,10 +209,8 @@ def cmd_preprocess(args, file_cfg: dict) -> int:
                 rotate_deg_range=tuple(args.rotate_range),
                 shear_range=tuple(args.shear_range),
             )
-        except ValidationError as e:
-            raise UsageError(f"augmentation flags: {e}") from None
     selection = _resolve_selection(args, file_cfg)
-    seed = _setting(args, file_cfg, "seed", 0)
+    seed = _seed(args, file_cfg)
     samples = _read_corpus_arg(args.corpus)
     tensors = {}
     for i, sample in enumerate(samples):
@@ -249,9 +226,10 @@ def cmd_preprocess(args, file_cfg: dict) -> int:
 
 def cmd_train(args, file_cfg: dict) -> int:
     selection = _resolve_selection(args, file_cfg)
-    seed = _setting(args, file_cfg, "seed", 0)
+    seed = _seed(args, file_cfg)
     cfg = _resolve_model_config(args)
-    _check_fit(cfg, selection)
+    with _usage_errors():
+        cfg.check_inputs(selection.feature_dim)
     train_samples = _read_corpus_arg(args.corpus)
     if args.val_corpus is not None:
         val_samples = _read_corpus_arg(args.val_corpus)
@@ -350,11 +328,13 @@ def cmd_serve(args, file_cfg: dict) -> int:
         **_given(
             host=args.host,
             port=_setting(args, file_cfg, "port"),
-            wpm=_resolve_wpm(args, file_cfg),
+            wpm=_setting(args, file_cfg, "wpm"),
             max_retries=args.max_retries,
             deadline_s=args.deadline,
         ),
     )
+    with _usage_errors():
+        server_cfg.validate()
     handle = serve(server_cfg)
     host, port = handle.address
     print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
@@ -403,7 +383,7 @@ def cmd_stats(args, file_cfg: dict) -> int:
 
 
 def cmd_bench(args, file_cfg: dict) -> int:
-    seed = _setting(args, file_cfg, "seed", 0)
+    seed = _seed(args, file_cfg)
     cfg = _resolve_model_config(args)
     w = nn.init_weights(cfg, seed)
     stats = nn.benchmark_inference(w, cfg, seed=seed, **_given(n_runs=args.runs))
@@ -572,6 +552,9 @@ def main(argv=None) -> int:
     except SignpipeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except OSError as e:  # a path that cannot be opened, read or written; a busy port
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         return 130
 

@@ -26,6 +26,7 @@ __all__ = [
     "DEFAULT_LIPS",
     "DEFAULT_POSE",
     "POSE_FLIP_PAIRS",
+    "MAX_RESAMPLE_SCALE",
     "SelectionSpec",
     "AugmentConfig",
     "select_and_drop_z",
@@ -112,6 +113,14 @@ class SelectionSpec:
         Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
+# The most augment() may stretch a clip in time. The stretched copy, round(L*u)
+# frames, is built in full before the final resample shrinks it, so u scales
+# its memory: at 1e9 even a 32-frame clip of the default 88 landmarks would
+# take ~45 TB, and at 1e308 the length overflows. The CLI's default range tops
+# out at 1.5.
+MAX_RESAMPLE_SCALE = 10.0
+
+
 @dataclass(frozen=True)
 class AugmentConfig:
     """Seeded training-time augmentation. Default ranges are the identity."""
@@ -133,6 +142,9 @@ class AugmentConfig:
                 raise ValidationError(f"{name}: bounds {lo}, {hi} must be finite")
             if lo > hi:
                 raise ValidationError(f"{name}: lo {lo} > hi {hi}")
+        if self.resample_scale_range[1] > MAX_RESAMPLE_SCALE:
+            raise ValidationError(f"resample_scale_range: hi {self.resample_scale_range[1]}"
+                                  f" above {MAX_RESAMPLE_SCALE}")
         for name in ("mask_prob", "flip_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:

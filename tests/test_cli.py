@@ -589,12 +589,14 @@ class TestArgumentErrors:
         ("preprocess", ["--augment", "--resample-range", "2", "1"]),
         ("preprocess", ["--augment", "--rotate-range", "inf", "inf"]),
         ("preprocess", ["--augment", "--scale-range", "nan", "nan"]),
+        ("preprocess", ["--augment", "--resample-range", "1e308", "1e308"]),
+        ("preprocess", ["--augment", "--resample-range", "1e9", "1e9"]),
         ("train", ["--lr", "nan"]),
         ("train", ["--lr", "-0.1"]),
         ("train", ["--lr", "inf"]),
         ("train", ["--lr", "fast"]),
     ], ids=["epochs", "mask-prob", "resample-range", "rotate-inf", "scale-nan",
-            "lr-nan", "lr-negative", "lr-inf", "lr-text"])
+            "resample-huge", "resample-1e9", "lr-nan", "lr-negative", "lr-inf", "lr-text"])
     def test_out_of_range_flags_are_usage_errors(self, workdir, tmp_path, capsys,
                                                   command, flags):
         out_file = tmp_path / "w.sgnw"
@@ -634,6 +636,46 @@ class TestArgumentErrors:
         assert code == 2
         assert out == "" and err.startswith("error: ") and "wpm" in err
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize("command", ["bench", "train", "preprocess"])
+    def test_negative_seed_is_a_usage_error(self, workdir, tmp_path, monkeypatch,
+                                            capsys, command, source):
+        out_file = tmp_path / "o.sgnw"
+        argv = {
+            "bench": ["bench", "--model-config", str(workdir / "model.json"),
+                      "--runs", "1"],
+            "train": ["train", str(workdir / "train.csv"), "--out", str(out_file),
+                      "--model-config", str(workdir / "model.json"), "--epochs", "1"],
+            "preprocess": ["preprocess", str(workdir / "train.csv"), str(out_file),
+                           "--augment"],
+        }[command]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "env":
+            monkeypatch.setenv("SIGNPIPE_SEED", "-1")
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text('{"seed": -1}')
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: seed must not be negative, got -1\n"
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("flags", [["--deadline", "-1"], ["--max-retries", "-1"],
+                                       ["--port", "70000"]],
+                             ids=["deadline", "max-retries", "port"])
+    def test_serve_checks_its_settings_before_bind(self, workdir, monkeypatch,
+                                                   capsys, flags):
+        def never_serve(cfg):
+            raise AssertionError("serve started with a bad setting")
+
+        monkeypatch.setattr("signpipe.cli.serve", never_serve)
+        code = main(["serve", "--weights", str(workdir / "model.sgnw"), *flags])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_keyboard_interrupt_exit_code(self, monkeypatch):
         def boom(db):
             raise KeyboardInterrupt
@@ -671,6 +713,52 @@ class TestNonUtf8Files:
         assert code == 1
         assert "error: " in err and "UTF-8" in err
         assert "Traceback" not in err
+
+
+class TestOsErrors:
+    """A path the OS will not open, read or write, or a port it will not
+    bind, is one `error:` line (the OS's message) and exit 2."""
+
+    @pytest.mark.parametrize("case", ["preprocess-out", "train-out", "robot-log",
+                                      "templates-missing", "templates-no-step2",
+                                      "weights-dir"])
+    def test_one_error_line(self, workdir, tmp_path, capsys, case):
+        missing = tmp_path / "missing"
+        templates = tmp_path / "templates"
+        templates.mkdir()
+        (templates / "step1.txt").write_text("{gloss} {confidence}")
+        compose = ["compose", "--gloss", "wave", "--confidence", "90", "--templates"]
+        argv, path = {
+            "preprocess-out": (["preprocess", str(workdir / "train.csv"),
+                                str(missing / "o.sgnw")], missing / "o.sgnw"),
+            "train-out": (["train", str(workdir / "train.csv"),
+                           "--out", str(missing / "w.sgnw"), "--epochs", "0",
+                           "--model-config", str(workdir / "model.json")],
+                          missing / "w.sgnw"),
+            "robot-log": (["robot-sim", "--log", str(missing / "r.log")],
+                          missing / "r.log"),
+            "templates-missing": ([*compose, str(missing)], missing / "step1.txt"),
+            "templates-no-step2": ([*compose, str(templates)], templates / "step2.txt"),
+            "weights-dir": (["infer", str(workdir / "val.csv"),
+                             "--weights", str(tmp_path)], tmp_path),
+        }[case]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        # train reports its epochs before it writes the weights; here, none.
+        assert out == ("epoch,train_loss,train_acc,val_loss,val_acc\n"
+                       if case == "train-out" else "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: [Errno ")
+        assert str(path) in err
+
+    def test_busy_port(self, workdir, monkeypatch, capsys):
+        def busy(cfg):
+            raise OSError(98, "Address already in use")
+
+        monkeypatch.setattr("signpipe.cli.serve", busy)
+        code = main(["serve", "--weights", str(workdir / "model.sgnw"), "--port", "0"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and err == "error: [Errno 98] Address already in use\n"
 
 
 class TestMalformedInputs:

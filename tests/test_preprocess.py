@@ -11,6 +11,7 @@ from signpipe.landmarks import LandmarkFrame, LandmarkKind, SignSample
 from signpipe.preprocess import (
     DEFAULT_LIPS,
     DEFAULT_POSE,
+    MAX_RESAMPLE_SCALE,
     AugmentConfig,
     SelectionSpec,
     augment,
@@ -304,6 +305,15 @@ class TestAugment:
     def test_range_bounds_must_be_finite(self, name, bounds):
         with pytest.raises(ValidationError, match=f"^{name}: bounds .* must be finite$"):
             AugmentConfig(**{name: bounds})
+
+    @pytest.mark.parametrize("hi", [MAX_RESAMPLE_SCALE * 1.5, 1e9, 1e308])
+    def test_resample_scale_is_bounded(self, hi):
+        with pytest.raises(ValidationError,
+                           match=f"^resample_scale_range: hi .* above {MAX_RESAMPLE_SCALE}$"):
+            AugmentConfig(resample_scale_range=(1.0, hi))
+        frames = [np.zeros((2, 2)) for _ in range(3)]
+        cfg = AugmentConfig(resample_scale_range=(MAX_RESAMPLE_SCALE, MAX_RESAMPLE_SCALE))
+        assert len(augment(frames, cfg, SPEC)) == 30
 
 
 class TestPipeline:
