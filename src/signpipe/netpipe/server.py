@@ -6,10 +6,11 @@ session, message socket, and LLM backend instance. Model weights, the
 descriptor DB, and templates are shared copy-on-write and never written.
 Each child runs BLAS on its share of the parent's threads: the parent's
 OpenBLAS thread count // live connections, at least 1. A sample's deadline
-starts when it arrives and is checked between stages and before each backend
-call; a backend call already in flight is not interrupted. The replies to
-one inbound message leave in one write. Every ERROR reply closes the
-connection; the client reconnects for a fresh session.
+is one interval timer that the child arms when the sample arrives and
+disarms before its reply is written, so it covers every stage, backend
+calls in flight included. The replies to one inbound message leave in one
+write. Every ERROR reply closes the connection; the client reconnects for
+a fresh session.
 """
 
 from __future__ import annotations
@@ -80,26 +81,13 @@ class ServerConfig:
         check_port(self.port)
 
 
-class _Overdue(Exception):
-    """The sample's deadline passed before its reply was ready."""
+class _Overdue(BaseException):
+    """The sample's deadline passed before its reply was ready. Not an
+    Exception, so that a backend's own `except Exception` cannot swallow it."""
 
 
-class _Deadline(LlmBackend):
-    """The connection's backend behind one sample's deadline, an instant on
-    time.monotonic(): check() raises _Overdue once it has passed, and so
-    does every backend call that would start after it."""
-
-    def __init__(self, backend: LlmBackend, seconds: float):
-        self._backend = backend
-        self._at = time.monotonic() + seconds
-
-    def check(self) -> None:
-        if time.monotonic() > self._at:
-            raise _Overdue
-
-    def complete(self, prompt: str) -> str:
-        self.check()
-        return self._backend.complete(prompt)
+def _raise_overdue(signum, frame):
+    raise _Overdue
 
 
 def _send(link: MessageSocket, replies: list[WireMessage]) -> list[WireMessage]:
@@ -138,32 +126,39 @@ class _Handler(socketserver.BaseRequestHandler):
 
     def _respond(self, backend: LlmBackend, body: dict) -> list[WireMessage]:
         """RESULT and SCRIPT for one sample, or one ERROR if the body is
-        malformed, processing fails, or the deadline passes first."""
+        malformed, processing fails, or the deadline passes first.
+
+        The deadline is an ITIMER_REAL alarm whose handler raises _Overdue.
+        It is armed inside the try that catches _Overdue, since the alarm
+        can fire as setitimer returns, and disarmed before any reply byte
+        is written. The exception may tear any state; every ERROR reply
+        ends the connection, and the child with it."""
         cfg = self.server.cfg
-        deadline = _Deadline(backend, cfg.deadline_s)
         try:
+            signal.setitimer(signal.ITIMER_REAL, min(cfg.deadline_s, threading.TIMEOUT_MAX))
             try:
-                sample = sample_from_body(body)
+                try:
+                    sample = sample_from_body(body)
+                except SignpipeError as e:
+                    return [error_message("PROTOCOL", str(e))]
+                x = preprocess_pipeline(sample, cfg.selection, cfg.model_config.max_seq_len)
+                self.server.share_blas_threads()
+                pred = predict(x, cfg.weights, cfg.model_config, cfg.labels)
+                event = RecognitionEvent(pred.gloss, pred.confidence * 100.0)
+                composed = compose(event, cfg.db, backend, cfg.template, cfg.max_retries)
+                timeline = schedule(composed.script, cfg.db, cfg.wpm)
+                return [result_message(event.gloss, event.confidence_pct),
+                        script_message(render_markup(composed.script), timeline,
+                                       composed.warnings)]
             except SignpipeError as e:
-                return [error_message("PROTOCOL", str(e))]
-            x = preprocess_pipeline(sample, cfg.selection, cfg.model_config.max_seq_len)
-            deadline.check()
-            self.server.share_blas_threads()
-            pred = predict(x, cfg.weights, cfg.model_config, cfg.labels)
-            event = RecognitionEvent(pred.gloss, pred.confidence * 100.0)
-            composed = compose(event, cfg.db, deadline, cfg.template, cfg.max_retries)
-            timeline = schedule(composed.script, cfg.db, cfg.wpm)
-            script = script_message(render_markup(composed.script), timeline,
-                                    composed.warnings)
-            deadline.check()
+                return [error_message("INTERNAL", str(e))]
+            except Exception:
+                log.exception("unexpected error while processing a sample")
+                return [error_message("INTERNAL", "unexpected server error")]
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
         except _Overdue:
             return [error_message("TIMEOUT", f"processing exceeded {cfg.deadline_s:g}s")]
-        except SignpipeError as e:
-            return [error_message("INTERNAL", str(e))]
-        except Exception:
-            log.exception("unexpected error while processing a sample")
-            return [error_message("INTERNAL", "unexpected server error")]
-        return [result_message(event.gloss, event.confidence_pct), script]
 
 
 def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
@@ -252,6 +247,7 @@ class _PipelineServer(socketserver.ForkingMixIn, socketserver.TCPServer):
     def finish_request(self, request, client_address):
         # ForkingMixIn calls this in the child only.
         _close_inherited_sockets(keep=request.fileno())
+        signal.signal(signal.SIGALRM, _raise_overdue)
         super().finish_request(request, client_address)
 
     def server_close(self):

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import signal
 import socket
 import socketserver
 import struct
@@ -19,7 +20,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signpipe.dialogue import LlmBackend, MockLlmBackend, PromptTemplate, ScriptedLlmBackend
+from signpipe.dialogue import (
+    API_KEY_ENV,
+    HttpLlmBackend,
+    LlmBackend,
+    MockLlmBackend,
+    PromptTemplate,
+    ScriptedLlmBackend,
+)
 from signpipe.errors import (
     BackendError,
     FrameError,
@@ -545,6 +553,50 @@ class SlowBackend(LlmBackend):
         return "too late"
 
 
+class SwallowingBackend(SlowBackend):
+    """A SlowBackend that sleeps inside its own `except Exception`, as a
+    backend that catches every fault of its transport might."""
+
+    def complete(self, prompt):
+        try:
+            return super().complete(prompt)
+        except Exception:
+            return "swallowed"
+
+
+@contextlib.contextmanager
+def drip_http_stub():
+    """A one-request HTTP endpoint on 127.0.0.1 that sends its well-formed
+    chat-completions reply one byte per second. Yields its base URL."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
+    body = json.dumps({"choices": [{"message": {"content": "hi"}}]}).encode()
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    stop = threading.Event()
+
+    def run():
+        try:
+            with listener:
+                conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                conn.recv(65536)
+                for i in range(len(reply)):
+                    conn.sendall(reply[i:i + 1])
+                    if stop.wait(1.0):
+                        return
+        except OSError:
+            pass  # the client hung up, or never came
+
+    thread = threading.Thread(target=run, name="drip-http-stub")
+    thread.start()
+    try:
+        yield "http://%s:%d" % listener.getsockname()
+    finally:
+        stop.set()
+        thread.join(timeout=15.0)
+
+
 class FailingBackend(LlmBackend):
     def complete(self, prompt):
         raise BackendError("backend exploded")
@@ -692,13 +744,69 @@ class TestServer:
         assert [m.type for m in replies] == ["HELLO", "ERROR"]
         assert replies[1].body["code"] == "INTERNAL"
 
-    def test_slow_pipeline_times_out(self, fixture_db, tmp_path):
-        cfg = server_config(db=fixture_db, deadline_s=0.2,
-                            backend_factory=lambda: SlowBackend(1.0, tmp_path / "starts"))
+    @pytest.mark.parametrize("backend_class", [SlowBackend, SwallowingBackend])
+    def test_slow_pipeline_times_out(self, fixture_db, tmp_path, backend_class):
+        cfg = server_config(
+            db=fixture_db, deadline_s=0.2,
+            backend_factory=lambda: backend_class(60.0, tmp_path / "starts"))
         with serve(cfg) as handle:
+            sent = time.monotonic()
             replies = talk(handle.address, HELLO, landmarks_message(make_sample()))
+            took = time.monotonic() - sent
         assert [m.type for m in replies] == ["HELLO", "ERROR"]
         assert replies[1].body["code"] == "TIMEOUT"
+        assert took < cfg.deadline_s + 1.0
+
+    def test_drip_fed_http_backend_times_out(self, fixture_db, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "k")
+        monkeypatch.setenv("no_proxy", "*")  # the stub is local; no proxy is asked
+        before = child_pids()
+        with drip_http_stub() as url:
+            cfg = server_config(db=fixture_db, deadline_s=0.3,
+                                backend_factory=lambda: HttpLlmBackend(url, "m"))
+            with serve(cfg) as handle:
+                sent = time.monotonic()
+                replies = talk(handle.address, HELLO, landmarks_message(make_sample()))
+                took = time.monotonic() - sent
+            assert child_pids() == before
+        assert [m.type for m in replies] == ["HELLO", "ERROR"]
+        assert replies[1].body["code"] == "TIMEOUT"
+        assert took < cfg.deadline_s + 1.0
+
+    def test_tiny_deadlines_never_tear_a_reply(self, fixture_db):
+        """Deadlines from 1 us to 30 ms land the alarm in every stage, and in
+        the arming and disarming too: each exchange is whole either way."""
+        full = [("HELLO", None), ("RESULT", None), ("SCRIPT", None), ("BYE", None)]
+        timeout = [("HELLO", None), ("ERROR", "TIMEOUT")]
+        seen = []
+        for deadline_s in np.geomspace(1e-6, 3e-2, 12):
+            with serve(server_config(db=fixture_db, deadline_s=deadline_s)) as handle:
+                for seed in range(6):
+                    replies = talk(handle.address, HELLO,
+                                   landmarks_message(make_sample(seed=seed)), BYE)
+                    seen.append([(m.type, m.body.get("code")) for m in replies])
+        assert all(exchange in (full, timeout) for exchange in seen), seen
+        assert full in seen and timeout in seen
+
+    def test_the_deadline_timer_lives_only_in_the_children(self, fixture_db):
+        """A handler and a timer of the test's own survive a served sample:
+        the server neither replaces nor arms nor disarms them here."""
+        def own_handler(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGALRM, own_handler)
+        signal.setitimer(signal.ITIMER_REAL, 1000.0)
+        try:
+            with serve(server_config(db=fixture_db, deadline_s=5.0)) as handle:
+                replies = talk(handle.address, HELLO, landmarks_message(make_sample()), BYE)
+            handler = signal.getsignal(signal.SIGALRM)
+            remaining, interval = signal.getitimer(signal.ITIMER_REAL)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [m.type for m in replies] == ["HELLO", "RESULT", "SCRIPT", "BYE"]
+        assert handler is own_handler
+        assert 900.0 < remaining <= 1000.0 and interval == 0.0
 
     def test_no_backend_call_starts_after_the_deadline(self, fixture_db, tmp_path):
         backend = SlowBackend(0.5, tmp_path / "starts")
