@@ -252,26 +252,29 @@ def cmd_train(args, file_cfg: dict) -> int:
     w = nn.init_weights(cfg, seed)
     shuffle_rng = np.random.default_rng(seed + 1)
     order = np.arange(len(xs))
-    print("epoch,train_loss,train_acc,val_loss,val_acc", flush=True)
-    for epoch in range(1, args.epochs + 1):
-        shuffle_rng.shuffle(order)
-        for start in range(0, len(order), args.batch_size):
-            batch = [(xs[i], ys[i]) for i in order[start:start + args.batch_size]]
-            w, _ = nn.train_step(batch, w, cfg, args.lr)
-        train_loss, train_acc = _evaluate(xs, ys, w, cfg)
-        if val_xs:
-            val_loss, val_acc = _evaluate(val_xs, val_ys, w, cfg)
-            row = (f"{epoch},{train_loss:.6f},{train_acc:.4f},"
-                   f"{val_loss:.6f},{val_acc:.4f}")
-        else:
-            val_acc = None
-            row = f"{epoch},{train_loss:.6f},{train_acc:.4f},,"
-        print(row, flush=True)
-        if (args.target_val_acc is not None and val_acc is not None
-                and val_acc >= args.target_val_acc):
-            log.info("target validation accuracy reached at epoch %d", epoch)
-            break
-    nn.save_weights(w, args.out)
+    # The weights file is opened before the first epoch, so an --out that
+    # cannot be written fails before any training runs.
+    with nn.replacing(args.out) as out:
+        print("epoch,train_loss,train_acc,val_loss,val_acc", flush=True)
+        for epoch in range(1, args.epochs + 1):
+            shuffle_rng.shuffle(order)
+            for start in range(0, len(order), args.batch_size):
+                batch = [(xs[i], ys[i]) for i in order[start:start + args.batch_size]]
+                w, _ = nn.train_step(batch, w, cfg, args.lr)
+            train_loss, train_acc = _evaluate(xs, ys, w, cfg)
+            if val_xs:
+                val_loss, val_acc = _evaluate(val_xs, val_ys, w, cfg)
+                row = (f"{epoch},{train_loss:.6f},{train_acc:.4f},"
+                       f"{val_loss:.6f},{val_acc:.4f}")
+            else:
+                val_acc = None
+                row = f"{epoch},{train_loss:.6f},{train_acc:.4f},,"
+            print(row, flush=True)
+            if (args.target_val_acc is not None and val_acc is not None
+                    and val_acc >= args.target_val_acc):
+                log.info("target validation accuracy reached at epoch %d", epoch)
+                break
+        nn.write_tensors(w, out)
     cfg.save(str(args.out) + ".json")
     log.info("wrote %s (%d parameters)", args.out, nn.count_parameters(cfg))
     return 0

@@ -16,7 +16,14 @@ from .network import (
     predict,
     train_step,
 )
-from .weights import load_tensors, load_weights, save_tensors, save_weights
+from .weights import (
+    load_tensors,
+    load_weights,
+    replacing,
+    save_tensors,
+    save_weights,
+    write_tensors,
+)
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -36,7 +43,9 @@ __all__ = [
     "load_weights",
     "param_specs",
     "predict",
+    "replacing",
     "save_tensors",
     "save_weights",
     "train_step",
+    "write_tensors",
 ]

@@ -4,26 +4,72 @@ Layout (all header integers little-endian): magic ``SGNW``, u32 version (1),
 u32 tensor count; then per tensor a u16 name length, the UTF-8 name, a u8
 rank, u32 dims, and the float32 little-endian payload in row-major order.
 Loading a saved store reproduces it bit-exactly, in the same order.
+
+A load reads each payload straight into its own new array, after checking
+that the file holds it, so it allocates no more than the tensors themselves.
+A save writes to a new file beside its target and replaces the target only
+once the whole store is written.
 """
 
 from __future__ import annotations
 
+import io
+import os
+import secrets
+import stat
 import struct
+import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from ..errors import WeightFormatError
 from ..jsonio import decode_text
 
-__all__ = ["save_tensors", "load_tensors", "save_weights", "load_weights"]
+__all__ = ["save_tensors", "load_tensors", "save_weights", "load_weights",
+           "replacing", "write_tensors"]
 
 MAGIC = b"SGNW"
 VERSION = 1
 
 
-def save_tensors(tensors: dict[str, np.ndarray], path: str | Path) -> None:
-    parts = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
+@contextmanager
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file that takes `path`'s place when the block exits cleanly.
+
+    The file is created in `path`'s directory as the block starts, so a
+    directory that cannot be written fails before any work is done. If the
+    block raises, the file is removed and `path` is left as it was. The new
+    file's mode is the one a plain ``open`` gives (the umask applies). A
+    `path` that exists but is not a regular file (a device or a pipe) is
+    written in place instead.
+    """
+    path = Path(path)
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "wb") as f:
+            yield f
+        return
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_tensors(tensors: dict[str, np.ndarray], f: BinaryIO) -> None:
+    """Write a store to an open binary file, each payload from its own buffer."""
+    f.write(MAGIC + struct.pack("<II", VERSION, len(tensors)))
     for name, arr in tensors.items():
         nb = name.encode("utf-8")
         if not 0 < len(nb) <= 0xFFFF:
@@ -31,26 +77,42 @@ def save_tensors(tensors: dict[str, np.ndarray], path: str | Path) -> None:
         a = np.ascontiguousarray(arr, dtype="<f4")
         if a.ndim > 0xFF:
             raise WeightFormatError(f"tensor {name!r} rank {a.ndim} exceeds 255")
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<B", a.ndim))
-        parts.append(struct.pack(f"<{a.ndim}I", *a.shape))
-        parts.append(a.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+        f.write(struct.pack(f"<H{len(nb)}sB{a.ndim}I", len(nb), nb, a.ndim, *a.shape))
+        f.write(a)
+
+
+def save_tensors(tensors: dict[str, np.ndarray], path: str | Path) -> None:
+    with replacing(path) as f:
+        write_tensors(tensors, f)
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    data = memoryview(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode):
+            return _read_store(f, st.st_size)
+        data = f.read()  # a pipe or a device: its size is what it yields
+    return _read_store(io.BytesIO(data), len(data))
+
+
+def _read_store(f: BinaryIO, size: int) -> dict[str, np.ndarray]:
+    """Parse a store of `size` bytes from `f`. A payload is allocated only
+    after `size` shows the file holds it."""
     off = 0
 
-    def take(n: int, what: str) -> memoryview:
-        """The next n bytes, as a view: each tensor is copied once, by astype."""
+    def truncated(what: str) -> WeightFormatError:
+        return WeightFormatError(f"truncated file: expected {what} at byte {off}")
+
+    def read_into(buf, n: int, what: str):
         nonlocal off
-        if off + n > len(data):
-            raise WeightFormatError(f"truncated file: expected {what} at byte {off}")
-        chunk = data[off:off + n]
+        if off + n > size or f.readinto(buf) != n:  # short only if the file shrank
+            raise truncated(what)
         off += n
-        return chunk
+        return buf
+
+    def take(n: int, what: str) -> bytearray:
+        """The next n header bytes (n < 64 KiB, so allocated before the check)."""
+        return read_into(bytearray(n), n, what)
 
     if take(4, "magic") != MAGIC:
         raise WeightFormatError(f"bad magic, not a {MAGIC.decode()} file")
@@ -60,22 +122,26 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = decode_text(bytes(take(name_len, "name")), "tensor name", WeightFormatError)
+        name = decode_text(take(name_len, "name"), "tensor name", WeightFormatError)
         (rank,) = struct.unpack("<B", take(1, "rank"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
-        n_elems = 1
+        n_bytes = 4
         for d in dims:
-            n_elems *= d
-        payload = take(4 * n_elems, f"payload of {name!r}")
+            n_bytes *= d
+        what = f"payload of {name!r}"
+        if off + n_bytes > size:
+            raise truncated(what)
         if name in out:
             raise WeightFormatError(f"duplicate tensor name {name!r}")
-        arr = np.frombuffer(payload, dtype="<f4", count=n_elems)
         try:
-            out[name] = arr.reshape(dims).astype(np.float32)
+            arr = np.empty(dims, dtype=np.float32)
         except ValueError:  # an empty tensor whose other dims overflow numpy's size
             raise WeightFormatError(f"tensor {name!r} has unusable dims {dims}") from None
-    if off != len(data):
-        raise WeightFormatError(f"{len(data) - off} trailing bytes after last tensor")
+        out[name] = read_into(arr, n_bytes, what)
+        if sys.byteorder == "big":
+            arr.byteswap(inplace=True)
+    if off != size:
+        raise WeightFormatError(f"{size - off} trailing bytes after last tensor")
     return out
 
 

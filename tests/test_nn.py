@@ -2,7 +2,13 @@
 
 import dataclasses
 import math
+import os
+import re
+import stat
 import struct
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +53,7 @@ from signpipe.nn.ops import (
     softmax,
     softmax_bwd,
 )
+from signpipe.jsonio import decode_text
 from signpipe.landmarks import LabelMap
 
 # Frozen reference logits: tiny_cfg weights (seed 123) applied to
@@ -652,6 +659,53 @@ class TestWeightFile:
 
 HEADER = b"SGNW" + struct.pack("<II", 1, 1)
 
+# One tensor named "a" whose header claims 2**32-1 x 2**32-1 floats.
+HUGE_CLAIM = (HEADER + struct.pack("<H", 1) + b"a" + struct.pack("<B", 2)
+              + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + b"\x00" * 16)
+# An empty tensor whose other dims overflow numpy's size.
+ZERO_DIM_OVERFLOW = (HEADER + struct.pack("<H", 1) + b"a" + struct.pack("<B", 3)
+                     + struct.pack("<3I", 0, 2**32 - 1, 2**32 - 1))
+
+
+def reference_load_tensors(path):
+    """The in-memory loader that `load_tensors` replaced, kept as its
+    reference: the whole file read into one buffer, each tensor copied out
+    of it by `astype`."""
+    data = memoryview(Path(path).read_bytes())
+    off = 0
+
+    def take(n, what):
+        nonlocal off
+        if off + n > len(data):
+            raise WeightFormatError(f"truncated file: expected {what} at byte {off}")
+        chunk = data[off:off + n]
+        off += n
+        return chunk
+
+    if take(4, "magic") != b"SGNW":
+        raise WeightFormatError("bad magic, not a SGNW file")
+    version, count = struct.unpack("<II", take(8, "version/count"))
+    if version != 1:
+        raise WeightFormatError(f"unsupported version {version}")
+    out = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        name = decode_text(bytes(take(name_len, "name")), "tensor name", WeightFormatError)
+        (rank,) = struct.unpack("<B", take(1, "rank"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, "dims"))
+        n_elems = math.prod(dims)
+        payload = take(4 * n_elems, f"payload of {name!r}")
+        if name in out:
+            raise WeightFormatError(f"duplicate tensor name {name!r}")
+        arr = np.frombuffer(payload, dtype="<f4", count=n_elems)
+        try:
+            out[name] = arr.reshape(dims).astype(np.float32)
+        except ValueError:
+            raise WeightFormatError(f"tensor {name!r} has unusable dims {dims}") from None
+    if off != len(data):
+        raise WeightFormatError(f"{len(data) - off} trailing bytes after last tensor")
+    return out
+
 
 def load_or_format_error(path, data: bytes) -> None:
     path.write_bytes(data)
@@ -659,6 +713,50 @@ def load_or_format_error(path, data: bytes) -> None:
         assert isinstance(load_tensors(path), dict)
     except WeightFormatError:
         pass
+
+
+def load_outcome(load, path):
+    """What a loader makes of a file: each tensor's name, dtype, shape and
+    bytes in order, or the WeightFormatError message."""
+    try:
+        return [(k, v.dtype.str, v.shape, v.tobytes()) for k, v in load(path).items()]
+    except WeightFormatError as e:
+        return str(e)
+
+
+@st.composite
+def valid_stores(draw, unique=True) -> bytes:
+    """A well-formed store built byte by byte, so rank 0 occurs too (a save
+    writes a 0-d array as rank 1). With unique=False, names repeat often."""
+    names = draw(st.lists(st.text(min_size=1, max_size=6), max_size=4, unique=True)
+                 if unique else st.lists(st.sampled_from(["a", "bé"]), max_size=4))
+    parts = [b"SGNW", struct.pack("<II", 1, len(names))]
+    for name in names:
+        shape = draw(st.lists(st.integers(0, 4), max_size=4))
+        nb = name.encode("utf-8")
+        n_bytes = 4 * math.prod(shape)
+        parts += [struct.pack(f"<H{len(nb)}sB{len(shape)}I", len(nb), nb, len(shape), *shape),
+                  draw(st.binary(min_size=n_bytes, max_size=n_bytes))]
+    return b"".join(parts)
+
+
+def overwrite_byte(data: bytes, position: int, value: int) -> bytes:
+    if not data:
+        return data
+    out = bytearray(data)
+    out[position % len(out)] = value
+    return bytes(out)
+
+
+store_bytes = st.one_of(
+    st.binary(max_size=120),
+    st.binary(max_size=120).map(HEADER.__add__),
+    valid_stores(),
+    st.builds(overwrite_byte, valid_stores(), st.integers(min_value=0), st.integers(0, 255)),
+    st.builds(lambda data, cut: data[:cut % (len(data) + 1)],
+              st.one_of(valid_stores(), valid_stores(unique=False)),
+              st.integers(min_value=0)),
+)
 
 
 class TestWeightFileFuzz:
@@ -669,8 +767,8 @@ class TestWeightFileFuzz:
                           st.binary(max_size=120).map(HEADER.__add__)))
     @example(data=HEADER + struct.pack("<H", 1) + b"\xff" + struct.pack("<B", 1)
              + struct.pack("<If", 1, 2.0))
-    @example(data=HEADER + struct.pack("<H", 1) + b"a" + struct.pack("<B", 3)
-             + struct.pack("<3I", 0, 2**32 - 1, 2**32 - 1))
+    @example(data=ZERO_DIM_OVERFLOW)
+    @example(data=HUGE_CLAIM)
     def test_arbitrary_bytes(self, tmp_path_factory, data):
         load_or_format_error(tmp_path_factory.getbasetemp() / "fuzz.sgnw", data)
 
@@ -684,6 +782,131 @@ class TestWeightFileFuzz:
         data = bytearray(path.read_bytes())
         data[position % len(data)] = value
         load_or_format_error(path, bytes(data))
+
+    @settings(deadline=None, max_examples=400)
+    @given(data=store_bytes)
+    @example(data=HUGE_CLAIM)
+    @example(data=ZERO_DIM_OVERFLOW)
+    @example(data=HEADER + struct.pack("<H", 1) + b"\xff" + struct.pack("<B", 1)
+             + struct.pack("<If", 1, 2.0))
+    @example(data=HEADER[:8] + struct.pack("<I", 2) + (struct.pack("<H", 1) + b"a"
+             + struct.pack("<BI", 1, 2) + b"\x00" * 8) * 2)  # a duplicate, cut short
+    def test_matches_the_in_memory_reference(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "diff.sgnw"
+        path.write_bytes(data)
+        assert load_outcome(load_tensors, path) == load_outcome(reference_load_tensors, path)
+
+    def test_huge_claim_is_truncated_without_allocating(self, tmp_path):
+        path = tmp_path / "huge.sgnw"
+        path.write_bytes(HUGE_CLAIM)
+        assert len(HUGE_CLAIM) < 48
+        tracemalloc.start()
+        try:
+            with pytest.raises(WeightFormatError, match="truncated file: expected payload of 'a'"):
+                load_tensors(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_zero_dim_overflow_is_unusable_dims(self, tmp_path):
+        path = tmp_path / "zero.sgnw"
+        path.write_bytes(ZERO_DIM_OVERFLOW)
+        with pytest.raises(WeightFormatError, match="unusable dims"):
+            load_tensors(path)
+
+
+class TestWeightFileLoadAndSave:
+    """A load allocates only its tensors; a save replaces its target whole."""
+
+    @pytest.fixture
+    def store(self):
+        rng = np.random.default_rng(7)
+        return {"big": rng.standard_normal((1000, 1000), dtype=np.float32),
+                "odd": rng.standard_normal((3, 5, 7), dtype=np.float32),
+                "vec": rng.standard_normal(401, dtype=np.float32),
+                "empty": np.zeros((0, 3), dtype=np.float32),
+                "one": np.array([2.5], dtype=np.float32)}
+
+    def test_load_peaks_near_the_payload_size(self, store, tmp_path):
+        path = tmp_path / "w.sgnw"
+        save_tensors(store, path)
+        payload = sum(a.nbytes for a in store.values())
+        assert payload > 4_000_000
+        tracemalloc.start()
+        try:
+            back = load_tensors(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * payload
+        assert list(back) == list(store)
+
+    def test_each_tensor_is_its_own_native_aligned_array(self, store, tmp_path):
+        path = tmp_path / "w.sgnw"
+        save_tensors(store, path)
+        back = list(load_tensors(path).values())
+        for arr in back:
+            assert arr.dtype == np.dtype(np.float32) and arr.dtype.isnative
+            assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable
+            assert arr.base is None
+        for i, a in enumerate(back):
+            for b in back[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_loads_from_a_pipe(self, store, tmp_path):
+        """A FIFO has no size to check against: it is read whole, then
+        parsed like a file."""
+        store = {"odd": store["odd"], "one": store["one"]}
+        path = tmp_path / "w.sgnw"
+        save_tensors(store, path)
+        fifo = tmp_path / "pipe.sgnw"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        try:
+            back = load_tensors(fifo)
+        finally:
+            writer.join()
+        assert list(back) == list(store)
+        for name in store:
+            np.testing.assert_array_equal(back[name], store[name])
+
+    def test_a_failed_save_leaves_the_target_and_no_temporary_file(self, tmp_path):
+        path = tmp_path / "w.sgnw"
+        save_tensors({"a": np.ones(3, dtype=np.float32)}, path)
+        before = path.read_bytes()
+        with pytest.raises(WeightFormatError, match="unusable length"):
+            save_tensors({"b": np.zeros(2, dtype=np.float32), "": np.ones(1)}, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["w.sgnw"]
+
+    def test_save_gives_the_mode_of_a_plain_open(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            save_tensors({}, tmp_path / "w.sgnw")
+            (tmp_path / "plain").write_bytes(b"")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE(os.stat(tmp_path / "w.sgnw").st_mode)
+        assert mode == stat.S_IMODE(os.stat(tmp_path / "plain").st_mode) == 0o640
+
+    def test_save_into_a_missing_directory_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "w.sgnw"
+        with pytest.raises(FileNotFoundError, match=re.escape(str(path))):
+            save_tensors({}, path)
+
+    def test_save_to_a_pipe_writes_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe.sgnw"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            save_tensors({"a": np.ones(2, dtype=np.float32)}, fifo)
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert data[:4] == b"SGNW" and len(data) == 12 + 2 + 1 + 1 + 4 + 8
 
 
 class TestBenchmark:
