@@ -39,7 +39,7 @@ from .gesture import (
     playtime_stats,
     render_markup,
 )
-from .jsonio import load_json
+from .jsonio import load_json, replacing
 from .landmarks import LabelMap, read_corpus, read_label_map
 from .netpipe import DEFAULT_PORT, ServerConfig, robot_sim, serve
 from .preprocess import AugmentConfig, SelectionSpec, preprocess_pipeline
@@ -118,11 +118,15 @@ def _resolve_templates(args, file_cfg) -> PromptTemplate:
     return PromptTemplate.load_dir(_setting(args, file_cfg, "templates", bundled))
 
 
+def _sidecar(weights_path) -> Path:
+    return Path(f"{weights_path}.json")
+
+
 def _resolve_model_config(args, weights_path: str | None = None) -> nn.ModelConfig:
     """--model-config, else the <weights>.json sidecar, else the default."""
     path = args.model_config
     if path is None and weights_path is not None:
-        sidecar = Path(f"{weights_path}.json")
+        sidecar = _sidecar(weights_path)
         path = sidecar if sidecar.is_file() else None
     return nn.DEFAULT_CONFIG if path is None else nn.ModelConfig.load(path)
 
@@ -212,13 +216,15 @@ def cmd_preprocess(args, file_cfg: dict) -> int:
     selection = _resolve_selection(args, file_cfg)
     seed = _seed(args, file_cfg)
     samples = _read_corpus_arg(args.corpus)
-    tensors = {}
-    for i, sample in enumerate(samples):
-        cfg = replace(augment, rng_seed=seed + i) if augment else None
-        tensors[sample.sample_id] = preprocess_pipeline(
-            sample, selection, args.target_len, cfg
-        )
-    nn.save_tensors(tensors, args.out)
+    # Opened first, so an `out` that cannot be written fails before any work.
+    with replacing(args.out) as out:
+        tensors = {}
+        for i, sample in enumerate(samples):
+            cfg = replace(augment, rng_seed=seed + i) if augment else None
+            tensors[sample.sample_id] = preprocess_pipeline(
+                sample, selection, args.target_len, cfg
+            )
+        nn.write_tensors(tensors, out)
     print(f"tensors\t{len(tensors)}")
     print(f"shape\t{args.target_len}x{selection.feature_dim}")
     return 0
@@ -252,9 +258,9 @@ def cmd_train(args, file_cfg: dict) -> int:
     w = nn.init_weights(cfg, seed)
     shuffle_rng = np.random.default_rng(seed + 1)
     order = np.arange(len(xs))
-    # The weights file is opened before the first epoch, so an --out that
-    # cannot be written fails before any training runs.
-    with nn.replacing(args.out) as out:
+    # The weights file and its sidecar are opened before the first epoch, so
+    # an --out that cannot be written fails before any training runs.
+    with replacing(args.out) as out, replacing(_sidecar(args.out)) as sidecar:
         print("epoch,train_loss,train_acc,val_loss,val_acc", flush=True)
         for epoch in range(1, args.epochs + 1):
             shuffle_rng.shuffle(order)
@@ -275,7 +281,7 @@ def cmd_train(args, file_cfg: dict) -> int:
                 log.info("target validation accuracy reached at epoch %d", epoch)
                 break
         nn.write_tensors(w, out)
-    cfg.save(str(args.out) + ".json")
+        sidecar.write(cfg.to_json().encode("utf-8"))
     log.info("wrote %s (%d parameters)", args.out, nn.count_parameters(cfg))
     return 0
 

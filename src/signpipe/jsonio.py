@@ -1,4 +1,5 @@
-"""The one checked reader for text and JSON from files, frames and replies.
+"""The one checked reader for text and JSON from files, frames and replies,
+and the one writer of output files.
 
 Malformed means: bytes that are not UTF-8, text that is not JSON (an integer
 past the interpreter's digit limit or nesting too deep to parse included),
@@ -12,10 +13,16 @@ every key a shape names must be present; other keys are never looked at.
 from __future__ import annotations
 
 import json
+import os
+import secrets
+import stat
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
-__all__ = ["decode_text", "read_text", "check_json", "parse_json", "load_json"]
+__all__ = ["decode_text", "read_text", "replacing", "write_text", "check_json",
+           "parse_json", "load_json"]
 
 _NAMES = {int: "an integer", float: "a number", str: "a string",
           list: "a JSON array", dict: "a JSON object"}
@@ -31,6 +38,43 @@ def decode_text(data: bytes, what: str, error: type[Exception]) -> str:
 
 def read_text(path: str | Path, what: str, error: type[Exception]) -> str:
     return decode_text(Path(path).read_bytes(), what, error)
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file that takes `path`'s place when the block exits cleanly.
+
+    The file is created in `path`'s directory as the block starts, so a
+    directory that cannot be written fails before any work is done. If the
+    block raises, the file is removed and `path` is left as it was. The new
+    file's mode is the one a plain ``open`` gives (the umask applies). A
+    symlink to a regular file is replaced, not followed. A `path` that
+    exists but is not a regular file (a device or a pipe) is written in
+    place instead.
+    """
+    path = Path(path)
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "wb") as f:
+            yield f
+        return
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp")
+    f = open(tmp, "xb")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    with replacing(path) as f:
+        f.write(text.encode("utf-8"))
 
 
 def _fault(value, shape, where: str, required: bool) -> str | None:

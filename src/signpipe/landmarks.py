@@ -16,6 +16,7 @@ and NaN in memory. Labels are carried inline on every row of a sample
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from array import array
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CorpusFormatError, ValidationError
-from .jsonio import load_json
+from .jsonio import load_json, replacing, write_text
 
 __all__ = [
     "MISSING",
@@ -473,8 +474,7 @@ def read_corpus(path: str | Path) -> list[SignSample]:
 
 def write_corpus(samples: list[SignSample], path: str | Path) -> None:
     """Write samples as corpus CSV; read_corpus(write_corpus(s)) == s."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as f, io.TextIOWrapper(f, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CORPUS_HEADER)
         for sample in samples:
@@ -493,6 +493,4 @@ def read_label_map(path: str | Path) -> LabelMap:
 
 
 def write_label_map(labels: LabelMap, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(list(labels.glosses), fh, ensure_ascii=False, indent=0)
-        fh.write("\n")
+    write_text(path, json.dumps(list(labels.glosses), ensure_ascii=False, indent=0) + "\n")

@@ -19,7 +19,6 @@ from .network import (
 from .weights import (
     load_tensors,
     load_weights,
-    replacing,
     save_tensors,
     save_weights,
     write_tensors,
@@ -43,7 +42,6 @@ __all__ = [
     "load_weights",
     "param_specs",
     "predict",
-    "replacing",
     "save_tensors",
     "save_weights",
     "train_step",

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..errors import ValidationError
-from ..jsonio import check_json, load_json
+from ..jsonio import check_json, load_json, write_text
 from ..landmarks import LabelMap
 
 __all__ = ["ModelConfig", "DEFAULT_CONFIG"]
@@ -91,7 +91,7 @@ class ModelConfig:
         return cls.from_dict(load_json(path, origin, ValidationError), origin)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        write_text(path, self.to_json())
 
 
 DEFAULT_CONFIG = ModelConfig()

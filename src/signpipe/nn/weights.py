@@ -7,64 +7,28 @@ Loading a saved store reproduces it bit-exactly, in the same order.
 
 A load reads each payload straight into its own new array, after checking
 that the file holds it, so it allocates no more than the tensors themselves.
-A save writes to a new file beside its target and replaces the target only
-once the whole store is written.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import secrets
 import stat
 import struct
 import sys
-from collections.abc import Iterator
-from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
 from ..errors import WeightFormatError
-from ..jsonio import decode_text
+from ..jsonio import decode_text, replacing
 
 __all__ = ["save_tensors", "load_tensors", "save_weights", "load_weights",
-           "replacing", "write_tensors"]
+           "write_tensors"]
 
 MAGIC = b"SGNW"
 VERSION = 1
-
-
-@contextmanager
-def replacing(path: str | Path) -> Iterator[BinaryIO]:
-    """A binary file that takes `path`'s place when the block exits cleanly.
-
-    The file is created in `path`'s directory as the block starts, so a
-    directory that cannot be written fails before any work is done. If the
-    block raises, the file is removed and `path` is left as it was. The new
-    file's mode is the one a plain ``open`` gives (the umask applies). A
-    `path` that exists but is not a regular file (a device or a pipe) is
-    written in place instead.
-    """
-    path = Path(path)
-    try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
-        regular = True
-    if not regular:
-        with open(path, "wb") as f:
-            yield f
-        return
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp")
-    f = open(tmp, "xb")
-    try:
-        with f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def write_tensors(tensors: dict[str, np.ndarray], f: BinaryIO) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .jsonio import parse_json, read_text
+from .jsonio import parse_json, read_text, write_text
 from .landmarks import KIND_CAPACITY, LandmarkKind, SignSample, frame_ordinal
 from .nn.ops import STD_FLOOR
 
@@ -110,7 +110,7 @@ class SelectionSpec:
 
     def save(self, path: str | Path) -> None:
         payload = {"lips": list(self.lips), "pose": list(self.pose)}
-        Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
+        write_text(path, json.dumps(payload) + "\n")
 
 
 # The most augment() may stretch a clip in time. The stretched copy, round(L*u)

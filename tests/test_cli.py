@@ -719,13 +719,15 @@ class TestOsErrors:
     """A path the OS will not open, read or write, or a port it will not
     bind, is one `error:` line (the OS's message) and exit 2."""
 
-    @pytest.mark.parametrize("case", ["preprocess-out", "train-out", "robot-log",
-                                      "templates-missing", "templates-no-step2",
-                                      "weights-dir"])
+    @pytest.mark.parametrize("case", ["preprocess-out", "train-out", "train-sidecar",
+                                      "robot-log", "templates-missing",
+                                      "templates-no-step2", "weights-dir"])
     def test_one_error_line(self, workdir, tmp_path, capsys, case):
         missing = tmp_path / "missing"
         templates = tmp_path / "templates"
         templates.mkdir()
+        sidecar = tmp_path / "d" / "w.sgnw.json"
+        sidecar.mkdir(parents=True)
         (templates / "step1.txt").write_text("{gloss} {confidence}")
         compose = ["compose", "--gloss", "wave", "--confidence", "90", "--templates"]
         argv, path = {
@@ -735,6 +737,10 @@ class TestOsErrors:
                            "--out", str(missing / "w.sgnw"), "--epochs", "0",
                            "--model-config", str(workdir / "model.json")],
                           missing / "w.sgnw"),
+            "train-sidecar": (["train", str(workdir / "train.csv"),
+                               "--out", str(tmp_path / "d" / "w.sgnw"), "--epochs", "0",
+                               "--model-config", str(workdir / "model.json")],
+                              sidecar),
             "robot-log": (["robot-sim", "--log", str(missing / "r.log")],
                           missing / "r.log"),
             "templates-missing": ([*compose, str(missing)], missing / "step1.txt"),
@@ -744,11 +750,21 @@ class TestOsErrors:
         }[case]
         assert main(argv) == 2
         out, err = capsys.readouterr()
-        # train opens its weights file before the first epoch, so it fails
-        # before it prints the CSV header.
+        # train opens its weights file and sidecar before the first epoch, so
+        # it fails before it prints the CSV header.
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: [Errno ")
         assert str(path) in err
+        assert not list(tmp_path.rglob("*.tmp")) and not (sidecar.parent / "w.sgnw").exists()
+
+    def test_preprocess_opens_its_output_before_any_sample(self, workdir, tmp_path,
+                                                           monkeypatch):
+        def never(*args):
+            raise AssertionError("preprocessed with no output to write to")
+
+        monkeypatch.setattr("signpipe.cli.preprocess_pipeline", never)
+        assert main(["preprocess", str(workdir / "train.csv"),
+                     str(tmp_path / "missing" / "o.sgnw")]) == 2
 
     def test_busy_port(self, workdir, monkeypatch, capsys):
         def busy(cfg):
