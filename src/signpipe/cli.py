@@ -1,10 +1,11 @@
 """The `signpipe` command: every pipeline stage behind one binary.
 
-Settings read through _setting resolve as flags > SIGNPIPE_* environment
-variables > --config JSON file > built-in defaults; options left unset keep
-the library's defaults. Machine-readable output (CSV/TSV) goes to stdout;
-progress and errors go to stderr. Exit codes: 0 success, 1 runtime failure,
-2 usage or configuration error, or a file or port the OS refuses (OSError).
+The nine settings in _SETTINGS are resolved and checked once, as the
+command starts: flag > SIGNPIPE_* environment variable > --config JSON file
+> built-in default. Other options left unset keep the library's defaults.
+Machine-readable output (CSV/TSV) goes to stdout; progress and errors go to
+stderr. Exit codes: 0 success, 1 runtime failure, 2 usage or configuration
+error, or a file or port the OS refuses (OSError).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .dialogue import (
 )
 from .errors import SignpipeError, UsageError, ValidationError
 from .gesture import (
-    GestureDb,
     load_descriptors,
     playtime_stats,
     render_markup,
@@ -53,45 +53,58 @@ log = logging.getLogger(__name__)
 
 # -- settings resolution ----------------------------------------------------
 
+_DATA = resources.files("signpipe") / "data"
+
 # The nine settings: each one's JSON type in a --config file, which is also
-# the cast applied to its flag or SIGNPIPE_* environment value.
-_SETTINGS = {"weights": str, "labels": str, "spec": str, "descriptors": str,
-             "templates": str, "backend": str, "seed": int, "port": int,
-             "wpm": float}
+# the cast applied to its flag or SIGNPIPE_* environment value, and its
+# default, which is used as given.
+_SETTINGS = {
+    "weights": (str, None),
+    "labels": (str, None),
+    "spec": (str, None),
+    "descriptors": (str, _DATA / "descriptors.sample.json"),
+    "templates": (str, _DATA / "templates"),
+    "backend": (str, "mock"),
+    "seed": (int, 0),
+    "port": (int, DEFAULT_PORT),
+    "wpm": (float, None),
+}
 
 
 def _load_config_file(args) -> dict:
     path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if not path:
         return {}
-    return load_json(path, f"config file {path}", UsageError, _SETTINGS)
+    shape = {key: cast for key, (cast, _) in _SETTINGS.items()}
+    return load_json(path, f"config file {path}", UsageError, shape)
 
 
-def _setting(args, file_cfg: dict, key: str, default=None):
-    """One setting under the flags > env > file > default precedence."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = os.environ.get(ENV_PREFIX + key.upper())
-    if value is None:
-        value = file_cfg.get(key)
-    if value is None:
-        return default
-    try:
-        return _SETTINGS[key](value)
-    except (TypeError, ValueError):
-        raise UsageError(f"bad value {value!r} for setting {key!r}") from None
+def _resolve_settings(args) -> None:
+    """Set each setting the command has a flag for on args: the flag, else
+    SIGNPIPE_<NAME>, else the --config value, else the default, cast and
+    checked here once."""
+    file_cfg = _load_config_file(args)
+    for key, (cast, default) in _SETTINGS.items():
+        if not hasattr(args, key):
+            continue
+        value = getattr(args, key)
+        if value is None:
+            value = os.environ.get(ENV_PREFIX + key.upper(), file_cfg.get(key))
+        if value is None:
+            value = default
+        else:
+            try:
+                value = cast(value)
+            except (TypeError, ValueError):
+                raise UsageError(f"bad value {value!r} for setting {key!r}") from None
+        setattr(args, key, value)
+    if args.seed < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"seed must not be negative, got {args.seed}")
 
 
 def _given(**options) -> dict:
     """The options the user set; the rest keep the library's defaults."""
     return {k: v for k, v in options.items() if v is not None}
-
-
-def _seed(args, file_cfg) -> int:
-    seed = _setting(args, file_cfg, "seed", 0)
-    if seed < 0:  # numpy's generators take no negative seed
-        raise UsageError(f"seed must not be negative, got {seed}")
-    return seed
 
 
 @contextmanager
@@ -103,19 +116,8 @@ def _usage_errors(prefix: str = ""):
         raise UsageError(f"{prefix}{e}") from None
 
 
-def _resolve_selection(args, file_cfg) -> SelectionSpec:
-    path = _setting(args, file_cfg, "spec")
-    return SelectionSpec() if path is None else SelectionSpec.load(path)
-
-
-def _resolve_descriptors(args, file_cfg) -> GestureDb:
-    bundled = resources.files("signpipe") / "data" / "descriptors.sample.json"
-    return load_descriptors(_setting(args, file_cfg, "descriptors", bundled))
-
-
-def _resolve_templates(args, file_cfg) -> PromptTemplate:
-    bundled = resources.files("signpipe") / "data" / "templates"
-    return PromptTemplate.load_dir(_setting(args, file_cfg, "templates", bundled))
+def _resolve_selection(args) -> SelectionSpec:
+    return SelectionSpec() if args.spec is None else SelectionSpec.load(args.spec)
 
 
 def _sidecar(weights_path) -> Path:
@@ -131,35 +133,31 @@ def _resolve_model_config(args, weights_path: str | None = None) -> nn.ModelConf
     return nn.DEFAULT_CONFIG if path is None else nn.ModelConfig.load(path)
 
 
-def _resolve_model(args, file_cfg) -> tuple[
+def _resolve_model(args) -> tuple[
         dict, nn.ModelConfig, SelectionSpec, LabelMap | None]:
     """Weights, model config, selection and label map, checked to fit."""
-    path = _setting(args, file_cfg, "weights")
-    if path is None:
+    if args.weights is None:
         raise UsageError("no weights file: pass --weights or set SIGNPIPE_WEIGHTS")
-    w = nn.load_weights(path)
-    cfg = _resolve_model_config(args, path)
-    selection = _resolve_selection(args, file_cfg)
-    labels_path = _setting(args, file_cfg, "labels")
-    labels = None if labels_path is None else read_label_map(labels_path)
+    w = nn.load_weights(args.weights)
+    cfg = _resolve_model_config(args, args.weights)
+    selection = _resolve_selection(args)
+    labels = None if args.labels is None else read_label_map(args.labels)
     with _usage_errors():
         cfg.check_inputs(selection.feature_dim, labels)
     return w, cfg, selection, labels
 
 
-def _resolve_backend_factory(args, file_cfg):
-    kind = _setting(args, file_cfg, "backend", "mock")
-    seed = _seed(args, file_cfg)
-    if kind == "mock":
-        return lambda: MockLlmBackend(seed)
-    if kind == "http":
+def _resolve_backend_factory(args):
+    if args.backend == "mock":
+        return lambda: MockLlmBackend(args.seed)
+    if args.backend == "http":
         url = args.http_url or os.environ.get(ENV_PREFIX + "HTTP_URL")
         if not url:
             raise UsageError("http backend needs --http-url or SIGNPIPE_HTTP_URL")
         with _usage_errors():
             backend = HttpLlmBackend(url, args.http_model or "gpt-4")
         return lambda: backend
-    raise UsageError(f"unknown backend {kind!r} (choose mock or http)")
+    raise UsageError(f"unknown backend {args.backend!r} (choose mock or http)")
 
 
 # -- shared pipeline helpers ------------------------------------------------
@@ -200,7 +198,7 @@ def _evaluate(xs, ys, w, cfg) -> tuple[float, float]:
 
 # -- subcommands ------------------------------------------------------------
 
-def cmd_preprocess(args, file_cfg: dict) -> int:
+def cmd_preprocess(args) -> int:
     augment = None
     if args.augment:
         with _usage_errors("augmentation flags: "):
@@ -213,14 +211,13 @@ def cmd_preprocess(args, file_cfg: dict) -> int:
                 rotate_deg_range=tuple(args.rotate_range),
                 shear_range=tuple(args.shear_range),
             )
-    selection = _resolve_selection(args, file_cfg)
-    seed = _seed(args, file_cfg)
+    selection = _resolve_selection(args)
     samples = _read_corpus_arg(args.corpus)
     # Opened first, so an `out` that cannot be written fails before any work.
     with replacing(args.out) as out:
         tensors = {}
         for i, sample in enumerate(samples):
-            cfg = replace(augment, rng_seed=seed + i) if augment else None
+            cfg = replace(augment, rng_seed=args.seed + i) if augment else None
             tensors[sample.sample_id] = preprocess_pipeline(
                 sample, selection, args.target_len, cfg
             )
@@ -230,9 +227,8 @@ def cmd_preprocess(args, file_cfg: dict) -> int:
     return 0
 
 
-def cmd_train(args, file_cfg: dict) -> int:
-    selection = _resolve_selection(args, file_cfg)
-    seed = _seed(args, file_cfg)
+def cmd_train(args) -> int:
+    selection = _resolve_selection(args)
     cfg = _resolve_model_config(args)
     with _usage_errors():
         cfg.check_inputs(selection.feature_dim)
@@ -240,7 +236,7 @@ def cmd_train(args, file_cfg: dict) -> int:
     if args.val_corpus is not None:
         val_samples = _read_corpus_arg(args.val_corpus)
     elif args.val_split > 0.0:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(args.seed)
         order = rng.permutation(len(train_samples))
         n_val = max(1, round(args.val_split * len(train_samples)))
         if n_val >= len(train_samples):
@@ -255,8 +251,8 @@ def cmd_train(args, file_cfg: dict) -> int:
     val_xs = _feature_batch(val_samples, selection, cfg.max_seq_len)
     val_ys = _required_labels(val_samples, cfg) if val_samples else []
 
-    w = nn.init_weights(cfg, seed)
-    shuffle_rng = np.random.default_rng(seed + 1)
+    w = nn.init_weights(cfg, args.seed)
+    shuffle_rng = np.random.default_rng(args.seed + 1)
     order = np.arange(len(xs))
     # The weights file and its sidecar are opened before the first epoch, so
     # an --out that cannot be written fails before any training runs.
@@ -286,8 +282,8 @@ def cmd_train(args, file_cfg: dict) -> int:
     return 0
 
 
-def cmd_infer(args, file_cfg: dict) -> int:
-    w, cfg, selection, labels = _resolve_model(args, file_cfg)
+def cmd_infer(args) -> int:
+    w, cfg, selection, labels = _resolve_model(args)
     samples = _read_corpus_arg(args.samples)
     for sample in samples:
         x = preprocess_pipeline(sample, selection, cfg.max_seq_len)
@@ -296,8 +292,8 @@ def cmd_infer(args, file_cfg: dict) -> int:
     return 0
 
 
-def cmd_eval(args, file_cfg: dict) -> int:
-    w, cfg, selection, labels = _resolve_model(args, file_cfg)
+def cmd_eval(args) -> int:
+    w, cfg, selection, labels = _resolve_model(args)
     samples = _read_corpus_arg(args.corpus)
     ys = _required_labels(samples, cfg)
     logits = nn.forward_batch(_feature_batch(samples, selection, cfg.max_seq_len), w, cfg)
@@ -324,27 +320,26 @@ def cmd_eval(args, file_cfg: dict) -> int:
     return 0
 
 
-def cmd_serve(args, file_cfg: dict) -> int:
-    w, model_cfg, selection, labels = _resolve_model(args, file_cfg)
+def cmd_serve(args) -> int:
+    w, model_cfg, selection, labels = _resolve_model(args)
     server_cfg = ServerConfig(
         weights=w,
         model_config=model_cfg,
         selection=selection,
-        db=_resolve_descriptors(args, file_cfg),
-        template=_resolve_templates(args, file_cfg),
-        backend_factory=_resolve_backend_factory(args, file_cfg),
+        db=load_descriptors(args.descriptors),
+        template=PromptTemplate.load_dir(args.templates),
+        backend_factory=_resolve_backend_factory(args),
         labels=labels,
+        port=args.port,
         **_given(
             host=args.host,
-            port=_setting(args, file_cfg, "port"),
-            wpm=_setting(args, file_cfg, "wpm"),
+            wpm=args.wpm,
             max_retries=args.max_retries,
             deadline_s=args.deadline,
         ),
     )
     with _usage_errors():
-        server_cfg.validate()
-    handle = serve(server_cfg)
+        handle = serve(server_cfg)
     host, port = handle.address
     print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
     try:
@@ -356,11 +351,10 @@ def cmd_serve(args, file_cfg: dict) -> int:
     return 0
 
 
-def cmd_robot_sim(args, file_cfg: dict) -> int:
+def cmd_robot_sim(args) -> int:
     samples = _read_corpus_arg(args.corpus) if args.corpus else []
-    port = _setting(args, file_cfg, "port", DEFAULT_PORT)
     return robot_sim(
-        (args.host, port),
+        (args.host, args.port),
         samples,
         args.log,
         realtime=args.realtime,
@@ -368,10 +362,10 @@ def cmd_robot_sim(args, file_cfg: dict) -> int:
     )
 
 
-def cmd_compose(args, file_cfg: dict) -> int:
-    db = _resolve_descriptors(args, file_cfg)
-    template = _resolve_templates(args, file_cfg)
-    backend = _resolve_backend_factory(args, file_cfg)()
+def cmd_compose(args) -> int:
+    db = load_descriptors(args.descriptors)
+    template = PromptTemplate.load_dir(args.templates)
+    backend = _resolve_backend_factory(args)()
     event = RecognitionEvent(args.gloss, args.confidence)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DialogueWarning)
@@ -383,19 +377,17 @@ def cmd_compose(args, file_cfg: dict) -> int:
     return 0
 
 
-def cmd_stats(args, file_cfg: dict) -> int:
-    db = _resolve_descriptors(args, file_cfg)
-    stats = playtime_stats(db)
+def cmd_stats(args) -> int:
+    stats = playtime_stats(load_descriptors(args.descriptors))
     for name, value in stats.as_pairs():
         print(f"{name}\t{value:.6g}")
     return 0
 
 
-def cmd_bench(args, file_cfg: dict) -> int:
-    seed = _seed(args, file_cfg)
+def cmd_bench(args) -> int:
     cfg = _resolve_model_config(args)
-    w = nn.init_weights(cfg, seed)
-    stats = nn.benchmark_inference(w, cfg, seed=seed, **_given(n_runs=args.runs))
+    w = nn.init_weights(cfg, args.seed)
+    stats = nn.benchmark_inference(w, cfg, seed=args.seed, **_given(n_runs=args.runs))
     print(f"p50_ms\t{stats.p50_ms:.3f}")
     print(f"p99_ms\t{stats.p99_ms:.3f}")
     print(f"mean_ms\t{stats.mean_ms:.3f}")
@@ -426,6 +418,9 @@ _positive_int = _number(int, lambda n: n >= 1, "a positive integer")
 # benchmark_inference allocates 8 bytes per run before the first one, and a
 # run of the default model takes a few ms.
 _run_count = _number(int, lambda n: n >= 1, "a positive integer", most=1_000_000)
+# preprocess holds every sample's target_len x features tensor until it
+# writes them; 10,000 frames of the default selection is ~7 MB a sample.
+_frame_count = _number(int, lambda n: n >= 1, "a positive integer", most=10_000)
 _non_negative_int = _number(int, lambda n: n >= 0, "a non-negative integer")
 # nan fails every comparison, so both float types reject it.
 _fraction = _number(float, lambda x: 0.0 <= x < 1.0, "a number in [0, 1)")
@@ -466,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("out")
     p.add_argument("--spec", help="selection spec JSON")
-    p.add_argument("--target-len", type=_positive_int, default=32)
+    p.add_argument("--target-len", type=_frame_count, default=32)
     p.add_argument("--augment", action="store_true",
                    help="apply seeded training-time augmentation")
     _range_pair(p, "--resample-range", (0.5, 1.5), "temporal length scale")
@@ -554,7 +549,8 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s",
                         level=logging.INFO)
     try:
-        return args.func(args, _load_config_file(args))
+        _resolve_settings(args)
+        return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -48,9 +48,9 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
     directory that cannot be written fails before any work is done. If the
     block raises, the file is removed and `path` is left as it was. The new
     file's mode is the one a plain ``open`` gives (the umask applies). A
-    symlink to a regular file is replaced, not followed. A `path` that
-    exists but is not a regular file (a device or a pipe) is written in
-    place instead.
+    symlink is followed: the file it resolves to is replaced and the link
+    stays a link. A `path` that exists but is not a regular file (a device
+    or a pipe) is written in place instead.
     """
     path = Path(path)
     try:
@@ -61,6 +61,7 @@ def replacing(path: str | Path) -> Iterator[BinaryIO]:
         with open(path, "wb") as f:
             yield f
         return
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp")
     f = open(tmp, "xb")
     try:

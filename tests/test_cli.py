@@ -1,20 +1,26 @@
 """Command-line interface: every subcommand, precedence, and exit codes."""
 
+import ast
 import json
 import os
+import re
+import socket
 import subprocess
 import sys
 import threading
 import time
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import signpipe
 from signpipe import nn
 from signpipe.cli import main
-from signpipe.gesture import parse_markup
+from signpipe.gesture import load_descriptors, parse_markup
 from signpipe.landmarks import read_corpus, write_corpus, write_label_map, LabelMap
-from signpipe.netpipe import robot_sim, serve
+from signpipe.netpipe import DEFAULT_PORT, robot_sim, serve
 from signpipe.preprocess import SelectionSpec
 from signpipe.synth import make_synthetic_samples
 
@@ -482,18 +488,46 @@ class TestSettingPrecedence:
         monkeypatch.setenv("SIGNPIPE_SEED", "not-a-number")
         assert main(["compose", "--gloss", "cloud", "--confidence", "90"]) == 2
 
+    def test_an_env_value_is_checked_by_a_command_that_does_not_read_it(
+            self, monkeypatch, capsys):
+        # stats takes --seed but draws no random number
+        monkeypatch.setenv("SIGNPIPE_SEED", "abc")
+        assert main(["stats"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: bad value 'abc' for setting 'seed'\n"
+
+    def test_port_flag_beats_env_beats_file_beats_default(self, tmp_path, monkeypatch,
+                                                          caplog):
+        def refuse(address, timeout):
+            raise ConnectionRefusedError(111, "Connection refused")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"port": 4003}')
+
+        def dialed(*argv):
+            caplog.clear()
+            assert main(["robot-sim", "--log", str(tmp_path / "r.log"), *argv]) == 1
+            return int(re.search(r"cannot connect to 127\.0\.0\.1:(\d+):",
+                                 caplog.text).group(1))
+
+        assert dialed() == DEFAULT_PORT
+        assert dialed("--config", str(cfg)) == 4003
+        monkeypatch.setenv("SIGNPIPE_PORT", "4002")
+        assert dialed("--config", str(cfg)) == 4002
+        assert dialed("--config", str(cfg), "--port", "4001") == 4001
+
 
 class TestCompose:
     def test_deterministic_valid_markup(self, capsys):
-        from signpipe.cli import _resolve_descriptors
-
         outs = []
         for _ in range(2):
             assert main(["compose", "--gloss", "cloud",
                          "--confidence", "90"]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
-        db = _resolve_descriptors(type("A", (), {})(), {})
+        db = load_descriptors(resources.files("signpipe") / "data"
+                              / "descriptors.sample.json")
         script = parse_markup(outs[0].rstrip("\n"), db)
         assert script.segments
 
@@ -578,7 +612,10 @@ class TestArgumentErrors:
          "argument --runs: expected a positive integer, got 'two'"),
         (["bench", "--runs", "100000000000000000000000"],
          "argument --runs: expected at most 1000000, got '100000000000000000000000'"),
-    ], ids=["batch-size", "epochs", "val-split", "lr", "runs", "runs-over-limit"])
+        (["preprocess", "c.csv", "o.sgnw", "--target-len", "100000000000"],
+         "argument --target-len: expected at most 10000, got '100000000000'"),
+    ], ids=["batch-size", "epochs", "val-split", "lr", "runs", "runs-over-limit",
+            "target-len-over-limit"])
     def test_number_flag_error_text(self, argv, message, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.endswith(f": error: {message}\n")
@@ -621,10 +658,10 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("wpm", ["1e-307", "inf", "nan", "0", "config:1e-307"])
     def test_serve_rejects_a_rate_without_finite_timings(self, workdir, tmp_path,
                                                         monkeypatch, capsys, wpm):
-        def never_serve(cfg):
-            raise AssertionError("serve started with a bad speech rate")
+        def never_bind(server):
+            raise AssertionError("serve bound with a bad speech rate")
 
-        monkeypatch.setattr("signpipe.cli.serve", never_serve)
+        monkeypatch.setattr("socketserver.TCPServer.server_bind", never_bind)
         rate = ["--wpm", wpm]
         if wpm.startswith("config:"):
             config = tmp_path / "cfg.json"
@@ -637,7 +674,7 @@ class TestArgumentErrors:
         assert out == "" and err.startswith("error: ") and "wpm" in err
 
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
-    @pytest.mark.parametrize("command", ["bench", "train", "preprocess"])
+    @pytest.mark.parametrize("command", ["bench", "train", "preprocess", "infer"])
     def test_negative_seed_is_a_usage_error(self, workdir, tmp_path, monkeypatch,
                                             capsys, command, source):
         out_file = tmp_path / "o.sgnw"
@@ -648,6 +685,9 @@ class TestArgumentErrors:
                       "--model-config", str(workdir / "model.json"), "--epochs", "1"],
             "preprocess": ["preprocess", str(workdir / "train.csv"), str(out_file),
                            "--augment"],
+            # infer draws no random number, but every command checks the seed
+            "infer": ["infer", str(workdir / "val.csv"),
+                      "--weights", str(workdir / "model.sgnw")],
         }[command]
         if source == "flag":
             argv += ["--seed", "-1"]
@@ -667,10 +707,10 @@ class TestArgumentErrors:
                              ids=["deadline", "max-retries", "port"])
     def test_serve_checks_its_settings_before_bind(self, workdir, monkeypatch,
                                                    capsys, flags):
-        def never_serve(cfg):
-            raise AssertionError("serve started with a bad setting")
+        def never_bind(server):
+            raise AssertionError("serve bound with a bad setting")
 
-        monkeypatch.setattr("signpipe.cli.serve", never_serve)
+        monkeypatch.setattr("socketserver.TCPServer.server_bind", never_bind)
         code = main(["serve", "--weights", str(workdir / "model.sgnw"), *flags])
         out, err = capsys.readouterr()
         assert code == 2
@@ -895,3 +935,68 @@ class TestServeCommand:
             proc.terminate()
             proc.wait(timeout=10)
             proc.stderr.close()
+
+
+# -- the one settings pass --------------------------------------------------
+
+# Where a module may read the environment: the settings pass and the config
+# file it loads, the --http-url fallback, and the HTTP backend's key, which
+# is read at call time.
+ENV_READERS = {("cli.py", "_load_config_file"), ("cli.py", "_resolve_settings"),
+               ("cli.py", "_resolve_backend_factory"),
+               ("dialogue.py", "HttpLlmBackend.complete")}
+
+
+def env_reads(source: str, module: str) -> list[str]:
+    """`module:line` of each use of os.environ or os.getenv in source, or an
+    import of either from os, outside the functions ENV_READERS names. A
+    function is named by its outermost def, with any enclosing classes."""
+    sites = []
+
+    def visit(node, scope, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            if function is None and not isinstance(node, ast.ClassDef):
+                function = scope
+        if isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = {alias.name for alias in node.names}
+        else:
+            names = set()
+        if names & {"environ", "getenv"} and (module, function) not in ENV_READERS:
+            sites.append(f"{module}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, function)
+
+    visit(ast.parse(source), "", None)
+    return sites
+
+
+def test_the_guard_finds_each_kind_of_env_read():
+    source = """
+import os
+from os import environ
+def f():
+    os.environ.get("A"); os.environ["B"]; os.getenv("C"); "D" in os.environ
+class HttpLlmBackend:
+    def complete(self):
+        os.getenv("E")
+def _resolve_settings(args):
+    def inner():
+        return os.environ.get("F")
+    os.getenv("G")
+"""
+    assert env_reads(source, "m.py") == (
+        ["m.py:3"] + ["m.py:5"] * 4 + ["m.py:8", "m.py:11", "m.py:12"])
+    assert env_reads(source, "dialogue.py") == ["dialogue.py:3"] + ["dialogue.py:5"] * 4 + [
+        "dialogue.py:11", "dialogue.py:12"]
+    assert env_reads(source, "cli.py") == ["cli.py:3"] + ["cli.py:5"] * 4 + ["cli.py:8"]
+
+
+def test_only_the_settings_pass_reads_the_environment():
+    root = Path(signpipe.__file__).parent
+    sites = [site for path in sorted(root.rglob("*.py"))
+             for site in env_reads(path.read_text(encoding="utf-8"),
+                                   path.relative_to(root).as_posix())]
+    assert sites == []

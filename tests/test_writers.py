@@ -93,15 +93,29 @@ def test_a_corpus_whose_samples_fail_midway_leaves_the_old_file(tmp_path):
     assert os.listdir(tmp_path) == ["corpus.csv"]
 
 
-def test_a_symlinked_target_is_replaced_by_a_regular_file(tmp_path):
-    target = tmp_path / "target.csv"
+def test_a_symlinked_target_is_followed(tmp_path):
+    (tmp_path / "d").mkdir()
+    target = tmp_path / "d" / "target.csv"
     target.write_bytes(OLD)
     link = tmp_path / "link.csv"
-    link.symlink_to(target)
+    link.symlink_to("d/target.csv")
     write_corpus(_samples(), link)
-    assert not link.is_symlink() and link.is_file()
-    assert target.read_bytes() == OLD
-    assert read_corpus(link) == _samples()
+    assert link.is_symlink() and os.readlink(link) == "d/target.csv"
+    assert read_corpus(target) == _samples()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_a_link_to_an_open_descriptor_writes_its_file(tmp_path):
+    # /dev/stdout is such a link: to /proc/self/fd/1, which names the file
+    # that stdout was redirected to.
+    out = tmp_path / "out.bin"
+    with open(out, "wb") as f:
+        link = tmp_path / "stdout"
+        link.symlink_to(f"/proc/self/fd/{f.fileno()}")
+        WRITERS["tensors"][0](link)
+    assert link.is_symlink()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITERS["tensors"][1]
 
 
 # -- the one write path -----------------------------------------------------
