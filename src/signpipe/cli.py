@@ -250,6 +250,7 @@ def cmd_train(args) -> int:
     xs = _feature_batch(train_samples, selection, cfg.max_seq_len)
     val_xs = _feature_batch(val_samples, selection, cfg.max_seq_len)
     val_ys = _required_labels(val_samples, cfg) if val_samples else []
+    del train_samples, val_samples  # every row; training reads only the features
 
     w = nn.init_weights(cfg, args.seed)
     shuffle_rng = np.random.default_rng(args.seed + 1)
@@ -367,8 +368,9 @@ def cmd_compose(args) -> int:
     template = PromptTemplate.load_dir(args.templates)
     backend = _resolve_backend_factory(args)()
     event = RecognitionEvent(args.gloss, args.confidence)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _usage_errors():
         warnings.simplefilter("ignore", DialogueWarning)
+        # compose raises ValidationError only for a bad --max-retries.
         result = compose(event, db, backend, template,
                          **_given(max_retries=args.max_retries))
     print(render_markup(result.script))

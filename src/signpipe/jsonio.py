@@ -8,6 +8,9 @@ class as one "{what}: ..." message. A shape is int (not bool), float (a
 finite number, not bool), str, list or dict; [shape], an array whose items
 fit shape; or {key: shape}, an object whose keys fit theirs. With required,
 every key a shape names must be present; other keys are never looked at.
+The non-JSON constants NaN, Infinity and -Infinity fit no shape: each is
+read as a marker that float rejects as not finite and any other shape, or
+an exact type check, as the wrong type.
 """
 
 from __future__ import annotations
@@ -27,6 +30,14 @@ __all__ = ["decode_text", "read_text", "replacing", "write_text", "check_json",
 _NAMES = {int: "an integer", float: "a number", str: "a string",
           list: "a JSON array", dict: "a JSON object"}
 _ABSENT = object()
+
+
+class _NotJson(float):
+    """A NaN, Infinity or -Infinity token: a NaN, so not a finite number,
+    and not of any type that an exact type check lets through."""
+
+
+_NOT_JSON = _NotJson("nan")
 
 
 def decode_text(data: bytes, what: str, error: type[Exception]) -> str:
@@ -116,7 +127,7 @@ def parse_json(data: str | bytes, what: str, error: type[Exception], shape=dict,
     if isinstance(data, (bytes, bytearray)):
         data = decode_text(data, what, error)
     try:
-        value = json.loads(data)
+        value = json.loads(data, parse_constant=lambda token: _NOT_JSON)
     except (ValueError, RecursionError) as e:
         raise error(f"{what}: invalid JSON ({e})") from None
     return check_json(value, what, error, shape, required)

@@ -3,8 +3,10 @@
 A sample is a `LandmarkRows`: four read-only row-order columns,
 ``frame_index`` (N,) int64, ``kind`` (N,) int8 (the `LandmarkKind` code),
 ``landmark_index`` (N,) int64 and ``xyz`` (N, 3) float64, NaN if missing.
-`_check_rows` checks every row invariant, once, when they are built; no two
-rows of a sample share (frame_index, kind, landmark_index).
+A row is checked once, by `_check_rows`, when rows are packed into a
+`LandmarkRows`; no two rows of a sample share (frame_index, kind,
+landmark_index). A `LandmarkFrame` is a plain row and checks nothing by
+itself.
 
 A corpus is a UTF-8 CSV with header
 ``sample_id,frame,kind,landmark_index,x,y,z,label``. Coordinates are
@@ -25,7 +27,7 @@ from enum import Enum
 from itertools import groupby, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,23 +111,17 @@ def _fail_first(mask: np.ndarray, reason: str) -> None:
         raise _RowError(int(hits[0]), reason)
 
 
-def _row_faults(frame_index, kind, landmark_index, x, y, z):
-    """(bad, reason) per single-row invariant, each only after the previous
-    passed. Plain operators make it work on one row's scalars or on columns."""
-    yield frame_index < 0, "negative frame index"
-    yield (kind < 0) | (kind >= len(_KINDS)), "unknown landmark kind code"
-    yield ((landmark_index < 0) | (landmark_index >= _CAPACITY[kind]),
-           "landmark index outside its kind's capacity")
-    yield (abs(x) == math.inf) | (abs(y) == math.inf) | (abs(z) == math.inf), \
-        "infinite coordinate"
-
-
 def _check_rows(frame_index: np.ndarray, kind: np.ndarray,
                 landmark_index: np.ndarray, xyz: np.ndarray) -> None:
-    """The one check of every row invariant over a sample's columns; raises
-    _RowError naming the first row that breaks one."""
-    for bad, reason in _row_faults(frame_index, kind, landmark_index, *xyz.T):
-        _fail_first(bad, reason)
+    """The one check of every row invariant, over a sample's columns, each
+    only after the previous passed; raises _RowError naming the first row
+    that breaks one."""
+    _fail_first(frame_index < 0, "negative frame index")
+    _fail_first((kind < 0) | (kind >= len(_KINDS)), "unknown landmark kind code")
+    _fail_first((landmark_index < 0) | (landmark_index >= _CAPACITY[kind]),
+                "landmark index outside its kind's capacity")
+    x, y, z = np.isinf(xyz).T  # faster than .any(axis=1) on 3 columns
+    _fail_first(x | y | z, "infinite coordinate")
     _fail_first(np.diff(frame_index, prepend=0) < 0, "frame index decreases")
     # The frame ordinal is at most N, so the packed key cannot overflow.
     key = ((frame_ordinal(frame_index) * len(_KINDS) + kind) * _CAPACITY.max()
@@ -143,9 +139,9 @@ def _int64(values: Sequence[int], what: str) -> np.ndarray:
         raise _RowError(row, f"{what} outside the int64 range") from None
 
 
-@dataclass(frozen=True, eq=False)
-class LandmarkFrame:
-    """One landmark observation at one video frame."""
+class LandmarkFrame(NamedTuple):
+    """One landmark observation at one video frame: a plain row, checked
+    only when it is packed into a `LandmarkRows`."""
 
     frame_index: int
     kind: LandmarkKind
@@ -154,27 +150,17 @@ class LandmarkFrame:
     y: float
     z: float = MISSING
 
-    def __post_init__(self):
-        for bad, reason in _row_faults(self.frame_index, self.kind.value,
-                                       self.landmark_index, self.x, self.y, self.z):
-            if bad:
-                raise ValidationError(f"{reason}: {self}")
-
     # NaN-aware equality so the missing sentinel survives round-trip checks.
     def __eq__(self, other) -> bool:
         if not isinstance(other, LandmarkFrame):
             return NotImplemented
-        return LandmarkRows.of([self]) == LandmarkRows.of([other])
+        return all(a == b or a != a and b != b for a, b in zip(self, other))
 
+    def __ne__(self, other) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
-def _row(frame_index: int, code: int, landmark_index: int,
-         xyz: list[float]) -> LandmarkFrame:
-    # A checked row needs no second check, so skip __post_init__.
-    row = object.__new__(LandmarkFrame)
-    row.__dict__.update(frame_index=frame_index, kind=_KINDS[code],
-                        landmark_index=landmark_index,
-                        x=xyz[0], y=xyz[1], z=xyz[2])
-    return row
+    __hash__ = None  # equal frames may hold distinct NaNs
 
 
 class LandmarkRows:
@@ -206,12 +192,13 @@ class LandmarkRows:
         return len(self.frame_index)
 
     def __iter__(self):
-        return map(_row, self.frame_index.tolist(), self.kind.tolist(),
-                   self.landmark_index.tolist(), self.xyz.tolist())
+        return map(LandmarkFrame, self.frame_index.tolist(),
+                   map(_KINDS.__getitem__, self.kind.tolist()),
+                   self.landmark_index.tolist(), *self.xyz.T.tolist())
 
     def __getitem__(self, i: int) -> LandmarkFrame:
-        return _row(int(self.frame_index[i]), int(self.kind[i]),
-                    int(self.landmark_index[i]), self.xyz[i].tolist())
+        return LandmarkFrame(int(self.frame_index[i]), _KINDS[self.kind[i]],
+                             int(self.landmark_index[i]), *self.xyz[i].tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LandmarkRows):
@@ -231,7 +218,8 @@ class LandmarkRows:
 @dataclass
 class SignSample:
     """A labeled (or unlabeled) landmark sequence for one isolated sign. A
-    list of `LandmarkFrame` rows is packed once; a `LandmarkRows` is shared."""
+    list of `LandmarkFrame` rows is packed, and so checked, once; a
+    `LandmarkRows` is shared."""
 
     sample_id: str
     frames: LandmarkRows

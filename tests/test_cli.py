@@ -565,6 +565,13 @@ class TestCompose:
         code = main(["compose", "--gloss", "x", "--confidence", "150"])
         assert code == 1  # validation failure at runtime, not usage
 
+    def test_negative_max_retries_is_a_usage_error(self, capsys):
+        code = main(["compose", "--gloss", "cloud", "--confidence", "90",
+                     "--max-retries", "-1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and err == "error: max_retries must be >= 0, got -1\n"
+
 
 class TestBench:
     def test_report_shape(self, workdir, capsys):

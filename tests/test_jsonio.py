@@ -1,13 +1,16 @@
 """The checked JSON reader and every loader that goes through it."""
 
+import ast
 import io
 import json
 import math
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import signpipe
 from signpipe.cli import _load_config_file
 from signpipe.dialogue import API_KEY_ENV, HttpLlmBackend, PromptTemplate
 from signpipe.errors import (
@@ -142,3 +145,46 @@ class TestShapes:
         assert check_json([{}], "x", ValidationError, [{"a": int}]) == [{}]
         with pytest.raises(ValidationError, match=r"x: missing field '\[0\].a'"):
             check_json([{}], "x", ValidationError, [{"a": int}], required=True)
+
+
+# -- the one JSON parse site --------------------------------------------------
+
+def json_read_sites(source: str, module: str) -> list[str]:
+    """`module:line` of each call in source to json.load or json.loads,
+    through the module (json.loads, or an alias of json) or through a name
+    imported from it (from json import loads)."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "json"}
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "json"
+             for alias in node.names if alias.name in ("load", "loads")}
+    return sorted(
+        f"{module}:{node.lineno}" for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute) and node.func.attr in ("load", "loads")
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
+            or isinstance(node.func, ast.Name) and node.func.id in names))
+
+
+def test_the_guard_finds_each_form_of_json_read():
+    source = """
+import json
+import json as j
+from json import loads, load as read
+def f(text, fh, self):
+    json.loads(text); json.load(fh)
+    j.loads(text); loads(text); read(fh)
+    json.dumps(text); load_json(text); self.load(fh); pickle.loads(text)
+"""
+    assert json_read_sites(source, "m.py") == ["m.py:6"] * 2 + ["m.py:7"] * 3
+
+
+def test_json_is_parsed_only_in_jsonio():
+    """So every reader takes the one rule for NaN, Infinity and -Infinity."""
+    root = Path(signpipe.__file__).parent
+    sites = [site for path in sorted(root.rglob("*.py"))
+             for site in json_read_sites(path.read_text(encoding="utf-8"),
+                                         path.relative_to(root).as_posix())]
+    assert {site.split(":")[0] for site in sites} == {"jsonio.py"}

@@ -25,6 +25,7 @@ from signpipe.landmarks import (
     write_corpus,
     write_label_map,
 )
+from signpipe.netpipe import sample_from_body
 from signpipe.synth import make_synthetic_samples
 
 from conftest import make_sample, sign_samples
@@ -58,21 +59,25 @@ class TestKinds:
 
 class TestFrameAndSample:
     def test_landmark_index_capacity_enforced(self):
-        LandmarkFrame(0, LandmarkKind.LEFT_HAND, 20, 0.1, 0.2, 0.3)
-        with pytest.raises(ValidationError):
-            LandmarkFrame(0, LandmarkKind.LEFT_HAND, 21, 0.1, 0.2, 0.3)
-        with pytest.raises(ValidationError):
-            LandmarkFrame(0, LandmarkKind.FACE, 468, 0.1, 0.2, 0.3)
+        SignSample("s", [LandmarkFrame(0, LandmarkKind.LEFT_HAND, 20, 0.1, 0.2, 0.3)])
+        for kind, index in [(LandmarkKind.LEFT_HAND, 21), (LandmarkKind.FACE, 468)]:
+            frame = LandmarkFrame(0, kind, index, 0.1, 0.2, 0.3)
+            with pytest.raises(ValidationError,
+                               match="row 0: landmark index outside its kind's capacity"):
+                SignSample("s", [frame])
 
     def test_negative_frame_index_rejected(self):
-        with pytest.raises(ValidationError):
-            LandmarkFrame(-1, LandmarkKind.POSE, 0, 0.1, 0.2, 0.3)
+        frame = LandmarkFrame(-1, LandmarkKind.POSE, 0, 0.1, 0.2, 0.3)
+        with pytest.raises(ValidationError, match="row 0: negative frame index"):
+            SignSample("s", [frame])
 
     def test_infinite_coordinate_rejected_nan_allowed(self):
-        with pytest.raises(ValidationError):
-            LandmarkFrame(0, LandmarkKind.POSE, 0, math.inf, 0.2, 0.3)
+        frame = LandmarkFrame(0, LandmarkKind.POSE, 0, math.inf, 0.2, 0.3)
+        with pytest.raises(ValidationError, match="row 0: infinite coordinate"):
+            SignSample("s", [frame])
         f = LandmarkFrame(0, LandmarkKind.POSE, 0, math.nan, 0.2, math.nan)
         assert math.isnan(f.x) and math.isnan(f.z)
+        assert SignSample("s", [f]).frames[0] == f
 
     def test_nan_aware_equality(self):
         a = LandmarkFrame(0, LandmarkKind.POSE, 0, math.nan, 0.2, 0.3)
@@ -103,6 +108,42 @@ class TestFrameAndSample:
         assert [g[0] for g in groups] == [0, 1, 2]
         assert s.num_frames() == 3
         assert sum(len(g[1]) for g in groups) == len(s.frames)
+
+    def test_bad_frames_construct_and_compare_without_a_check(self):
+        a = LandmarkFrame(-1, LandmarkKind.POSE, 99, math.nan, math.inf)
+        b = LandmarkFrame(-1, LandmarkKind.POSE, 99, math.nan, math.inf)
+        assert a == b and not a != b
+        assert a != b._replace(z=0.5) and not a == b._replace(z=0.5)
+
+    @pytest.mark.parametrize("fields, reason", [
+        ((-1, LandmarkKind.POSE, 11, 0.1, 0.2, 0.3), "negative frame index"),
+        ((0, LandmarkKind.POSE, 33, 0.1, 0.2, 0.3),
+         "landmark index outside its kind's capacity"),
+        ((0, LandmarkKind.POSE, 11, 0.1, -math.inf, 0.3), "infinite coordinate"),
+    ])
+    def test_every_packer_names_a_bad_row_alike(self, tmp_path, fields, reason):
+        frame = LandmarkFrame(*fields)
+        with pytest.raises(ValidationError) as packed:
+            SignSample("s", [frame])
+        assert str(packed.value) == f"row 0: {reason}"
+        with pytest.raises(ValidationError) as received:
+            sample_from_body({"sample": {"id": "s", "frames": [
+                [frame.frame_index, frame.kind.value, frame.landmark_index,
+                 frame.x, frame.y, frame.z]]}})
+        assert str(received.value) == f"row 0: {reason}"
+        corpus = write_text(tmp_path / "c.csv", f"{HEADER}\ns,{frame.frame_index},pose,"
+                            f"{frame.landmark_index},{frame.x},{frame.y},{frame.z},\n")
+        with pytest.raises(CorpusFormatError) as read:
+            read_corpus(corpus)
+        assert str(read.value) == f"sample 's': row 0: {reason} (line 2)"
+
+    @settings(deadline=None)
+    @given(sign_samples())
+    def test_iterated_rows_repack_into_the_same_sample(self, s):
+        rows = list(s.frames)
+        assert SignSample(s.sample_id, rows, s.label) == s
+        assert all(type(f) is LandmarkFrame and type(f.kind) is LandmarkKind for f in rows)
+        assert all(s.frames[i] == f for i, f in enumerate(rows))
 
 
 class TestLabelMap:

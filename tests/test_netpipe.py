@@ -372,6 +372,14 @@ class TestSampleBodyProperties:
         with pytest.raises(ValidationError):
             sample_from_body(body)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_constant_coordinate_rejected(self, token):
+        payload = ('{"type": "LANDMARKS", "body": {"sample": {"id": "s", "frames": '
+                   f'[[0, 2, 11, 0.5, 0.5, null], [1, 2, 11, 0.5, {token}, null]]}}}}}}')
+        msg = decode_frame(struct.pack(">I", len(payload)) + payload.encode("ascii"))
+        with pytest.raises(ValidationError, match="sample frame 1: coordinate is not a number"):
+            sample_from_body(msg.body)
+
     def test_duplicate_row_rejected(self):
         body = sample_to_body(make_sample(num_frames=2))
         rows = body["sample"]["frames"]
