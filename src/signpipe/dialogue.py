@@ -47,9 +47,13 @@ __all__ = [
     "ScriptedLlmBackend",
     "HttpLlmBackend",
     "API_KEY_ENV",
+    "MAX_REPLY_BYTES",
 ]
 
 API_KEY_ENV = "SIGNPIPE_API_KEY"
+# The longest LLM reply read: the SCRIPT it becomes must fit one 16 MiB wire
+# frame anyway. Not netpipe's MAX_FRAME_BYTES: netpipe's server imports this.
+MAX_REPLY_BYTES = 16 * 1024 * 1024
 
 
 class DialogueWarning(UserWarning):
@@ -316,7 +320,8 @@ class HttpLlmBackend(LlmBackend):
     """Chat-completions client: POST {model, messages} with bearer auth.
 
     The API key is read from the SIGNPIPE_API_KEY environment variable at
-    call time. Any transport or response-shape problem raises BackendError.
+    call time. Any transport or response-shape problem, or a reply longer
+    than MAX_REPLY_BYTES, raises BackendError.
     """
 
     def __init__(self, base_url: str, model: str, timeout_s: float = 30.0):
@@ -341,9 +346,11 @@ class HttpLlmBackend(LlmBackend):
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
-                reply = resp.read()
+                reply = resp.read(MAX_REPLY_BYTES + 1)
         except (OSError, http.client.HTTPException) as e:  # incl. HTTPError, URLError
             raise BackendError(f"LLM request failed: {e}") from e
+        if len(reply) > MAX_REPLY_BYTES:
+            raise BackendError(f"LLM response is longer than {MAX_REPLY_BYTES} bytes")
         choices = parse_json(reply, "LLM response", BackendError,
                              {"choices": [{"message": {"content": str}}]},
                              required=True)["choices"]

@@ -7,7 +7,9 @@ or a value that does not fit its shape. Each raises the caller's own error
 class as one "{what}: ..." message. A shape is int (not bool), float (a
 finite number, not bool), str, list or dict; [shape], an array whose items
 fit shape; or {key: shape}, an object whose keys fit theirs. With required,
-every key a shape names must be present; other keys are never looked at.
+every key a shape names must be present; other keys are never looked at,
+except by check_fields, which names a top-level key that a file's format
+does not know.
 The non-JSON constants NaN, Infinity and -Infinity fit no shape: each is
 read as a marker that float rejects as not finite and any other shape, or
 an exact type check, as the wrong type.
@@ -25,7 +27,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterator
 
 __all__ = ["decode_text", "read_text", "replacing", "write_text", "check_json",
-           "parse_json", "load_json"]
+           "check_fields", "parse_json", "load_json"]
 
 _NAMES = {int: "an integer", float: "a number", str: "a string",
           list: "a JSON array", dict: "a JSON object"}
@@ -118,6 +120,15 @@ def check_json(value, what: str, error: type[Exception], shape=dict,
     fault = _fault(value, shape, "", required)
     if fault is not None:
         raise error(f"{what}: {fault}")
+    return value
+
+
+def check_fields(value: dict, what: str, error: type[Exception], fields) -> dict:
+    """value itself once it has no key outside fields, else error naming
+    every key it should not have."""
+    unknown = set(value) - set(fields)
+    if unknown:
+        raise error(f"{what}: unknown fields {sorted(unknown)}")
     return value
 
 

@@ -75,12 +75,12 @@ KIND_CAPACITY = {
 
 _KINDS = tuple(LandmarkKind)  # indexed by code
 _CAPACITY = np.array([KIND_CAPACITY[k] for k in _KINDS])  # indexed by code
-_KIND_BY_NAME = {k.csv_name: k for k in LandmarkKind}
+_KIND_CODE = {k.csv_name: k.value for k in _KINDS}
 
 
 def kind_from_name(name: str) -> LandmarkKind:
     try:
-        return _KIND_BY_NAME[name]
+        return _KINDS[_KIND_CODE[name]]
     except KeyError:
         raise ValidationError(f"unknown landmark kind {name!r}") from None
 
@@ -183,10 +183,8 @@ class LandmarkRows:
 
     @classmethod
     def of(cls, frames: Sequence[LandmarkFrame]) -> "LandmarkRows":
-        return cls([f.frame_index for f in frames],
-                   [f.kind.value for f in frames],
-                   [f.landmark_index for f in frames],
-                   [(f.x, f.y, f.z) for f in frames])
+        frame_index, kind, landmark_index, *xyz = list(zip(*frames)) or [()] * 6
+        return cls(frame_index, [k.value for k in kind], landmark_index, np.transpose(xyz))
 
     def __len__(self) -> int:
         return len(self.frame_index)
@@ -298,7 +296,6 @@ def _parse_int(text: str, column: str, line: int) -> int:
         raise CorpusFormatError(f"non-integer {column} value {text!r}", line) from None
 
 
-_KIND_CODE = {name: kind.value for name, kind in _KIND_BY_NAME.items()}
 _EMPTY_AS_NAN = {"": "nan"}  # .get(v, v): an empty coordinate reads as NaN
 # Records parsed together: enough to spread the per-chunk work thin, few
 # enough that a chunk's strings are still in cache when it is converted.
@@ -318,16 +315,16 @@ def _check_header(reader) -> None:
 def _parse_run(run: list[list[str]]):
     """(label, frames, kinds, indices, x, y, z) of a run with no malformed
     field, one C-level conversion per column into an `array`; None if a
-    field is malformed or outside int64, or the labels are not all the same
-    text."""
+    field is malformed or outside int64, or the labels differ."""
     try:
         ids, frames, kinds, indices, x, y, z, labels = zip(*run, strict=True)
     except ValueError:
         return None  # a record has the wrong number of fields
-    if not ids[0] or labels.count(labels[0]) != len(labels):
+    if not ids[0]:
         return None
     try:
-        return (None if labels[0] == "" else int(labels[0]),
+        (label,) = {None if text == "" else int(text) for text in set(labels)}
+        return (label,
                 array("q", map(int, frames)),
                 array("b", map(_KIND_CODE.__getitem__, kinds)),
                 array("q", map(int, indices)),
@@ -360,8 +357,7 @@ def _samples(columns: dict[str, list], labels: dict[str, int | None],
 def _read_columns(fh) -> list[SignSample] | None:
     """The corpus read a chunk of records at a time, with one C-level
     conversion per column of each run of records that share a sample_id;
-    None at the first fault of any kind, and when a sample's labels differ
-    in text only ("7", "07")."""
+    None at the first fault of any kind."""
     reader = csv.reader(fh)
     columns, labels = {}, {}
     try:
@@ -444,9 +440,8 @@ def read_corpus(path: str | Path) -> list[SignSample]:
     sample_id, label, label consistency with the sample's earlier rows,
     kind, frame, landmark_index, x, y, z. Sample invariants (`LandmarkRows`)
     are checked once the whole file has parsed, sample by sample in order of
-    first appearance. A faulty file is read a second time, record by record,
-    to name its fault, and so is one whose consecutive records of a sample
-    write its label two ways ("7", "07").
+    first appearance. Only a faulty file is read a second time, record by
+    record, to name its fault.
     """
     path = Path(path)
     try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .wire import PROTOCOL_VERSION, WireMessage, error_message, hello_message
+from .wire import WireMessage, error_message, hello_fault, hello_message
 
 __all__ = ["SessionState", "SessionEffect", "Session"]
 
@@ -48,12 +48,8 @@ class Session:
         if self.state is SessionState.AWAIT_HELLO:
             if msg.type != "HELLO":
                 return self._reject(f"{msg.type} before HELLO")
-            version = msg.body.get("protocol_version")
-            if type(version) is not int or version != PROTOCOL_VERSION:
-                return self._reject(
-                    f"unsupported protocol version {version!r}, "
-                    f"expected {PROTOCOL_VERSION}"
-                )
+            if (fault := hello_fault(msg.body)) is not None:
+                return self._reject(fault)
             self.state = SessionState.READY
             return SessionEffect(replies=(hello_message(),))
         # READY

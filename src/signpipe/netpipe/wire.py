@@ -166,6 +166,14 @@ def hello_message() -> WireMessage:
     return WireMessage("HELLO", {"protocol_version": PROTOCOL_VERSION})
 
 
+def hello_fault(body: dict) -> str | None:
+    """Why a HELLO body does not speak this protocol; None if it does."""
+    version = body.get("protocol_version")
+    if type(version) is int and version == PROTOCOL_VERSION:
+        return None
+    return f"unsupported protocol version {version!r}, expected {PROTOCOL_VERSION}"
+
+
 def result_message(gloss: str, confidence_pct: float) -> WireMessage:
     return WireMessage("RESULT", {"gloss": gloss, "confidence_pct": confidence_pct})
 
@@ -205,14 +213,17 @@ _KIND_SHAPES = {
 
 
 def reply_body(msg: WireMessage) -> dict:
-    """msg's body once it holds what a client reads of its type, each SCRIPT
-    event fits its kind's shape and no event time is negative; else
-    ProtocolViolation naming "{type} reply" (this is remote input)."""
+    """msg's body once it holds what a client reads of its type, a HELLO
+    speaks this protocol, each SCRIPT event fits its kind's shape and no
+    event time is negative; else ProtocolViolation naming "{type} reply"
+    (this is remote input)."""
     what = f"{msg.type} reply"
     if msg.type not in _REPLY_SHAPES:
         raise ProtocolViolation(f"{what}: a server may not send {msg.type}")
     body = check_json(msg.body, what, ProtocolViolation, _REPLY_SHAPES[msg.type],
                       required=True)
+    if msg.type == "HELLO" and (fault := hello_fault(body)) is not None:
+        raise ProtocolViolation(f"{what}: {fault}")
     for ev in body["timeline"]["events"] if msg.type == "SCRIPT" else ():
         kind = ev.get("kind")
         if not (isinstance(kind, str) and kind in _KIND_SHAPES):

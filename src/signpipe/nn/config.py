@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..errors import ValidationError
-from ..jsonio import check_json, load_json, write_text
+from ..jsonio import check_fields, check_json, load_json, write_text
 from ..landmarks import LabelMap
 
 __all__ = ["ModelConfig", "DEFAULT_CONFIG"]
@@ -78,9 +78,7 @@ class ModelConfig:
     def from_dict(cls, data: dict, origin: str = "model config") -> "ModelConfig":
         fields = dict.fromkeys(cls.__dataclass_fields__, int)
         check_json(data, origin, ValidationError, fields | {"extractor_dims": [int]})
-        unknown = set(data) - set(fields)
-        if unknown:
-            raise ValidationError(f"{origin}: unknown fields {sorted(unknown)}")
+        check_fields(data, origin, ValidationError, fields)
         if "extractor_dims" in data:
             data = dict(data, extractor_dims=tuple(data["extractor_dims"]))
         return cls(**data)

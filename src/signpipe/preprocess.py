@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateInputError, ValidationError
-from .jsonio import parse_json, read_text, write_text
+from .jsonio import check_fields, parse_json, read_text, write_text
 from .landmarks import KIND_CAPACITY, LandmarkKind, SignSample, frame_ordinal
 from .nn.ops import STD_FLOOR
 
@@ -99,7 +99,9 @@ class SelectionSpec:
 
     @classmethod
     def from_json(cls, text: str, origin: str = "selection spec") -> "SelectionSpec":
-        data = parse_json(text, origin, ValidationError, {"lips": [int], "pose": [int]})
+        shape = {"lips": [int], "pose": [int]}
+        data = check_fields(parse_json(text, origin, ValidationError, shape),
+                            origin, ValidationError, shape)
         return cls(tuple(data.get("lips", DEFAULT_LIPS)),
                    tuple(data.get("pose", DEFAULT_POSE)))
 
@@ -207,20 +209,22 @@ def _resample_matrix(flat: np.ndarray, target_len: int) -> np.ndarray:
     return flat[lo] * (1.0 - frac) + flat[hi] * frac
 
 
+_OTHER_HAND = {LandmarkKind.LEFT_HAND: LandmarkKind.RIGHT_HAND,
+               LandmarkKind.RIGHT_HAND: LandmarkKind.LEFT_HAND}
+_POSE_PARTNER = dict(POSE_FLIP_PAIRS) | {b: a for a, b in POSE_FLIP_PAIRS}
+
+
+def _mirror(kind: LandmarkKind, index: int) -> tuple[LandmarkKind, int]:
+    """The landmark a horizontal flip puts in place of (kind, index)."""
+    if kind is LandmarkKind.POSE:
+        return kind, _POSE_PARTNER.get(index, index)
+    return _OTHER_HAND.get(kind, kind), index
+
+
 def _flip_permutation(spec: SelectionSpec) -> np.ndarray:
-    perm = np.arange(spec.num_landmarks)
-    nl = len(spec.lips)
-    left = np.arange(nl, nl + _HAND_COUNT)
-    right = left + _HAND_COUNT
-    perm[left] = right
-    perm[right] = left
-    pose_base = nl + 2 * _HAND_COUNT
-    pose_pos = {idx: pose_base + i for i, idx in enumerate(spec.pose)}
-    for a, b in POSE_FLIP_PAIRS:
-        if a in pose_pos and b in pose_pos:
-            perm[pose_pos[a]] = pose_pos[b]
-            perm[pose_pos[b]] = pose_pos[a]
-    return perm
+    """Each selected row's mirror row; one whose mirror is not selected stays."""
+    rows = spec.row_of()
+    return np.array([rows.get(_mirror(*key), r) for key, r in rows.items()])
 
 
 def flip_horizontal(frames, spec: SelectionSpec) -> np.ndarray:

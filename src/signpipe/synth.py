@@ -24,6 +24,7 @@ __all__ = [
 # Offset separating template seeds from sample-noise seeds.
 _TEMPLATE_SEED_BASE = 10_000
 _NUM_ANCHORS = 4
+_NOISE = 0.02  # std of the Gaussian jitter on each coordinate
 
 
 def synthetic_label_map(num_classes: int) -> LabelMap:
@@ -37,9 +38,7 @@ def _class_template(class_id: int, num_landmarks: int) -> np.ndarray:
     return rng.uniform(0.2, 0.8, size=(_NUM_ANCHORS, num_landmarks, 2))
 
 
-def make_synthetic_samples(num_classes: int, per_class: int,
-                           spec: SelectionSpec | None = None,
-                           seed: int = 0, noise: float = 0.02,
+def make_synthetic_samples(num_classes: int, per_class: int, seed: int = 0,
                            length_range: tuple[int, int] = (24, 40),
                            id_prefix: str = "syn") -> list[SignSample]:
     """per_class samples for each of num_classes classes, class-major order."""
@@ -49,7 +48,7 @@ def make_synthetic_samples(num_classes: int, per_class: int,
     lo, hi = length_range
     if not 1 <= lo <= hi:
         raise ValidationError(f"bad length_range {length_range}")
-    spec = spec or SelectionSpec()
+    spec = SelectionSpec()
     kind, index = spec.landmarks()
     rng = np.random.default_rng(seed)
     samples: list[SignSample] = []
@@ -59,7 +58,7 @@ def make_synthetic_samples(num_classes: int, per_class: int,
             length = int(rng.integers(lo, hi + 1))
             coords = _resample_matrix(flat_anchors, length).reshape(length, -1, 2)
             xyz = np.zeros((length, len(kind), 3))
-            xyz[..., :2] = coords + rng.normal(0.0, noise, size=coords.shape)
+            xyz[..., :2] = coords + rng.normal(0.0, _NOISE, size=coords.shape)
             rows = LandmarkRows(np.repeat(np.arange(length), len(kind)),
                                 np.tile(kind, length), np.tile(index, length), xyz)
             samples.append(SignSample(f"{id_prefix}-{c:02d}-{i:03d}", rows, c))

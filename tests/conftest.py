@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import glob
+import http.server
+import json
 import math
 import threading
 import time
@@ -39,6 +42,39 @@ def no_leaked_threads():
         thread.join(timeout=max(0.0, give_up - time.monotonic()))
     alive = [t.name for t in started if t.is_alive()]
     assert not alive, f"threads still running after the test: {alive}"
+
+
+def chat_reply(content: str, size: int | None = None) -> bytes:
+    """A well-formed chat-completions reply carrying content, padded with
+    trailing spaces to size bytes when size is given."""
+    body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+    return body if size is None else body + b" " * (size - len(body))
+
+
+@contextlib.contextmanager
+def chat_http_stub(body: bytes):
+    """An HTTP endpoint on 127.0.0.1 that answers every POST with body.
+    Yields its base URL."""
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    with http.server.HTTPServer(("127.0.0.1", 0), Handler) as server:
+        thread = threading.Thread(target=server.serve_forever, name="chat-http-stub")
+        thread.start()
+        try:
+            yield "http://%s:%d" % server.server_address
+        finally:
+            server.shutdown()
+            thread.join(timeout=10.0)
 
 
 def child_pids() -> set[int]:

@@ -24,6 +24,8 @@ from signpipe.netpipe import DEFAULT_PORT, robot_sim, serve
 from signpipe.preprocess import SelectionSpec
 from signpipe.synth import make_synthetic_samples
 
+from conftest import chat_http_stub, chat_reply
+
 SMALL_MODEL = {
     "input_dim": 176,
     "extractor_dims": [16],
@@ -244,6 +246,38 @@ class TestTrain:
             assert code == 2
             assert capsys.readouterr().out == ""
             assert not (tmp_path / "w.sgnw").exists()
+
+    def test_val_split_that_leaves_no_training_samples(self, tmp_path, capsys):
+        corpus = tmp_path / "two.csv"
+        write_corpus(make_synthetic_samples(1, 2, seed=5), corpus)
+        code = main(["train", str(corpus), "--out", str(tmp_path / "w.sgnw"),
+                     "--val-split", "0.9"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: --val-split leaves no training samples\n"
+        assert not (tmp_path / "w.sgnw").exists()
+
+    def test_corpus_with_no_samples(self, tmp_path, capsys):
+        corpus = tmp_path / "empty.csv"
+        write_corpus([], corpus)
+        code = main(["train", str(corpus), "--out", str(tmp_path / "w.sgnw")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: corpus {corpus} has no samples\n"
+        assert not (tmp_path / "w.sgnw").exists()
+
+    def test_spec_with_an_unknown_key(self, workdir, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"lip": [0, 13]}')
+        code = main(["train", str(workdir / "train.csv"), "--out", str(tmp_path / "w.sgnw"),
+                     "--model-config", str(workdir / "model.json"), "--spec", str(spec)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: selection spec {spec}: unknown fields ['lip']\n"
+        assert not (tmp_path / "w.sgnw").exists()
 
 
 class TestInfer:
@@ -551,6 +585,16 @@ class TestCompose:
         code = main(["compose", "--gloss", "x", "--confidence", "50",
                      "--backend", "http"])
         assert code == 2
+
+    def test_http_backend_prints_the_reply(self, monkeypatch, capsys):
+        monkeypatch.setenv("SIGNPIPE_API_KEY", "k")
+        monkeypatch.setenv("no_proxy", "*")  # the stub is local; no proxy is asked
+        with chat_http_stub(chat_reply("Nice one!")) as url:
+            code = main(["compose", "--gloss", "cloud", "--confidence", "90",
+                         "--backend", "http", "--http-url", url])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert (out, err) == ("Nice one!\n", "")
 
     @pytest.mark.parametrize("url", ["foo", "ftp://x"])
     def test_http_backend_url_needs_an_http_scheme(self, monkeypatch, capsys, url):

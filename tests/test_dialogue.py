@@ -4,6 +4,7 @@ import pytest
 
 from signpipe.dialogue import (
     API_KEY_ENV,
+    MAX_REPLY_BYTES,
     ComposeResult,
     DialogueWarning,
     HttpLlmBackend,
@@ -26,7 +27,7 @@ from signpipe.gesture import (
     strip_tags,
 )
 
-from conftest import SPOKEN_FIXTURE, TAGGED_FIXTURE
+from conftest import SPOKEN_FIXTURE, TAGGED_FIXTURE, chat_http_stub, chat_reply
 
 EVENT = RecognitionEvent("cloud", 90.0)
 
@@ -250,3 +251,21 @@ class TestHttpBackend:
     def test_url_scheme_must_be_http(self, url):
         with pytest.raises(ValidationError, match="not an http or https URL"):
             HttpLlmBackend(url, "m")
+
+    @pytest.fixture
+    def local_key(self, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "k")
+        monkeypatch.setenv("no_proxy", "*")  # the stub is local; no proxy is asked
+
+    def test_well_formed_reply_returns_its_content(self, local_key):
+        with chat_http_stub(chat_reply("Nice one!")) as url:
+            assert HttpLlmBackend(url, "m").complete("hi") == "Nice one!"
+
+    def test_reply_of_exactly_the_cap_returns(self, local_key):
+        with chat_http_stub(chat_reply("big", size=MAX_REPLY_BYTES)) as url:
+            assert HttpLlmBackend(url, "m").complete("hi") == "big"
+
+    def test_reply_past_the_cap_is_backend_error(self, local_key):
+        with chat_http_stub(chat_reply("big", size=MAX_REPLY_BYTES + 1)) as url:
+            with pytest.raises(BackendError, match=f"longer than {MAX_REPLY_BYTES} bytes"):
+                HttpLlmBackend(url, "m").complete("hi")

@@ -288,6 +288,45 @@ class TestReadCorpus:
                 ("s1", 7, 2), ("s2", None, 1)]
             assert math.isnan(samples[0].frames[1].z)
 
+    def test_labels_written_two_ways_take_the_column_read(self, tmp_path, monkeypatch):
+        records = ("s1,0,pose,0,0.5,0.5,0.0,{}\n"
+                   "s1,1,pose,0,0.5,0.5,,{}\n"
+                   "s2,0,face,3,0.1,0.2,0.3,\n")
+        plain = write_text(tmp_path / "a.csv", HEADER + "\n" + records.format("7", "7"))
+        mixed = write_text(tmp_path / "b.csv", HEADER + "\n" + records.format("7", "07"))
+
+        def record_read(fh):
+            raise AssertionError("a corpus with no fault was read record by record")
+
+        monkeypatch.setattr(landmarks, "_read_records", record_read)
+        assert read_corpus(mixed) == read_corpus(plain)
+
+    def test_label_and_empty_label_differ(self, tmp_path):
+        p = write_text(
+            tmp_path / "c.csv",
+            f"{HEADER}\ns1,0,pose,0,0.5,0.5,0.0,7\ns1,1,pose,0,0.5,0.5,0.0,\n",
+        )
+        with pytest.raises(CorpusFormatError,
+                           match=r"^inconsistent label for sample 's1' \(line 3\)$"):
+            read_corpus(p)
+
+    def test_label_that_changes_between_runs(self, tmp_path):
+        p = write_text(
+            tmp_path / "c.csv",
+            f"{HEADER}\n"
+            "A,0,pose,0,0.1,0.1,,1\n"
+            "B,0,pose,0,0.2,0.2,,1\n"
+            "A,1,pose,0,0.3,0.3,,2\n",
+        )
+        with pytest.raises(CorpusFormatError,
+                           match=r"^inconsistent label for sample 'A' \(line 4\)$"):
+            read_corpus(p)
+
+    def test_empty_file_has_no_header(self, tmp_path):
+        p = write_text(tmp_path / "c.csv", "")
+        with pytest.raises(CorpusFormatError, match=r"^missing header \(line 1\)$"):
+            read_corpus(p)
+
     def test_field_over_the_csv_limit_names_its_line(self, tmp_path):
         # csv refuses fields over 131072 characters; the record spanning
         # lines 3-4 comes before the one that is too long.

@@ -1137,13 +1137,13 @@ def raw_frame(msg_type, body) -> bytes:
 
 
 @contextlib.contextmanager
-def scripted_server(*frames: bytes):
-    """A one-connection server: it answers HELLO and BYE in kind and every
-    LANDMARKS with frames, sent as they are; given none, it hangs up on
-    LANDMARKS. Yields its address."""
+def scripted_server(*frames: bytes, hello: bytes = encode_frame(HELLO)):
+    """A one-connection server: it answers HELLO with hello (by default in
+    kind), BYE in kind and every LANDMARKS with frames, sent as they are;
+    given none, it hangs up on LANDMARKS. Yields its address."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(10.0)
-    replies = {"HELLO": encode_frame(HELLO), "LANDMARKS": b"".join(frames),
+    replies = {"HELLO": hello, "LANDMARKS": b"".join(frames),
                "BYE": encode_frame(BYE)}
 
     def run():
@@ -1297,6 +1297,23 @@ class TestRobotReplies:
         [record] = [r for r in caplog.records if r.name == "signpipe.netpipe.robot"]
         assert record.getMessage() == f"session failed: {message}"
         assert log.read_text(encoding="utf-8") == "SAMPLE s1\n"
+
+    @pytest.mark.parametrize("body, version", [
+        ({"protocol_version": 2}, "2"), ({}, "None"),
+        ({"protocol_version": 1.0}, "1.0"), ({"protocol_version": True}, "True"),
+    ], ids=["two", "missing", "float", "bool"])
+    def test_hello_of_another_protocol_fails_with_one_logged_error(
+            self, tmp_path, caplog, body, version):
+        log = tmp_path / "robot.log"
+        with scripted_server(hello=raw_frame("HELLO", body)) as address:
+            with caplog.at_level(logging.ERROR, logger="signpipe.netpipe.robot"):
+                status = robot_sim(address, [make_sample(sample_id="s1")], log,
+                                   timeout_s=5.0)
+        assert status == 1
+        [record] = [r for r in caplog.records if r.name == "signpipe.netpipe.robot"]
+        assert record.getMessage() == (
+            f"session failed: HELLO reply: unsupported protocol version {version}, expected 1")
+        assert log.read_text(encoding="utf-8") == ""
 
     def test_realtime_script_within_the_timeout_is_waited_out(self, tmp_path):
         script = _with(GOOD_SCRIPT, ("timeline", "events", 2, "start_s"), 0.3)

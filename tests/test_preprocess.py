@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from signpipe.errors import DegenerateInputError, ValidationError
-from signpipe.landmarks import LandmarkFrame, LandmarkKind, SignSample
+from signpipe import preprocess
+from signpipe.landmarks import KIND_CAPACITY, LandmarkFrame, LandmarkKind, SignSample
 from signpipe.preprocess import (
     DEFAULT_LIPS,
     DEFAULT_POSE,
     MAX_RESAMPLE_SCALE,
+    POSE_FLIP_PAIRS,
     AugmentConfig,
     SelectionSpec,
     augment,
@@ -73,6 +76,11 @@ class TestSelectionSpec:
             SelectionSpec.from_json('{"lips": ["a"]}')
         with pytest.raises(ValidationError):
             SelectionSpec.from_json("{nope")
+
+    def test_from_json_rejects_an_unknown_key(self):
+        with pytest.raises(ValidationError,
+                           match=r"^selection spec: unknown fields \['lip'\]$"):
+            SelectionSpec.from_json('{"lip": [0, 13]}')
 
     def test_save_load_round_trip(self, tmp_path):
         spec = SelectionSpec(lips=(0, 13), pose=(15, 16))
@@ -225,6 +233,39 @@ class TestFlip:
         f[82:85, 1] = [10.0, 20.0, 30.0]
         out = flip_horizontal([f], spec)[0]
         np.testing.assert_array_equal(out[82:85, 1], [10.0, 30.0, 20.0])
+
+
+def reference_flip_permutation(spec):
+    """The flip that `_flip_permutation` replaced, kept as its reference: it
+    works out the hand and pose row offsets of the lips, hands, pose layout."""
+    hands = KIND_CAPACITY[LandmarkKind.LEFT_HAND]
+    perm = np.arange(spec.num_landmarks)
+    nl = len(spec.lips)
+    left = np.arange(nl, nl + hands)
+    right = left + hands
+    perm[left] = right
+    perm[right] = left
+    pose_base = nl + 2 * hands
+    pose_pos = {idx: pose_base + i for i, idx in enumerate(spec.pose)}
+    for a, b in POSE_FLIP_PAIRS:
+        if a in pose_pos and b in pose_pos:
+            perm[pose_pos[a]] = pose_pos[b]
+            perm[pose_pos[b]] = pose_pos[a]
+    return perm
+
+
+def _indices(capacity, max_size):
+    return st.sets(st.integers(0, capacity - 1), max_size=max_size).map(sorted).map(tuple)
+
+
+@given(lips=_indices(KIND_CAPACITY[LandmarkKind.FACE], 40),
+       pose=_indices(KIND_CAPACITY[LandmarkKind.POSE], 33))
+def test_flip_permutation_matches_the_reference(lips, pose):
+    spec = SelectionSpec(lips, pose)
+    perm = preprocess._flip_permutation(spec)
+    expected = reference_flip_permutation(spec)
+    assert perm.dtype == expected.dtype
+    np.testing.assert_array_equal(perm, expected)
 
 
 class TestAugment:
