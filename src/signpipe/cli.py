@@ -39,7 +39,7 @@ from .gesture import (
     playtime_stats,
     render_markup,
 )
-from .jsonio import load_json, replacing
+from .jsonio import check_fields, load_json, replacing
 from .landmarks import LabelMap, read_corpus, read_label_map
 from .netpipe import DEFAULT_PORT, ServerConfig, robot_sim, serve
 from .preprocess import AugmentConfig, SelectionSpec, preprocess_pipeline
@@ -75,8 +75,9 @@ def _load_config_file(args) -> dict:
     path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
     if not path:
         return {}
+    what = f"config file {path}"
     shape = {key: cast for key, (cast, _) in _SETTINGS.items()}
-    return load_json(path, f"config file {path}", UsageError, shape)
+    return check_fields(load_json(path, what, UsageError, shape), what, UsageError, _SETTINGS)
 
 
 def _resolve_settings(args) -> None:

@@ -21,6 +21,9 @@ import csv
 import io
 import json
 import math
+import os
+import pickle
+import signal
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -354,14 +357,16 @@ def _samples(columns: dict[str, list], labels: dict[str, int | None],
     return samples
 
 
-def _read_columns(fh) -> list[SignSample] | None:
-    """The corpus read a chunk of records at a time, with one C-level
+def _read_columns(lines, header: bool):
+    """(columns, labels) of the records in lines, after the header if
+    `header`, read a chunk of records at a time, with one C-level
     conversion per column of each run of records that share a sample_id;
     None at the first fault of any kind."""
-    reader = csv.reader(fh)
+    reader = csv.reader(lines)
     columns, labels = {}, {}
     try:
-        _check_header(reader)
+        if header:
+            _check_header(reader)
         while chunk := list(islice(reader, _CHUNK_ROWS)):
             if [] in chunk:  # blank lines
                 chunk = [row for row in chunk if row]
@@ -380,7 +385,150 @@ def _read_columns(fh) -> list[SignSample] | None:
                     column.extend(part)
     except (csv.Error, UnicodeDecodeError):
         return None
-    return _samples(columns, labels)
+    return columns, labels
+
+
+# The least a file holds per part before it is split. On a 2-vCPU box two
+# parts broke even with one stream at ~1 MiB of corpus (the fork, the pipe
+# and the pickled columns) and read 4 and 8 MiB 35-39% faster.
+_MIN_PART_BYTES = 4 << 20
+_BLOCK_BYTES = 64 << 10  # read at a time; larger blocks raise the peak RSS
+_UNSPLIT = "unsplit"  # a part that asks for the file to be read as one stream
+
+
+class _Quoted(Exception):
+    """A byte range holds a quote, so a cut may have split a quoted field."""
+
+
+def _line_start(fd: int, offset: int) -> int:
+    """The first offset at or after `offset` (> 0) that follows a newline,
+    or the end of the file."""
+    offset -= 1
+    while block := os.pread(fd, _BLOCK_BYTES, offset):
+        newline = block.find(b"\n")
+        if newline >= 0:
+            return offset + newline + 1
+        offset += len(block)
+    return offset
+
+
+def _ranges(fd: int) -> list[tuple[int, int]]:
+    """Line-aligned byte ranges that split the file: one per available CPU,
+    each of at least _MIN_PART_BYTES. A pipe's size reads 0: one range, as
+    where the CPUs cannot be read (no sched_getaffinity, as on macOS)."""
+    size = os.fstat(fd).st_size
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = min(cpus, size // _MIN_PART_BYTES)
+    cuts = sorted({0, size, *(_line_start(fd, i * size // parts) for i in range(1, parts))})
+    return list(zip(cuts, cuts[1:]))
+
+
+def _range_lines(fd: int, start: int, stop: int):
+    """The lines of bytes [start, stop), which start and end a line, split
+    as a file opened with newline="" splits them; raises _Quoted at a block
+    that holds a quote, before any line of it is yielded."""
+    tail = b""
+    while start < stop and (data := os.pread(fd, min(_BLOCK_BYTES, stop - start), start)):
+        start += len(data)
+        block = tail + data
+        if b'"' in block:
+            raise _Quoted
+        cut = block.rfind(b"\n") + 1 if start < stop else len(block)
+        yield from io.StringIO(block[:cut].decode("utf-8"), newline="")
+        tail = block[cut:]
+
+
+def _read_range(fd: int, start: int, stop: int, header: bool):
+    """`_read_columns` of bytes [start, stop), or _UNSPLIT if they hold a
+    quote."""
+    try:
+        return _read_columns(_range_lines(fd, start, stop), header)
+    except _Quoted:
+        return _UNSPLIT
+
+
+def _fork_part(fd: int, start: int, stop: int):
+    """(pid, pipe) of a child that sends `_read_range` of bytes [start,
+    stop) down the pipe. The child ends in os._exit, so it never returns to
+    the caller's code and never flushes the stdio it inherited."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as out:
+                pickler = pickle.Pickler(out, pickle.HIGHEST_PROTOCOL)
+                pickler.fast = True  # no memo, so each column is freed once sent
+                pickler.dump(_read_range(fd, start, stop, header=False))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def _read_parts(fd: int, ranges: list[tuple[int, int]]) -> list:
+    """`_read_range` of each range, in order: the first in this process,
+    header included, while a forked child reads each other one. A child
+    that cannot be forked, or sends no part, asks for one stream. Every
+    child is killed and reaped before this returns or raises."""
+    children = []
+    try:
+        try:
+            for start, stop in ranges[1:]:
+                children.append(_fork_part(fd, start, stop))
+        except OSError:
+            return [_UNSPLIT]
+        parts = [_read_range(fd, *ranges[0], header=True)]
+        for _, pipe in children:
+            try:
+                parts.append(pickle.load(pipe))
+            except (EOFError, pickle.UnpicklingError):
+                parts.append(_UNSPLIT)
+        return parts
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _merge(parts: list) -> tuple[dict, dict] | None:
+    """The parts' (columns, labels) joined in part order, emptying parts: a
+    sample that runs on across a cut is extended, and a sample new to the
+    merge is taken as it is. None if a sample's label differs across parts."""
+    columns, labels = parts.pop(0)
+    while parts:
+        part_columns, part_labels = parts.pop(0)
+        for sample_id, values in part_columns.items():
+            if sample_id not in columns:
+                columns[sample_id], labels[sample_id] = values, part_labels[sample_id]
+            elif labels[sample_id] != part_labels[sample_id]:
+                return None
+            else:
+                for column, part in zip(columns[sample_id], values):
+                    column.extend(part)
+    return columns, labels
+
+
+def _read_chunked(fh) -> list[SignSample] | None:
+    """The corpus read by `_read_columns`, as line-aligned byte ranges at
+    once (`_read_parts`), or as one stream from fh: for a file too small to
+    split, a pipe, or a file with a quote anywhere, since a quoted field may
+    hold a line break. None at the first fault of any kind."""
+    ranges = _ranges(fh.fileno())
+    parts = _read_parts(fh.fileno(), ranges) if len(ranges) > 1 else [_UNSPLIT]
+    if _UNSPLIT in parts:
+        parts = [_read_columns(fh, header=True)]
+    if None in parts or (merged := _merge(parts)) is None:
+        return None
+    return _samples(*merged)
 
 
 def _read_records(fh) -> list[SignSample]:
@@ -442,11 +590,15 @@ def read_corpus(path: str | Path) -> list[SignSample]:
     are checked once the whole file has parsed, sample by sample in order of
     first appearance. Only a faulty file is read a second time, record by
     record, to name its fault.
+
+    A large regular file with no quote in it is parsed as line-aligned byte
+    ranges at once, one per available CPU, each but the first in a forked
+    child that has ended by the time this returns or raises.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            samples = _read_columns(fh)
+            samples = _read_chunked(fh)
         if samples is None:
             with path.open(newline="", encoding="utf-8") as fh:
                 samples = _read_records(fh)

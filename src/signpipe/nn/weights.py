@@ -39,8 +39,6 @@ def write_tensors(tensors: dict[str, np.ndarray], f: BinaryIO) -> None:
         if not 0 < len(nb) <= 0xFFFF:
             raise WeightFormatError(f"tensor name {name!r} has unusable length")
         a = np.ascontiguousarray(arr, dtype="<f4")
-        if a.ndim > 0xFF:
-            raise WeightFormatError(f"tensor {name!r} rank {a.ndim} exceeds 255")
         f.write(struct.pack(f"<H{len(nb)}sB{a.ndim}I", len(nb), nb, a.ndim, *a.shape))
         f.write(a)
 

@@ -518,6 +518,12 @@ class TestSettingPrecedence:
         assert main(["compose", "--gloss", "x", "--confidence", "50",
                      "--config", str(bad)]) == 2
 
+    def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": 3, "seed": 1}))
+        assert main(["stats", "--config", str(cfg)]) == 2
+        assert "unknown fields ['seeds']" in capsys.readouterr().err
+
     def test_bad_env_value_type(self, monkeypatch, capsys):
         monkeypatch.setenv("SIGNPIPE_SEED", "not-a-number")
         assert main(["compose", "--gloss", "cloud", "--confidence", "90"]) == 2

@@ -1,9 +1,17 @@
 """Corpus format, domain types, and their invariants."""
 
+import ast
 import csv
+import errno
 import hashlib
+import io
 import math
+import os
+import pickle
+import threading
+import time
 from array import array
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -36,6 +44,10 @@ HEADER = ",".join(CORPUS_HEADER)
 def write_text(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def read_records_refused(fh):
+    raise AssertionError("a corpus with no fault was read record by record")
 
 
 class TestKinds:
@@ -294,11 +306,7 @@ class TestReadCorpus:
                    "s2,0,face,3,0.1,0.2,0.3,\n")
         plain = write_text(tmp_path / "a.csv", HEADER + "\n" + records.format("7", "7"))
         mixed = write_text(tmp_path / "b.csv", HEADER + "\n" + records.format("7", "07"))
-
-        def record_read(fh):
-            raise AssertionError("a corpus with no fault was read record by record")
-
-        monkeypatch.setattr(landmarks, "_read_records", record_read)
+        monkeypatch.setattr(landmarks, "_read_records", read_records_refused)
         assert read_corpus(mixed) == read_corpus(plain)
 
     def test_label_and_empty_label_differ(self, tmp_path):
@@ -579,3 +587,248 @@ class TestReaderAgainstReference:
         p.write_bytes(f"{HEADER}\n{good}".encode() + b"a,600,pose,0,\xff,0.1,,1\n")
         kind, message = outcome(read_corpus, p)
         assert kind is CorpusFormatError and "not UTF-8" in message
+
+
+# -- the split read -----------------------------------------------------------
+
+PARENT = os.getpid()
+FORK = os.fork
+
+
+def split_read(path, cpus, fork=FORK, block=landmarks._BLOCK_BYTES):
+    """read_corpus with every file split into up to `cpus` parts (any size
+    is large enough to split), forking through `fork` and reading `block`
+    bytes at a time."""
+    with mock.patch.object(landmarks, "_MIN_PART_BYTES", 1), \
+         mock.patch.object(landmarks, "_BLOCK_BYTES", block), \
+         mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))), \
+         mock.patch.object(os, "fork", fork):
+        return outcome(read_corpus, path)
+
+
+def one_part_read(path):
+    return split_read(path, 1, refuse_fork)
+
+
+def refuse_fork():
+    raise AssertionError("forked")
+
+
+class ForkSpy:
+    """os.fork that records the pid of each child it forks."""
+
+    def __init__(self):
+        self.pids = []
+
+    def __call__(self):
+        pid = FORK()
+        if pid:
+            self.pids.append(pid)
+        return pid
+
+
+def rows_csv(rows, terminator="\n"):
+    return terminator.join([HEADER, *rows]) + terminator
+
+
+# One sample whose rows run across every cut, between two short ones. The
+# second id holds characters that str.splitlines, unlike a file, breaks at.
+LONG = [f"long,{t},pose,{i},0.{t},0.{i},,4" for t in range(20) for i in range(3)]
+STRADDLING = ["a,0,face,1,0.1,0.2,0.3,1", *LONG[:30], "b\x0c\u2028,0,pose,0,0.5,,,",
+              *LONG[30:], "a,1,face,1,0.1,0.2,0.3,1"]
+
+
+class TestSplitRead:
+    @settings(deadline=None, max_examples=150)
+    @given(corpus_rows(), st.sampled_from([2, 3, 4]), st.sampled_from([1, 3, 512]),
+           st.sampled_from(["\r\n", "\n"]), st.sampled_from([1, 7, 1 << 16]),
+           st.booleans())
+    def test_same_outcome_as_the_one_part_read(self, tmp_path_factory, rows, cpus,
+                                               chunk_rows, terminator, block, last_ends):
+        p = tmp_path_factory.mktemp("corpus") / "c.csv"
+        text = io.StringIO(newline="")
+        writer = csv.writer(text, lineterminator=terminator)
+        writer.writerow(CORPUS_HEADER)
+        writer.writerows(rows)
+        text = text.getvalue()
+        p.write_bytes((text if last_ends else text.removesuffix(terminator)).encode())
+        with mock.patch.object(landmarks, "_CHUNK_ROWS", chunk_rows):
+            got = split_read(p, cpus, block=block)
+            assert got == one_part_read(p)
+        assert got == outcome(reference_read_corpus, p)
+
+    @pytest.mark.parametrize("terminator", ["\n", "\r\n"])
+    @pytest.mark.parametrize("blank", [False, True])
+    @pytest.mark.parametrize("block", [5, 1 << 16])
+    def test_samples_that_straddle_the_cuts(self, tmp_path, monkeypatch, terminator, blank,
+                                            block):
+        rows = [row for r in STRADDLING for row in ([r, ""] if blank else [r])]
+        p = tmp_path / "c.csv"
+        p.write_bytes(rows_csv(rows, terminator).encode())
+        monkeypatch.setattr(landmarks, "_read_records", read_records_refused)
+        spy = ForkSpy()
+        got = split_read(p, 4, spy, block)
+        assert len(spy.pids) == 3
+        assert got == one_part_read(p) == outcome(reference_read_corpus, p)
+        assert [(s.sample_id, s.label, len(s.frames)) for s in got] == [
+            ("a", 1, 2), ("long", 4, 60), ("b\x0c\u2028", None, 1)]
+
+    @pytest.mark.parametrize("row, fault", [
+        (50, "long,{t},pose,x,0.1,0.1,,4"),         # a field, in the last part
+        (50, "long,{t},pose,0,0.1,0.1,,5"),         # a label, caught by the merge
+        (50, "long,0,pose,0,0.1,0.1,,4"),           # a row, caught after the merge
+        (40, "long,{t},pose,0,0.1,0.1,,4,extra"),
+        (45, "a,9,face,1,0.1,0.2,0.3,2"),           # a label, in a later part
+        (-1, "a,1,face,1,0.1,0.2,0.3,2"),           # a label only the merge sees
+    ])
+    def test_a_fault_in_a_childs_part_is_named_as_one_stream_names_it(
+            self, tmp_path, row, fault):
+        rows = list(STRADDLING)
+        rows[row] = fault.format(t=50)
+        p = write_text(tmp_path / "c.csv", rows_csv(rows))
+        spy = ForkSpy()
+        got = split_read(p, 4, spy)
+        assert len(spy.pids) == 3
+        assert got[0] is CorpusFormatError
+        assert got == one_part_read(p) == outcome(reference_read_corpus, p)
+
+    def test_a_quoted_corpus_reads_as_one_stream(self, tmp_path, monkeypatch):
+        # A cut falls inside the quoted id's line breaks.
+        quoted = '"' + "\n".join(f"line {i}" for i in range(40)) + '",0,pose,0,0.1,0.1,,2'
+        p = write_text(tmp_path / "c.csv", rows_csv([*STRADDLING[:5], quoted, *STRADDLING[5:]]))
+        streams = []
+        read_columns = landmarks._read_columns
+
+        def spy(lines, header):
+            if os.getpid() == PARENT:
+                streams.append(isinstance(lines, io.TextIOWrapper))
+            return read_columns(lines, header)
+
+        monkeypatch.setattr(landmarks, "_read_columns", spy)
+        monkeypatch.setattr(landmarks, "_read_records", read_records_refused)
+        fork = ForkSpy()
+        got = split_read(p, 4, fork)
+        assert fork.pids and streams == [False, True]
+        assert got == outcome(reference_read_corpus, p)
+        assert got[2].sample_id.count("\n") == 39
+
+
+def fail_in_a_child(read_range):
+    """read_range, except that it raises in a forked child."""
+    def read(fd, start, stop, header):
+        if os.getpid() != PARENT:
+            raise RuntimeError("a child's part failed")
+        return read_range(fd, start, stop, header)
+    return read
+
+
+class TestSplitReadProcesses:
+    def test_a_fifo_reads_as_one_stream(self, tmp_path):
+        p = tmp_path / "fifo.csv"
+        os.mkfifo(p)
+        data = rows_csv(STRADDLING).encode()
+        writer = threading.Thread(target=p.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        got = split_read(p, 4, refuse_fork)
+        writer.join(timeout=10.0)
+        file = write_text(tmp_path / "c.csv", data.decode())
+        assert got == outcome(reference_read_corpus, file)
+
+    def test_one_cpu_forks_nothing(self, tmp_path):
+        p = write_text(tmp_path / "c.csv", rows_csv(STRADDLING))
+        assert split_read(p, 1, refuse_fork) == outcome(reference_read_corpus, p)
+
+    def test_a_fork_that_fails_reads_one_stream(self, tmp_path):
+        p = write_text(tmp_path / "c.csv", rows_csv(STRADDLING))
+        spy = ForkSpy()
+
+        def fork_once():
+            if spy.pids:
+                raise BlockingIOError(errno.EAGAIN, "fork")
+            return spy()
+
+        assert split_read(p, 4, fork_once) == outcome(reference_read_corpus, p)
+        assert len(spy.pids) == 1
+
+    def test_an_error_in_the_parents_part_kills_and_reaps_every_child(
+            self, tmp_path, monkeypatch):
+        p = write_text(tmp_path / "c.csv", rows_csv(STRADDLING))
+        read_range = landmarks._read_range
+
+        def stall_or_fail(fd, start, stop, header):
+            if os.getpid() == PARENT:
+                raise RuntimeError("the parent's part failed")
+            time.sleep(60)  # a child that would outlive the read if left alone
+            return read_range(fd, start, stop, header)
+
+        monkeypatch.setattr(landmarks, "_read_range", stall_or_fail)
+        spy = ForkSpy()
+        began = time.monotonic()
+        with pytest.raises(RuntimeError, match="parent's part"):
+            split_read(p, 3, spy)
+        assert time.monotonic() - began < 30
+        assert len(spy.pids) == 2
+        for pid in spy.pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)  # already reaped
+
+    def test_a_part_no_child_sends_is_read_here(self, tmp_path, monkeypatch):
+        p = write_text(tmp_path / "c.csv", rows_csv(STRADDLING))
+        monkeypatch.setattr(landmarks, "_read_range", fail_in_a_child(landmarks._read_range))
+        spy = ForkSpy()
+        assert split_read(p, 4, spy) == outcome(reference_read_corpus, p)
+        assert len(spy.pids) == 3
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_a_child_ends_in_os_exit_without_flushing_inherited_stdio(
+            self, tmp_path, monkeypatch, fails):
+        p = write_text(tmp_path / "c.csv", rows_csv(STRADDLING))
+        if fails:
+            monkeypatch.setattr(landmarks, "_read_range",
+                                fail_in_a_child(landmarks._read_range))
+        out = tmp_path / "out.txt"
+        with out.open("w", encoding="utf-8") as buffered, p.open("rb") as corpus:
+            buffered.write("written once\n")  # left in the buffer the child inherits
+            pid, pipe = landmarks._fork_part(corpus.fileno(), len(HEADER) + 1,
+                                             p.stat().st_size)
+            with pipe:
+                sent = pipe.read()
+            _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == (1 if fails else 0)
+        assert out.read_text(encoding="utf-8") == "written once\n"
+        if not fails:
+            columns, labels = pickle.loads(sent)
+            assert labels == {"a": 1, "long": 4, "b\x0c\u2028": None}
+
+
+def fork_sites(source: str, module: str) -> list[str]:
+    """`module:line` of each use of os.fork, or os.forkpty, outside
+    landmarks.py, the corpus reader's one fork."""
+    if module == "landmarks.py":
+        return []
+    names = {"fork", "forkpty"}
+    return [f"{module}:{node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in names
+            or isinstance(node, ast.ImportFrom) and node.module == "os"
+            and names & {alias.name for alias in node.names}]
+
+
+def test_the_guard_finds_each_kind_of_fork():
+    source = """
+import os
+from os import fork
+from os import path, forkpty
+def f():
+    os.fork(); pid = os.forkpty()
+    socketserver.ForkingMixIn
+"""
+    assert fork_sites(source, "m.py") == ["m.py:3", "m.py:4", "m.py:6", "m.py:6"]
+    assert fork_sites(source, "landmarks.py") == []
+
+
+def test_only_the_corpus_reader_forks_itself():
+    root = Path(landmarks.__file__).parent
+    sites = [site for path in sorted(root.rglob("*.py"))
+             for site in fork_sites(path.read_text(encoding="utf-8"),
+                                    path.relative_to(root).as_posix())]
+    assert sites == []

@@ -616,6 +616,11 @@ class TestWeightFile:
         assert back["one"].shape == (1,)
         np.testing.assert_array_equal(back["cube"], tensors["cube"])
 
+    def test_numpy_refuses_a_rank_over_one_header_byte(self):
+        # write_tensors stores a rank in one byte and so relies on this cap
+        with pytest.raises(ValueError):
+            np.empty((1,) * 65)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "w.sgnw"
         p.write_bytes(b"NOPE" + b"\x00" * 8)
