@@ -14,6 +14,7 @@ import argparse
 import logging
 import math
 import os
+import signal
 import sys
 import threading
 import warnings
@@ -341,15 +342,18 @@ def cmd_serve(args) -> int:
         ),
     )
     with _usage_errors():
-        handle = serve(server_cfg)
-    host, port = handle.address
-    print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
-    try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        handle.close()
+        server = serve(server_cfg)
+    with server:
+        # SIGTERM (systemd, docker stop) stops the server as Ctrl-C does.
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            host, port = server.address
+            print(f"listening on {host}:{port}", file=sys.stderr, flush=True)
+            threading.Event().wait()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -348,12 +348,14 @@ def _samples(columns: dict[str, list], labels: dict[str, int | None],
         frames, kinds, indices, *xyz = columns.pop(sample_id)
         try:
             rows = LandmarkRows(frames, kinds, indices, np.column_stack(xyz))
-        except _RowError as e:
+            samples.append(SignSample(sample_id, rows, labels[sample_id]))
+        except ValidationError as e:  # a row, or SignSample's label rule
             if lines is None:
                 return None
-            raise CorpusFormatError(f"sample {sample_id!r}: {e}",
-                                    lines[sample_id][e.row]) from None
-        samples.append(SignSample(sample_id, rows, labels[sample_id]))
+            if isinstance(e, _RowError):
+                raise CorpusFormatError(f"sample {sample_id!r}: {e}",
+                                        lines[sample_id][e.row]) from None
+            raise CorpusFormatError(str(e), lines[sample_id][0]) from None
     return samples
 
 
@@ -414,7 +416,7 @@ def _line_start(fd: int, offset: int) -> int:
 
 def _ranges(fd: int) -> list[tuple[int, int]]:
     """Line-aligned byte ranges that split the file: one per available CPU,
-    each of at least _MIN_PART_BYTES. A pipe's size reads 0: one range, as
+    each of at least _MIN_PART_BYTES. A device's size reads 0: one range, as
     where the CPUs cannot be read (no sched_getaffinity, as on macOS)."""
     size = os.fstat(fd).st_size
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -520,8 +522,8 @@ def _merge(parts: list) -> tuple[dict, dict] | None:
 def _read_chunked(fh) -> list[SignSample] | None:
     """The corpus read by `_read_columns`, as line-aligned byte ranges at
     once (`_read_parts`), or as one stream from fh: for a file too small to
-    split, a pipe, or a file with a quote anywhere, since a quoted field may
-    hold a line break. None at the first fault of any kind."""
+    split, or a file with a quote anywhere, since a quoted field may hold a
+    line break. None at the first fault of any kind."""
     ranges = _ranges(fh.fileno())
     parts = _read_parts(fh.fileno(), ranges) if len(ranges) > 1 else [_UNSPLIT]
     if _UNSPLIT in parts:
@@ -586,10 +588,12 @@ def read_corpus(path: str | Path) -> list[SignSample]:
     Errors come in file order: the first malformed record is reported, and
     within it the first bad field in this order: column count, empty
     sample_id, label, label consistency with the sample's earlier rows,
-    kind, frame, landmark_index, x, y, z. Sample invariants (`LandmarkRows`)
-    are checked once the whole file has parsed, sample by sample in order of
+    kind, frame, landmark_index, x, y, z. Sample invariants (`LandmarkRows`
+    and `SignSample`'s label rule, named at the sample's first record) are
+    checked once the whole file has parsed, sample by sample in order of
     first appearance. Only a faulty file is read a second time, record by
-    record, to name its fault.
+    record, to name its fault; a pipe, which cannot be read twice, is read
+    once, record by record.
 
     A large regular file with no quote in it is parsed as line-aligned byte
     ranges at once, one per available CPU, each but the first in a forked
@@ -598,13 +602,13 @@ def read_corpus(path: str | Path) -> list[SignSample]:
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            samples = _read_chunked(fh)
-        if samples is None:
-            with path.open(newline="", encoding="utf-8") as fh:
-                samples = _read_records(fh)
+            if fh.seekable():
+                if (samples := _read_chunked(fh)) is not None:
+                    return samples
+                fh.seek(0)
+            return _read_records(fh)
     except UnicodeDecodeError as e:
         raise CorpusFormatError(f"corpus {path}: not UTF-8 text ({e.reason})") from None
-    return samples
 
 
 def write_corpus(samples: list[SignSample], path: str | Path) -> None:

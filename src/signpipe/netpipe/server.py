@@ -41,7 +41,7 @@ from .session import Session
 from .wire import (DEFAULT_PORT, MessageSocket, WireMessage, check_port, error_message,
                    result_message, sample_from_body, script_message)
 
-__all__ = ["ServerConfig", "ServerHandle", "serve"]
+__all__ = ["ServerConfig", "serve"]
 
 log = logging.getLogger(__name__)
 
@@ -102,65 +102,6 @@ def _send(link: MessageSocket, replies: list[WireMessage]) -> list[WireMessage]:
     return replies
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    server: "_PipelineServer"
-
-    def handle(self):
-        link = MessageSocket(self.request)
-        session = Session()
-        backend = self.server.cfg.backend_factory()
-        try:
-            try:
-                while (msg := link.recv()) is not None:
-                    effect = session.on_message(msg)
-                    replies = list(effect.replies)
-                    if effect.sample_body is not None:
-                        replies += self._respond(backend, effect.sample_body)
-                    replies = _send(link, replies)
-                    if effect.close or replies[-1].type == "ERROR":
-                        return
-            except FrameError as e:
-                link.send(error_message("BAD_FRAME", str(e)))
-        except OSError:
-            return  # the peer is gone
-
-    def _respond(self, backend: LlmBackend, body: dict) -> list[WireMessage]:
-        """RESULT and SCRIPT for one sample, or one ERROR if the body is
-        malformed, processing fails, or the deadline passes first.
-
-        The deadline is an ITIMER_REAL alarm whose handler raises _Overdue.
-        It is armed inside the try that catches _Overdue, since the alarm
-        can fire as setitimer returns, and disarmed before any reply byte
-        is written. The exception may tear any state; every ERROR reply
-        ends the connection, and the child with it."""
-        cfg = self.server.cfg
-        try:
-            signal.setitimer(signal.ITIMER_REAL, min(cfg.deadline_s, threading.TIMEOUT_MAX))
-            try:
-                try:
-                    sample = sample_from_body(body)
-                except SignpipeError as e:
-                    return [error_message("PROTOCOL", str(e))]
-                x = preprocess_pipeline(sample, cfg.selection, cfg.model_config.max_seq_len)
-                self.server.share_blas_threads()
-                pred = predict(x, cfg.weights, cfg.model_config, cfg.labels)
-                event = RecognitionEvent(pred.gloss, pred.confidence * 100.0)
-                composed = compose(event, cfg.db, backend, cfg.template, cfg.max_retries)
-                timeline = schedule(composed.script, cfg.db, cfg.wpm)
-                return [result_message(event.gloss, event.confidence_pct),
-                        script_message(render_markup(composed.script), timeline,
-                                       composed.warnings)]
-            except SignpipeError as e:
-                return [error_message("INTERNAL", str(e))]
-            except Exception:
-                log.exception("unexpected error while processing a sample")
-                return [error_message("INTERNAL", "unexpected server error")]
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-        except _Overdue:
-            return [error_message("TIMEOUT", f"processing exceeded {cfg.deadline_s:g}s")]
-
-
 def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """OpenBLAS's get_num_threads and set_num_threads, found through numpy's
     own extension module: dlsym on its handle also searches the libraries it
@@ -205,7 +146,9 @@ def _close_inherited_sockets(keep: int) -> None:
 
 
 class _PipelineServer(socketserver.ForkingMixIn, socketserver.TCPServer):
-    """Forks one child per accepted connection. The parent alone writes the
+    """The running server: the listener, its accept thread, and one forked
+    child per accepted connection. Use as a context manager or call close();
+    address is the bound (host, port). The parent alone writes the
     live-connection count, when it forks a child and when it reaps one; the
     count sits in shared memory, where every child reads it."""
 
@@ -228,7 +171,16 @@ class _PipelineServer(socketserver.ForkingMixIn, socketserver.TCPServer):
             # CPU affinity; the children split it.
             get, self._set_blas_threads = blas
             self._blas_threads = get()
-        super().__init__((cfg.host, cfg.port), _Handler)
+        # finish_request serves each connection, so no request handler class.
+        super().__init__((cfg.host, cfg.port), None)
+        self._accept_thread = threading.Thread(
+            target=self.serve_forever, args=(_POLL_INTERVAL_S,),
+            name="signpipe-server", daemon=True)
+
+    @property
+    def address(self) -> tuple[str, int]:
+        host, port = self.server_address[:2]
+        return host, port
 
     def share_blas_threads(self) -> None:
         """Give this child's BLAS its share of the parent's threads. The live
@@ -245,10 +197,73 @@ class _PipelineServer(socketserver.ForkingMixIn, socketserver.TCPServer):
         self._live.value = len(self.active_children or ())
 
     def finish_request(self, request, client_address):
-        # ForkingMixIn calls this in the child only.
+        """Serve one connection. ForkingMixIn calls this in the child only."""
         _close_inherited_sockets(keep=request.fileno())
         signal.signal(signal.SIGALRM, _raise_overdue)
-        super().finish_request(request, client_address)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        link = MessageSocket(request)
+        session = Session()
+        backend = self.cfg.backend_factory()
+        try:
+            try:
+                while (msg := link.recv()) is not None:
+                    effect = session.on_message(msg)
+                    replies = list(effect.replies)
+                    if effect.sample_body is not None:
+                        replies += self._respond(backend, effect.sample_body)
+                    replies = _send(link, replies)
+                    if effect.close or replies[-1].type == "ERROR":
+                        return
+            except FrameError as e:
+                link.send(error_message("BAD_FRAME", str(e)))
+        except OSError:
+            return  # the peer is gone
+
+    def _respond(self, backend: LlmBackend, body: dict) -> list[WireMessage]:
+        """RESULT and SCRIPT for one sample, or one ERROR if the body is
+        malformed, processing fails, or the deadline passes first.
+
+        The deadline is an ITIMER_REAL alarm whose handler raises _Overdue.
+        It is armed inside the try that catches _Overdue, since the alarm
+        can fire as setitimer returns, and disarmed before any reply byte
+        is written. The exception may tear any state; every ERROR reply
+        ends the connection, and the child with it."""
+        cfg = self.cfg
+        try:
+            signal.setitimer(signal.ITIMER_REAL, min(cfg.deadline_s, threading.TIMEOUT_MAX))
+            try:
+                try:
+                    sample = sample_from_body(body)
+                except SignpipeError as e:
+                    return [error_message("PROTOCOL", str(e))]
+                x = preprocess_pipeline(sample, cfg.selection, cfg.model_config.max_seq_len)
+                self.share_blas_threads()
+                pred = predict(x, cfg.weights, cfg.model_config, cfg.labels)
+                event = RecognitionEvent(pred.gloss, pred.confidence * 100.0)
+                composed = compose(event, cfg.db, backend, cfg.template, cfg.max_retries)
+                timeline = schedule(composed.script, cfg.db, cfg.wpm)
+                return [result_message(event.gloss, event.confidence_pct),
+                        script_message(render_markup(composed.script), timeline,
+                                       composed.warnings)]
+            except SignpipeError as e:
+                return [error_message("INTERNAL", str(e))]
+            except Exception:
+                log.exception("unexpected error while processing a sample")
+                return [error_message("INTERNAL", "unexpected server error")]
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+        except _Overdue:
+            return [error_message("TIMEOUT", f"processing exceeded {cfg.deadline_s:g}s")]
+
+    def close(self) -> None:
+        """Stop accepting, then end every connection's child; see
+        server_close. Never waits on a client."""
+        self.shutdown()
+        self._accept_thread.join(timeout=5)
+        self.server_close()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def server_close(self):
         """Stop listening, give live children _CLOSE_GRACE_S to finish an
@@ -266,42 +281,14 @@ class _PipelineServer(socketserver.ForkingMixIn, socketserver.TCPServer):
         self.collect_children(blocking=True)
 
 
-class ServerHandle:
-    """A running server plus its accept thread. Use as a context manager or
-    call close() when done; address is the actually bound (host, port)."""
-
-    def __init__(self, server: _PipelineServer, thread: threading.Thread):
-        self._server = server
-        self._thread = thread
-
-    @property
-    def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
-        return host, port
-
-    def close(self) -> None:
-        """Stop accepting, then end every connection's child; see
-        _PipelineServer.server_close. Never waits on a client."""
-        self._server.shutdown()
-        self._thread.join(timeout=5)
-        self._server.server_close()
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def serve(cfg: ServerConfig) -> ServerHandle:
-    """Validate the config, bind, and start accepting in a daemon thread.
+def serve(cfg: ServerConfig) -> _PipelineServer:
+    """Validate the config, bind, start accepting on a daemon thread, and
+    return the running server.
 
     Pass port 0 to bind an ephemeral port; read it back from .address.
     """
     cfg.validate()
     server = _PipelineServer(cfg)
-    thread = threading.Thread(target=server.serve_forever, args=(_POLL_INTERVAL_S,),
-                              name="signpipe-server", daemon=True)
-    thread.start()
-    log.info("serving on %s:%d", *server.server_address[:2])
-    return ServerHandle(server, thread)
+    server._accept_thread.start()
+    log.info("serving on %s:%d", *server.address)
+    return server

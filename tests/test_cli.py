@@ -20,7 +20,7 @@ from signpipe import nn
 from signpipe.cli import main
 from signpipe.gesture import load_descriptors, parse_markup
 from signpipe.landmarks import read_corpus, write_corpus, write_label_map, LabelMap
-from signpipe.netpipe import DEFAULT_PORT, robot_sim, serve
+from signpipe.netpipe import DEFAULT_PORT, MessageSocket, hello_message, robot_sim, serve
 from signpipe.preprocess import SelectionSpec
 from signpipe.synth import make_synthetic_samples
 
@@ -957,39 +957,61 @@ class TestRobotSimCommand:
         assert code == 1
 
 
+def start_serve_command(workdir):
+    """A `signpipe serve` process on an ephemeral port, and its address."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "signpipe", "serve",
+         "--weights", str(workdir / "model.sgnw"),
+         "--labels", str(workdir / "labels.json"),
+         "--port", "0"],
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    address = {}
+
+    def find_address():
+        for _ in range(20):
+            line = proc.stderr.readline()
+            if not line:
+                return
+            if "listening on " in line:
+                host, port = line.rsplit(" ", 1)[1].strip().split(":")
+                address["value"] = (host, int(port))
+                return
+
+    reader = threading.Thread(target=find_address, daemon=True)
+    reader.start()
+    reader.join(timeout=30)
+    return proc, address.get("value")
+
+
 class TestServeCommand:
     def test_serves_until_terminated(self, workdir, tmp_path):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "signpipe", "serve",
-             "--weights", str(workdir / "model.sgnw"),
-             "--labels", str(workdir / "labels.json"),
-             "--port", "0"],
-            stderr=subprocess.PIPE,
-            text=True,
-        )
+        proc, address = start_serve_command(workdir)
         try:
-            address = {}
-
-            def find_address():
-                for _ in range(20):
-                    line = proc.stderr.readline()
-                    if not line:
-                        return
-                    if "listening on " in line:
-                        host, port = line.rsplit(" ", 1)[1].strip().split(":")
-                        address["value"] = (host, int(port))
-                        return
-
-            reader = threading.Thread(target=find_address, daemon=True)
-            reader.start()
-            reader.join(timeout=30)
             assert address, "server never reported its address"
             log = tmp_path / "robot.log"
             samples = make_synthetic_samples(3, 1, seed=2)[:1]
-            assert robot_sim(address["value"], samples, log) == 0
+            assert robot_sim(address, samples, log) == 0
             assert "RESULT " in log.read_text(encoding="utf-8")
         finally:
             proc.terminate()
+            proc.wait(timeout=10)
+            proc.stderr.close()
+
+    def test_sigterm_closes_the_server_and_ends_an_idle_connection(self, workdir):
+        proc, address = start_serve_command(workdir)
+        try:
+            assert address, "server never reported its address"
+            with socket.create_connection(address, timeout=10.0) as sock:
+                link = MessageSocket(sock)
+                link.send(hello_message())
+                assert link.recv() == hello_message()
+                proc.terminate()
+                assert proc.wait(timeout=3) == 0
+                assert link.recv() is None  # EOF: the idle connection's child is gone
+        finally:
+            proc.kill()
             proc.wait(timeout=10)
             proc.stderr.close()
 

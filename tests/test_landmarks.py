@@ -330,6 +330,23 @@ class TestReadCorpus:
                            match=r"^inconsistent label for sample 'A' \(line 4\)$"):
             read_corpus(p)
 
+    def test_a_negative_label_names_its_samples_first_line(self, tmp_path):
+        p = write_text(tmp_path / "c.csv", rows_csv([
+            "a,0,pose,0,0.1,0.2,0.3,1",
+            "b,0,pose,0,0.1,0.2,0.3,-1",
+            "b,1,pose,0,0.1,0.2,0.3,-1",
+        ]))
+        assert outcome(read_corpus, p) == outcome(reference_read_corpus, p) == (
+            CorpusFormatError, "sample 'b': label -1 is negative (line 3)")
+        # Checked sample by sample: a's frames decrease, but b comes first.
+        p = write_text(tmp_path / "c.csv", rows_csv([
+            "b,0,pose,0,0.1,0.2,0.3,-1",
+            "a,1,pose,0,0.1,0.2,0.3,1",
+            "a,0,pose,0,0.1,0.2,0.3,1",
+        ]))
+        assert outcome(read_corpus, p) == outcome(reference_read_corpus, p) == (
+            CorpusFormatError, "sample 'b': label -1 is negative (line 2)")
+
     def test_empty_file_has_no_header(self, tmp_path):
         p = write_text(tmp_path / "c.csv", "")
         with pytest.raises(CorpusFormatError, match=r"^missing header \(line 1\)$"):
@@ -492,7 +509,10 @@ def reference_read_corpus(path):
             rows = landmarks.LandmarkRows(frames, kinds, indices, coords)
         except landmarks._RowError as e:
             raise CorpusFormatError(f"sample {sample_id!r}: {e}", lines[e.row]) from None
-        samples.append(SignSample(sample_id, rows, labels[sample_id]))
+        try:
+            samples.append(SignSample(sample_id, rows, labels[sample_id]))
+        except ValidationError as e:
+            raise CorpusFormatError(str(e), lines[0]) from None
     return samples
 
 
@@ -733,6 +753,24 @@ class TestSplitReadProcesses:
         writer.join(timeout=10.0)
         file = write_text(tmp_path / "c.csv", data.decode())
         assert got == outcome(reference_read_corpus, file)
+
+    @pytest.mark.parametrize("fault", [
+        "c,0,face,x,0.1,0.2,0.3,1",     # a field
+        "c,0,face,1,0.1,0.2,0.3,-1",    # a sample invariant
+    ])
+    def test_a_faulty_pipe_names_the_fault_a_file_names(self, tmp_path, fault):
+        # A pipe reopened by path, as /dev/stdin is, finds what was read gone.
+        data = rows_csv([fault, *STRADDLING]).encode()
+        r, w = os.pipe()
+        try:
+            with os.fdopen(w, "wb") as writer:
+                writer.write(data)  # fits the pipe's buffer
+            got = outcome(read_corpus, f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        file = write_text(tmp_path / "c.csv", data.decode())
+        assert got[0] is CorpusFormatError and got[1].endswith("(line 2)")
+        assert got == outcome(read_corpus, file) == outcome(reference_read_corpus, file)
 
     def test_one_cpu_forks_nothing(self, tmp_path):
         p = write_text(tmp_path / "c.csv", rows_csv(STRADDLING))
