@@ -2,22 +2,28 @@
 
 A frame is a 4-byte big-endian unsigned payload length followed by that many
 bytes of UTF-8 JSON shaped `{"type": ..., "body": {...}}`. Payloads are
-capped at 16 MiB. The decoder is incremental: bytes may arrive split at any
-boundary and frames are emitted as soon as they complete. MessageSocket
-puts both directions over one connected socket. The *_message functions
-are the only builders of each body, and reply_body the one check a client
-makes of what the server sends.
+capped at 16 MiB. orjson writes a payload whenever it gives the bytes that
+json.dumps gives, up to how a float that repr spells with an exponent is
+spelled (1e-05 as 0.00001, 1e+16 as 1e16: the same double); json.dumps
+writes the rest and names what cannot be sent. The decoder is incremental:
+bytes may arrive split at any boundary and frames are emitted as soon as
+they complete. MessageSocket puts both directions over one connected
+socket. The *_message functions are the only builders of each body, and
+reply_body the one check a client makes of what the server sends.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import socket
 import struct
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+import orjson
 
 from ..errors import FrameError, ProtocolViolation, ValidationError
 from ..gesture import GestureEvent, Timeline
@@ -65,17 +71,61 @@ class WireMessage:
             raise ValidationError("wire message body must be an object")
 
 
+_JSON_TYPES = frozenset({dict, list, tuple, str, int, float, bool, type(None)})
+_CONTAINERS = (dict, list, tuple)
+# orjson raises past 255 levels; a body as deep as this takes json's path.
+_FAST_DEPTH = 64
+
+
+def _plain_and_finite(value) -> bool:
+    """Whether value holds only JSON types (float subclasses among them)
+    and no NaN or infinity, at any depth, walked one level at a time. A False
+    may also mean only that the walk gave up: on a body too deep or too big
+    to be a frame, or a cycle."""
+    level, budget = [value], MAX_FRAME_BYTES // 2
+    # np.float64 values add by numpy's rules, which warn of an inf or NaN sum.
+    with np.errstate(all="ignore"):
+        for _ in range(_FAST_DEPTH):
+            try:
+                # Numbers alone (None and other falsy values left out) sum to
+                # a finite number only when each one is finite.
+                return math.isfinite(sum(filter(None, level)))
+            except (TypeError, ValueError, ArithmeticError):
+                pass  # a string, a container or some other type is here
+            types = set(map(type, level))
+            others = types - _JSON_TYPES
+            if not all(issubclass(t, float) for t in others):
+                return False
+            if (float in types or others) and not all(
+                    math.isfinite(v) for v in level if isinstance(v, float)):
+                return False
+            if not types <= {list, tuple}:
+                level = [v.values() if type(v) is dict else v
+                         for v in level if isinstance(v, _CONTAINERS)]
+            budget -= sum(map(len, level))
+            if budget < 0:
+                return False
+            level = list(chain.from_iterable(level))
+    return False
+
+
 def encode_frame(msg: WireMessage) -> bytes:
     """Canonical bytes for one message: no whitespace, keys type then body."""
-    try:
-        payload = json.dumps(
-            {"type": msg.type, "body": msg.body},
-            separators=(",", ":"),
-            ensure_ascii=False,
-            allow_nan=False,
-        ).encode("utf-8")
-    except (TypeError, ValueError) as e:
-        raise FrameError(f"body is not wire-encodable: {e}") from None
+    obj = {"type": msg.type, "body": msg.body}
+    payload = None
+    if _plain_and_finite(msg.body):
+        try:
+            # A float subclass such as np.float64 is written as its float.
+            payload = orjson.dumps(obj, default=float.__float__)
+        except orjson.JSONEncodeError:
+            pass  # json.dumps below names the fault
+    if payload is None:
+        try:
+            payload = json.dumps(
+                obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False,
+            ).encode("utf-8")
+        except (TypeError, ValueError) as e:
+            raise FrameError(f"body is not wire-encodable: {e}") from None
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(
             f"payload of {len(payload)} bytes exceeds the "
@@ -113,10 +163,15 @@ class FrameDecoder:
                     f"declared payload of {length} bytes exceeds the "
                     f"{MAX_FRAME_BYTES}-byte frame cap"
                 )
-            if len(self._buf) < _LEN.size + length:
+            end = _LEN.size + length
+            if len(self._buf) < end:
                 break
-            payload = self._buf[_LEN.size:_LEN.size + length]
-            del self._buf[:_LEN.size + length]
+            if len(self._buf) == end:  # the usual case: parse the buffer itself
+                payload, self._buf = self._buf, bytearray()
+                del payload[:_LEN.size]
+            else:
+                payload = self._buf[_LEN.size:end]
+                del self._buf[:end]
             obj = parse_json(payload, "payload", FrameError, {"type": str, "body": dict})
             if obj.keys() != {"type", "body"}:
                 raise FrameError("payload must have exactly the keys 'type' and 'body'")
