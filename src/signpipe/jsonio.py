@@ -16,11 +16,13 @@ an exact type check, as the wrong type.
 
 Bytes are parsed by orjson where it gives exactly what the json module
 gives, and by the json module otherwise, so the value, or the error and its
-message, never depends on which reader ran.
+message, never depends on which reader ran. Either reader runs with the
+cyclic garbage collector paused (gc_paused).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import secrets
@@ -33,7 +35,7 @@ from typing import BinaryIO, Iterator
 import orjson
 
 __all__ = ["decode_text", "read_text", "replacing", "write_text", "check_json",
-           "check_fields", "parse_json", "load_json"]
+           "check_fields", "parse_json", "load_json", "gc_paused"]
 
 _NAMES = {int: "an integer", float: "a number", str: "a string",
           list: "a JSON array", dict: "a JSON object"}
@@ -46,6 +48,47 @@ class _NotJson(float):
 
 
 _NOT_JSON = _NotJson("nan")
+
+
+class gc_paused:
+    """A block that runs with the cyclic garbage collector paused; the state
+    it found is restored as the block exits, by return or by raise.
+
+    Building or walking a clip makes ~16k lists at once, and every few
+    hundred of them would otherwise start a collection that finds no
+    cycle. A collector that was already disabled is left alone, so a
+    caller's gc.disable() holds through the block. The state is
+    process-wide: another thread may see the collector paused for as long
+    as one block runs, and a process forked meanwhile (a server's child)
+    starts with the collector as the block found it, since no thread there
+    will end the block. This is the package's one use of gc's switches.
+    """
+
+    __slots__ = ("_resume",)
+    # Whether an open block paused an enabled collector. Process-wide, as
+    # the collector's state is; set before the pause and cleared after it,
+    # so a fork between the two never leaves a child's collector off.
+    _holding = False
+
+    def __enter__(self) -> None:
+        self._resume = gc.isenabled()
+        if self._resume:
+            gc_paused._holding = True
+        gc.disable()
+
+    def __exit__(self, *exc) -> None:
+        if self._resume:
+            gc.enable()
+            gc_paused._holding = False
+
+    @staticmethod
+    def _after_fork_in_child() -> None:
+        if gc_paused._holding:
+            gc_paused._holding = False
+            gc.enable()
+
+
+os.register_at_fork(after_in_child=gc_paused._after_fork_in_child)
 
 
 def decode_text(data: bytes, what: str, error: type[Exception]) -> str:
@@ -191,7 +234,9 @@ def _loads(data: str | bytes | bytearray, what: str, error: type[Exception]):
 def parse_json(data: str | bytes | bytearray, what: str, error: type[Exception],
                shape=dict, required: bool = False):
     """JSON text or UTF-8 bytes, parsed and checked against shape."""
-    return check_json(_loads(data, what, error), what, error, shape, required)
+    with gc_paused():
+        value = _loads(data, what, error)
+    return check_json(value, what, error, shape, required)
 
 
 def load_json(path: str | Path, what: str, error: type[Exception], shape=dict):

@@ -27,7 +27,7 @@ import orjson
 
 from ..errors import FrameError, ProtocolViolation, ValidationError
 from ..gesture import GestureEvent, Timeline
-from ..jsonio import check_json, parse_json
+from ..jsonio import check_json, gc_paused, parse_json
 from ..landmarks import LandmarkRows, SignSample
 
 __all__ = [
@@ -73,39 +73,49 @@ class WireMessage:
 
 _JSON_TYPES = frozenset({dict, list, tuple, str, int, float, bool, type(None)})
 _CONTAINERS = (dict, list, tuple)
+_SEQUENCES = frozenset({list, tuple})
+_is_float = float.__instancecheck__  # isinstance(v, float), one argument
 # orjson raises past 255 levels; a body as deep as this takes json's path.
 _FAST_DEPTH = 64
+# A level longer than this is summed before its types are looked at: a
+# clip's coordinates are one level of ~100k numbers.
+_LONG_LEVEL = 64
 
 
-def _plain_and_finite(value) -> bool:
-    """Whether value holds only JSON types (float subclasses among them)
-    and no NaN or infinity, at any depth, walked one level at a time. A False
-    may also mean only that the walk gave up: on a body too deep or too big
-    to be a frame, or a cycle."""
-    level, budget = [value], MAX_FRAME_BYTES // 2
-    # np.float64 values add by numpy's rules, which warn of an inf or NaN sum.
-    with np.errstate(all="ignore"):
-        for _ in range(_FAST_DEPTH):
+def _plain_and_finite(body: dict) -> bool:
+    """Whether body is a dict that holds only JSON types (float subclasses
+    among them) and no NaN or infinity, at any depth, walked one level at a
+    time. A False may also mean only that the walk gave up: on a body too
+    deep or too big to be a frame, or a cycle."""
+    if type(body) is not dict:
+        return False
+    level, budget = list(body.values()), MAX_FRAME_BYTES // 2
+    for _ in range(_FAST_DEPTH):
+        if len(level) > _LONG_LEVEL:
             try:
                 # Numbers alone (None and other falsy values left out) sum to
-                # a finite number only when each one is finite.
-                return math.isfinite(sum(filter(None, level)))
+                # a finite number only when each one is finite. np.float64
+                # values add by numpy's rules, which warn of an inf or NaN sum.
+                with np.errstate(all="ignore"):
+                    return math.isfinite(sum(filter(None, level)))
             except (TypeError, ValueError, ArithmeticError):
                 pass  # a string, a container or some other type is here
-            types = set(map(type, level))
-            others = types - _JSON_TYPES
-            if not all(issubclass(t, float) for t in others):
-                return False
-            if (float in types or others) and not all(
-                    math.isfinite(v) for v in level if isinstance(v, float)):
-                return False
-            if not types <= {list, tuple}:
-                level = [v.values() if type(v) is dict else v
-                         for v in level if isinstance(v, _CONTAINERS)]
-            budget -= sum(map(len, level))
-            if budget < 0:
-                return False
-            level = list(chain.from_iterable(level))
+        types = set(map(type, level))
+        others = types - _JSON_TYPES
+        if others and not all(issubclass(t, float) for t in others):
+            return False
+        if (float in types or others) and not all(
+                map(math.isfinite, filter(_is_float, level))):
+            return False
+        if types.isdisjoint(_CONTAINERS):
+            return True
+        if not types <= _SEQUENCES:
+            level = [v.values() if type(v) is dict else v
+                     for v in level if isinstance(v, _CONTAINERS)]
+        budget -= sum(map(len, level))
+        if budget < 0:
+            return False
+        level = list(chain.from_iterable(level))
     return False
 
 
@@ -113,19 +123,20 @@ def encode_frame(msg: WireMessage) -> bytes:
     """Canonical bytes for one message: no whitespace, keys type then body."""
     obj = {"type": msg.type, "body": msg.body}
     payload = None
-    if _plain_and_finite(msg.body):
-        try:
-            # A float subclass such as np.float64 is written as its float.
-            payload = orjson.dumps(obj, default=float.__float__)
-        except orjson.JSONEncodeError:
-            pass  # json.dumps below names the fault
-    if payload is None:
-        try:
-            payload = json.dumps(
-                obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False,
-            ).encode("utf-8")
-        except (TypeError, ValueError) as e:
-            raise FrameError(f"body is not wire-encodable: {e}") from None
+    with gc_paused():
+        if _plain_and_finite(msg.body):
+            try:
+                # A float subclass such as np.float64 is written as its float.
+                payload = orjson.dumps(obj, default=float.__float__)
+            except orjson.JSONEncodeError:
+                pass  # json.dumps below names the fault
+        if payload is None:
+            try:
+                payload = json.dumps(
+                    obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False,
+                ).encode("utf-8")
+            except (TypeError, ValueError) as e:
+                raise FrameError(f"body is not wire-encodable: {e}") from None
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(
             f"payload of {len(payload)} bytes exceeds the "
@@ -296,7 +307,8 @@ def sample_to_body(sample: SignSample) -> dict:
     Rows are [frame_index, kind_code, landmark_index, x, y, z] with null
     for missing coordinates.
     """
-    return {"sample": {"id": sample.sample_id, "frames": sample.frames.tolist()}}
+    with gc_paused():
+        return {"sample": {"id": sample.sample_id, "frames": sample.frames.tolist()}}
 
 
 def _require(values, allowed: set, what: str, key=type) -> None:
@@ -308,22 +320,23 @@ def _require(values, allowed: set, what: str, key=type) -> None:
 def sample_from_body(body: dict) -> SignSample:
     """Inverse of sample_to_body; raises ValidationError on any shape or
     content problem (this is remote input)."""
-    check_json(body, "LANDMARKS body", ValidationError,
-               {"sample": {"id": str, "frames": list}}, required=True)
-    sample_id, rows = body["sample"]["id"], body["sample"]["frames"]
-    _require(rows, {list}, "expected an array of 6 elements")
-    _require(rows, {6}, "expected 6 elements", key=len)
-    frame_index, kind, landmark_index, *xyz = list(zip(*rows)) or [()] * 6
-    _require(frame_index, {int}, "frame index must be an int")
-    _require(kind, {int}, "kind code must be an int")
-    _require(landmark_index, {int}, "landmark index must be an int")
-    for column in xyz:
-        _require(column, {int, float, type(None)}, "coordinate is not a number")
-    try:
-        coords = np.array(xyz, dtype=np.float64).T  # null -> NaN
-    except OverflowError:
-        raise ValidationError("sample frames: coordinate outside the float64 range") from None
-    return SignSample(sample_id, LandmarkRows(frame_index, kind, landmark_index, coords))
+    with gc_paused():
+        check_json(body, "LANDMARKS body", ValidationError,
+                   {"sample": {"id": str, "frames": list}}, required=True)
+        sample_id, rows = body["sample"]["id"], body["sample"]["frames"]
+        _require(rows, {list}, "expected an array of 6 elements")
+        _require(rows, {6}, "expected 6 elements", key=len)
+        frame_index, kind, landmark_index, *xyz = list(zip(*rows)) or [()] * 6
+        _require(frame_index, {int}, "frame index must be an int")
+        _require(kind, {int}, "kind code must be an int")
+        _require(landmark_index, {int}, "landmark index must be an int")
+        for column in xyz:
+            _require(column, {int, float, type(None)}, "coordinate is not a number")
+        try:
+            coords = np.array(xyz, dtype=np.float64).T  # null -> NaN
+        except OverflowError:
+            raise ValidationError("sample frames: coordinate outside the float64 range") from None
+        return SignSample(sample_id, LandmarkRows(frame_index, kind, landmark_index, coords))
 
 
 def landmarks_message(sample: SignSample) -> WireMessage:

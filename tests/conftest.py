@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import glob
 import http.server
 import json
@@ -42,6 +43,17 @@ def no_leaked_threads():
         thread.join(timeout=max(0.0, give_up - time.monotonic()))
     alive = [t.name for t in started if t.is_alive()]
     assert not alive, f"threads still running after the test: {alive}"
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that leaves the cyclic garbage collector disabled, and
+    enable it again for the tests after: a pause that outlives its block
+    leaves every later cycle in the process uncollected."""
+    yield
+    enabled = gc.isenabled()
+    gc.enable()
+    assert enabled, "the cyclic garbage collector was left disabled"
 
 
 def chat_reply(content: str, size: int | None = None) -> bytes:

@@ -1,29 +1,43 @@
 """The wire codec's two readers and two writers give one result: orjson's
 fast path and the json module's exact path agree on every frame, value,
-error and message, and real-looking clips stay on the fast path."""
+error and message, and real-looking clips stay on the fast path. The codec
+builds and walks a clip with the cyclic garbage collector paused, and
+restores the state it found."""
 
+import ast
+import gc
 import json
 import math
+import os
 import struct
+import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from signpipe import jsonio
-from signpipe.errors import FrameError
-from signpipe.jsonio import _NOT_JSON, check_json, parse_json
-from signpipe.landmarks import LandmarkFrame, LandmarkKind, SignSample
+from signpipe.errors import FrameError, ValidationError
+from signpipe.jsonio import _NOT_JSON, check_json, gc_paused, parse_json
+from signpipe.landmarks import (KIND_CAPACITY, LandmarkFrame, LandmarkKind, LandmarkRows,
+                                SignSample)
 from signpipe.netpipe import (
     MAX_FRAME_BYTES,
     FrameDecoder,
     WireMessage,
+    decode_frame,
     encode_frame,
     landmarks_message,
+    result_message,
     sample_from_body,
+    sample_to_body,
 )
 from signpipe.netpipe import wire
+
+from conftest import make_sample
 
 
 def reference_encode_frame(msg: WireMessage) -> bytes:
@@ -280,3 +294,182 @@ def test_real_looking_clips_never_reach_the_json_module(monkeypatch):
     frame = encode_frame(landmarks_message(sample))
     [msg] = FrameDecoder().feed(frame)
     assert sample_from_body(msg.body) == sample
+
+
+# -- the collector is paused while the codec runs ------------------------------
+
+def _failing_rows():
+    def tolist(missing=None):
+        raise ValidationError("rows cannot be listed")
+    return SimpleNamespace(sample_id="s", frames=SimpleNamespace(tolist=tolist))
+
+
+_LANDMARKS_BODY = sample_to_body(make_sample())
+# Each codec function: what it calls inside the pause (an owner and the name
+# there), a call that returns, a call that raises, and what that raises.
+_PAUSED = {
+    "parse_json orjson": (orjson, "loads", lambda: parse_json(b'{"a": [1]}', "p", FrameError),
+                          lambda: parse_json(b'{"a": [1', "p", FrameError), FrameError),
+    "parse_json json": (json, "loads", lambda: parse_json('{"a": [1]}', "p", FrameError),
+                        lambda: parse_json('{"a": NaN', "p", FrameError), FrameError),
+    "encode_frame": (orjson, "dumps", lambda: encode_frame(result_message("g", 9.5)),
+                     lambda: encode_frame(WireMessage("RESULT", {"x": [math.nan]})),
+                     FrameError),
+    "sample_to_body": (LandmarkRows, "tolist", lambda: sample_to_body(make_sample()),
+                       lambda: sample_to_body(_failing_rows()), ValidationError),
+    "sample_from_body": (wire, "LandmarkRows", lambda: sample_from_body(_LANDMARKS_BODY),
+                         lambda: sample_from_body({"sample": {"id": "s", "frames": [[0]]}}),
+                         ValidationError),
+}
+
+
+@pytest.mark.parametrize("name", _PAUSED)
+class TestPause:
+    def test_paused_inside_and_enabled_again_after_a_return(self, name, monkeypatch):
+        owner, attr, returns, _, _ = _PAUSED[name]
+        inner, enabled = getattr(owner, attr), []
+
+        def spy(*args, **kwargs):
+            enabled.append(gc.isenabled())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, spy)
+        returns()
+        assert enabled == [False]
+        assert gc.isenabled()
+
+    def test_enabled_again_after_a_raise(self, name):
+        _, _, _, raises, error = _PAUSED[name]
+        with pytest.raises(error):
+            raises()
+        assert gc.isenabled()
+
+    def test_a_collector_the_caller_disabled_stays_disabled(self, name):
+        _, _, returns, raises, error = _PAUSED[name]
+        gc.disable()
+        try:
+            returns()
+            assert not gc.isenabled()
+            with pytest.raises(error):
+                raises()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
+def collector_enabled_in_a_child() -> bool:
+    """gc.isenabled() in a child forked now."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.write(write, b"1" if gc.isenabled() else b"0")
+        os._exit(0)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        state = pipe.read()
+    os.waitpid(pid, 0)
+    return state == b"1"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_child_forked_during_a_pause_starts_with_the_state_it_found(enabled):
+    """A server forks its children from the accept thread while another
+    thread may be encoding: no thread in the child will end that pause."""
+    inside, leave = threading.Event(), threading.Event()
+
+    def hold():
+        with gc_paused():
+            inside.set()
+            leave.wait(10)
+
+    thread = threading.Thread(target=hold)
+    if not enabled:
+        gc.disable()
+    try:
+        thread.start()
+        assert inside.wait(10)
+        assert not gc.isenabled()
+        assert collector_enabled_in_a_child() is enabled
+    finally:
+        leave.set()
+        thread.join(10)
+        gc.enable()
+    assert not thread.is_alive()
+
+
+def holistic_sample(frames: int) -> SignSample:
+    """Every landmark of every kind in each frame, as a Holistic clip sends."""
+    keys = [(kind.value, index) for kind in LandmarkKind for index in range(KIND_CAPACITY[kind])]
+    rows = [(t, kind, index) for t in range(frames) for kind, index in keys]
+    xyz = np.random.default_rng(5).uniform(0.1, 0.9, size=(len(rows), 3))
+    return SignSample("holistic", LandmarkRows(*zip(*rows), xyz))
+
+
+def test_a_clip_round_trip_starts_at_most_four_collections():
+    sample = holistic_sample(20)
+    assert len(sample.frames) >= 10_000
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        received = sample_from_body(decode_frame(encode_frame(landmarks_message(sample))).body)
+    finally:
+        gc.callbacks.remove(count)
+    assert received == sample
+    assert len(started) <= 4, started
+
+
+# -- only gc_paused switches the collector -------------------------------------
+
+_GC_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
+
+
+def gc_switch_sites(source: str, module: str) -> list[str]:
+    """`module:line` of each use of gc.disable, gc.enable, gc.freeze or
+    gc.set_threshold, however gc is imported, outside jsonio.gc_paused."""
+    tree = ast.parse(source)
+    exempt = {id(node) for top in tree.body
+              if module == "jsonio.py" and isinstance(top, ast.ClassDef)
+              and top.name == "gc_paused" for node in ast.walk(top)}
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names if alias.name == "gc"}
+    return sorted(
+        (f"{module}:{node.lineno}" for node in ast.walk(tree) if id(node) not in exempt
+         and (isinstance(node, ast.Attribute) and node.attr in _GC_SWITCHES
+              and isinstance(node.value, ast.Name) and node.value.id in names
+              or isinstance(node, ast.ImportFrom) and node.module == "gc"
+              and _GC_SWITCHES & {alias.name for alias in node.names})),
+        key=lambda site: int(site.rsplit(":", 1)[1]))
+
+
+def test_the_guard_finds_each_switch_of_the_collector():
+    source = """
+import gc
+import gc as collector
+from gc import freeze
+from gc import collect, set_threshold
+def f():
+    gc.disable(); collector.enable()
+    logging.disable(10); gc.collect(); gc.isenabled()
+class gc_paused:
+    def __enter__(self):
+        gc.disable()
+"""
+    assert gc_switch_sites(source, "m.py") == [
+        "m.py:4", "m.py:5", "m.py:7", "m.py:7", "m.py:11"]
+    assert gc_switch_sites(source, "jsonio.py") == [
+        "jsonio.py:4", "jsonio.py:5", "jsonio.py:7", "jsonio.py:7"]
+
+
+def test_only_gc_paused_switches_the_collector():
+    root = Path(jsonio.__file__).parent
+    sources = {path.relative_to(root).as_posix(): path.read_text(encoding="utf-8")
+               for path in sorted(root.rglob("*.py"))}
+    assert [site for module, source in sources.items()
+            for site in gc_switch_sites(source, module)] == []
+    assert gc_switch_sites(sources["jsonio.py"], "elsewhere.py")  # the helper's own
