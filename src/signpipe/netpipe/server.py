@@ -6,11 +6,11 @@ session, message socket, and LLM backend instance. Model weights, the
 descriptor DB, and templates are shared copy-on-write and never written.
 Each child runs BLAS on its share of the parent's threads: the parent's
 OpenBLAS thread count // live connections, at least 1. A sample's deadline
-is one interval timer that the child arms when the sample arrives and
-disarms before its reply is written, so it covers every stage, backend
-calls in flight included. The replies to one inbound message leave in one
-write. Every ERROR reply closes the connection; the client reconnects for
-a fresh session.
+is one interval timer, armed when the sample arrives and disarmed before its
+reply is written, so it covers every stage and backend call; outside a sample
+the child ignores SIGALRM, so a stray or late alarm never ends a session.
+The replies to one inbound message leave in one write. Every ERROR reply
+closes the connection; the client reconnects for a fresh session.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ class _PipelineServer(socketserver.ForkingMixIn, socketserver.TCPServer):
     def finish_request(self, request, client_address):
         """Serve one connection. ForkingMixIn calls this in the child only."""
         _close_inherited_sockets(keep=request.fileno())
-        signal.signal(signal.SIGALRM, _raise_overdue)
+        signal.signal(signal.SIGALRM, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         link = MessageSocket(request)
         session = Session()
@@ -223,13 +223,14 @@ class _PipelineServer(socketserver.ForkingMixIn, socketserver.TCPServer):
         """RESULT and SCRIPT for one sample, or one ERROR if the body is
         malformed, processing fails, or the deadline passes first.
 
-        The deadline is an ITIMER_REAL alarm whose handler raises _Overdue.
-        It is armed inside the try that catches _Overdue, since the alarm
-        can fire as setitimer returns, and disarmed before any reply byte
-        is written. The exception may tear any state; every ERROR reply
-        ends the connection, and the child with it."""
+        The deadline is an ITIMER_REAL alarm whose handler raises _Overdue,
+        both set inside the try that catches _Overdue, as the alarm can fire
+        as setitimer returns. SIGALRM is ignored again before the disarm and
+        any reply byte, so outside a sample a stray or late alarm never ends
+        the session. _Overdue may tear any state; an ERROR ends the child."""
         cfg = self.cfg
         try:
+            signal.signal(signal.SIGALRM, _raise_overdue)
             signal.setitimer(signal.ITIMER_REAL, min(cfg.deadline_s, threading.TIMEOUT_MAX))
             try:
                 try:
@@ -251,6 +252,7 @@ class _PipelineServer(socketserver.ForkingMixIn, socketserver.TCPServer):
                 log.exception("unexpected error while processing a sample")
                 return [error_message("INTERNAL", "unexpected server error")]
             finally:
+                signal.signal(signal.SIGALRM, signal.SIG_IGN)
                 signal.setitimer(signal.ITIMER_REAL, 0)
         except _Overdue:
             return [error_message("TIMEOUT", f"processing exceeded {cfg.deadline_s:g}s")]

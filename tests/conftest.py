@@ -1,7 +1,9 @@
-"""Shared fixtures: tiny model configs, corpora builders, descriptor DBs."""
+"""Shared fixtures: tiny model configs, corpora builders, descriptor DBs,
+and the package walk that the one-owner guards share."""
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import gc
 import glob
@@ -10,11 +12,13 @@ import json
 import math
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import signpipe
 from signpipe.gesture import GestureDb, GestureDescriptor
 from signpipe.landmarks import KIND_CAPACITY, LandmarkFrame, LandmarkKind, SignSample
 from signpipe.nn import ModelConfig, init_weights
@@ -113,6 +117,47 @@ def no_leaked_children():
     while (left := child_pids() - before) and time.monotonic() < give_up:
         time.sleep(0.01)
     assert not left, f"child processes still running after the test: {sorted(left)}"
+
+
+# -- the package walk that the one-owner guards share -------------------------
+
+def package_sources() -> dict[str, str]:
+    """The source of each module of signpipe by its path in the package
+    (`netpipe/server.py`), in path order."""
+    root = Path(signpipe.__file__).parent
+    return {path.relative_to(root).as_posix(): path.read_text(encoding="utf-8")
+            for path in sorted(root.rglob("*.py"))}
+
+
+def package_sites(finder) -> list[str]:
+    """Every site that finder(source, module) finds in the package."""
+    return [site for module, source in package_sources().items()
+            for site in finder(source, module)]
+
+
+def scoped_nodes(source: str) -> list[tuple[ast.AST, str]]:
+    """Each node of source's syntax tree, depth first, with its scope: its
+    outermost def with any classes that enclose it (`Class.method`), the
+    enclosing classes outside every def, and "" at module level."""
+    nodes = []
+
+    def visit(node, scope, in_def):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not in_def:
+            scope = f"{scope}.{node.name}" if scope else node.name
+            in_def = not isinstance(node, ast.ClassDef)
+        nodes.append((node, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, in_def)
+
+    visit(ast.parse(source), "", False)
+    return nodes
+
+
+def module_names(nodes, module: str) -> set[str]:
+    """The names that the nodes' `import module` statements bind, aliases
+    included."""
+    return {alias.asname or alias.name for node, _ in nodes if isinstance(node, ast.Import)
+            for alias in node.names if alias.name == module}
 
 
 @pytest.fixture

@@ -10,12 +10,10 @@ import sys
 import threading
 import time
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import signpipe
 from signpipe import nn
 from signpipe.cli import main
 from signpipe.gesture import load_descriptors, parse_markup
@@ -24,7 +22,7 @@ from signpipe.netpipe import DEFAULT_PORT, MessageSocket, hello_message, robot_s
 from signpipe.preprocess import SelectionSpec
 from signpipe.synth import make_synthetic_samples
 
-from conftest import chat_http_stub, chat_reply
+from conftest import chat_http_stub, chat_reply, package_sites, scoped_nodes
 
 SMALL_MODEL = {
     "input_dim": 176,
@@ -1024,32 +1022,17 @@ class TestServeCommand:
 ENV_READERS = {("cli.py", "_load_config_file"), ("cli.py", "_resolve_settings"),
                ("cli.py", "_resolve_backend_factory"),
                ("dialogue.py", "HttpLlmBackend.complete")}
+_ENV = {"environ", "getenv"}
 
 
 def env_reads(source: str, module: str) -> list[str]:
     """`module:line` of each use of os.environ or os.getenv in source, or an
-    import of either from os, outside the functions ENV_READERS names. A
-    function is named by its outermost def, with any enclosing classes."""
-    sites = []
-
-    def visit(node, scope, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-            if function is None and not isinstance(node, ast.ClassDef):
-                function = scope
-        if isinstance(node, ast.Attribute):
-            names = {node.attr}
-        elif isinstance(node, ast.ImportFrom) and node.module == "os":
-            names = {alias.name for alias in node.names}
-        else:
-            names = set()
-        if names & {"environ", "getenv"} and (module, function) not in ENV_READERS:
-            sites.append(f"{module}:{node.lineno}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope, function)
-
-    visit(ast.parse(source), "", None)
-    return sites
+    import of either from os, outside the functions ENV_READERS names."""
+    return [f"{module}:{node.lineno}" for node, scope in scoped_nodes(source)
+            if (module, scope) not in ENV_READERS
+            and (isinstance(node, ast.Attribute) and node.attr in _ENV
+                 or isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and _ENV & {alias.name for alias in node.names})]
 
 
 def test_the_guard_finds_each_kind_of_env_read():
@@ -1074,8 +1057,4 @@ def _resolve_settings(args):
 
 
 def test_only_the_settings_pass_reads_the_environment():
-    root = Path(signpipe.__file__).parent
-    sites = [site for path in sorted(root.rglob("*.py"))
-             for site in env_reads(path.read_text(encoding="utf-8"),
-                                   path.relative_to(root).as_posix())]
-    assert sites == []
+    assert package_sites(env_reads) == []

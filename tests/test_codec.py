@@ -11,7 +11,6 @@ import math
 import os
 import struct
 import threading
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,7 +36,7 @@ from signpipe.netpipe import (
 )
 from signpipe.netpipe import wire
 
-from conftest import make_sample
+from conftest import make_sample, module_names, package_sites, package_sources, scoped_nodes
 
 
 def reference_encode_frame(msg: WireMessage) -> bytes:
@@ -432,19 +431,14 @@ _GC_SWITCHES = {"disable", "enable", "freeze", "set_threshold"}
 def gc_switch_sites(source: str, module: str) -> list[str]:
     """`module:line` of each use of gc.disable, gc.enable, gc.freeze or
     gc.set_threshold, however gc is imported, outside jsonio.gc_paused."""
-    tree = ast.parse(source)
-    exempt = {id(node) for top in tree.body
-              if module == "jsonio.py" and isinstance(top, ast.ClassDef)
-              and top.name == "gc_paused" for node in ast.walk(top)}
-    names = {alias.asname or alias.name for node in ast.walk(tree)
-             if isinstance(node, ast.Import) for alias in node.names if alias.name == "gc"}
-    return sorted(
-        (f"{module}:{node.lineno}" for node in ast.walk(tree) if id(node) not in exempt
-         and (isinstance(node, ast.Attribute) and node.attr in _GC_SWITCHES
-              and isinstance(node.value, ast.Name) and node.value.id in names
-              or isinstance(node, ast.ImportFrom) and node.module == "gc"
-              and _GC_SWITCHES & {alias.name for alias in node.names})),
-        key=lambda site: int(site.rsplit(":", 1)[1]))
+    nodes = scoped_nodes(source)
+    names = module_names(nodes, "gc")
+    return [f"{module}:{node.lineno}" for node, scope in nodes
+            if (module, scope.split(".")[0]) != ("jsonio.py", "gc_paused")
+            and (isinstance(node, ast.Attribute) and node.attr in _GC_SWITCHES
+                 and isinstance(node.value, ast.Name) and node.value.id in names
+                 or isinstance(node, ast.ImportFrom) and node.module == "gc"
+                 and _GC_SWITCHES & {alias.name for alias in node.names})]
 
 
 def test_the_guard_finds_each_switch_of_the_collector():
@@ -467,9 +461,5 @@ class gc_paused:
 
 
 def test_only_gc_paused_switches_the_collector():
-    root = Path(jsonio.__file__).parent
-    sources = {path.relative_to(root).as_posix(): path.read_text(encoding="utf-8")
-               for path in sorted(root.rglob("*.py"))}
-    assert [site for module, source in sources.items()
-            for site in gc_switch_sites(source, module)] == []
-    assert gc_switch_sites(sources["jsonio.py"], "elsewhere.py")  # the helper's own
+    assert package_sites(gc_switch_sites) == []
+    assert gc_switch_sites(package_sources()["jsonio.py"], "elsewhere.py")  # the helper's own

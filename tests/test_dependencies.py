@@ -9,6 +9,8 @@ import pytest
 
 import signpipe
 
+from conftest import package_sources, scoped_nodes
+
 tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(signpipe.__file__).parent
@@ -18,7 +20,7 @@ def third_party_imports(source: str) -> set[str]:
     """The top-level name of each absolute import in source that is neither
     the standard library nor signpipe itself."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node, _ in scoped_nodes(source):
         if isinstance(node, ast.Import):
             names.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -44,6 +46,5 @@ def test_every_dependency_is_imported_and_every_import_declared():
     project = tomllib.loads((ROOT.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
     declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower()
                 for spec in project["project"]["dependencies"]}
-    imported = set().union(*(third_party_imports(path.read_text(encoding="utf-8"))
-                             for path in ROOT.rglob("*.py")))
+    imported = set().union(*map(third_party_imports, package_sources().values()))
     assert declared == imported == {"numpy", "orjson"}

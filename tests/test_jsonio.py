@@ -5,12 +5,10 @@ import io
 import json
 import math
 import struct
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-import signpipe
 from signpipe.cli import _load_config_file
 from signpipe.dialogue import API_KEY_ENV, HttpLlmBackend, PromptTemplate
 from signpipe.errors import (
@@ -26,6 +24,8 @@ from signpipe.landmarks import read_label_map
 from signpipe.netpipe import decode_frame
 from signpipe.nn import ModelConfig
 from signpipe.preprocess import SelectionSpec
+
+from conftest import module_names, package_sites, scoped_nodes
 
 
 def _from_file(load):
@@ -153,19 +153,16 @@ def json_read_sites(source: str, module: str) -> list[str]:
     """`module:line` of each call in source to json.load or json.loads,
     through the module (json.loads, or an alias of json) or through a name
     imported from it (from json import loads)."""
-    tree = ast.parse(source)
-    modules = {alias.asname or alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.Import) for alias in node.names
-               if alias.name == "json"}
-    names = {alias.asname or alias.name for node in ast.walk(tree)
+    nodes = scoped_nodes(source)
+    modules = module_names(nodes, "json")
+    names = {alias.asname or alias.name for node, _ in nodes
              if isinstance(node, ast.ImportFrom) and node.module == "json"
              for alias in node.names if alias.name in ("load", "loads")}
-    return sorted(
-        f"{module}:{node.lineno}" for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and (
-            isinstance(node.func, ast.Attribute) and node.func.attr in ("load", "loads")
-            and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
-            or isinstance(node.func, ast.Name) and node.func.id in names))
+    return [f"{module}:{node.lineno}" for node, _ in nodes
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute) and node.func.attr in ("load", "loads")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
+                or isinstance(node.func, ast.Name) and node.func.id in names)]
 
 
 def test_the_guard_finds_each_form_of_json_read():
@@ -183,8 +180,4 @@ def f(text, fh, self):
 
 def test_json_is_parsed_only_in_jsonio():
     """So every reader takes the one rule for NaN, Infinity and -Infinity."""
-    root = Path(signpipe.__file__).parent
-    sites = [site for path in sorted(root.rglob("*.py"))
-             for site in json_read_sites(path.read_text(encoding="utf-8"),
-                                         path.relative_to(root).as_posix())]
-    assert {site.split(":")[0] for site in sites} == {"jsonio.py"}
+    assert {site.split(":")[0] for site in package_sites(json_read_sites)} == {"jsonio.py"}

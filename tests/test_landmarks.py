@@ -11,7 +11,6 @@ import pickle
 import threading
 import time
 from array import array
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -36,7 +35,7 @@ from signpipe.landmarks import (
 from signpipe.netpipe import sample_from_body
 from signpipe.synth import make_synthetic_samples
 
-from conftest import make_sample, sign_samples
+from conftest import make_sample, package_sites, scoped_nodes, sign_samples
 
 HEADER = ",".join(CORPUS_HEADER)
 
@@ -845,7 +844,7 @@ def fork_sites(source: str, module: str) -> list[str]:
     if module == "landmarks.py":
         return []
     names = {"fork", "forkpty"}
-    return [f"{module}:{node.lineno}" for node in ast.walk(ast.parse(source))
+    return [f"{module}:{node.lineno}" for node, _ in scoped_nodes(source)
             if isinstance(node, ast.Attribute) and node.attr in names
             or isinstance(node, ast.ImportFrom) and node.module == "os"
             and names & {alias.name for alias in node.names}]
@@ -865,8 +864,4 @@ def f():
 
 
 def test_only_the_corpus_reader_forks_itself():
-    root = Path(landmarks.__file__).parent
-    sites = [site for path in sorted(root.rglob("*.py"))
-             for site in fork_sites(path.read_text(encoding="utf-8"),
-                                    path.relative_to(root).as_posix())]
-    assert sites == []
+    assert package_sites(fork_sites) == []

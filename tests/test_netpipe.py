@@ -1,5 +1,6 @@
 """Wire format, protocol state machine, server, and robot client."""
 
+import ast
 import contextlib
 import hashlib
 import json
@@ -69,7 +70,8 @@ from signpipe.netpipe.server import _openblas_threads
 from signpipe.nn import ModelConfig, init_weights
 from signpipe.preprocess import SelectionSpec
 
-from conftest import TAGGED_FIXTURE, child_pids, make_sample, sign_samples
+from conftest import (TAGGED_FIXTURE, child_pids, make_sample, module_names, package_sites,
+                      scoped_nodes, sign_samples)
 
 HELLO = WireMessage("HELLO", {"protocol_version": PROTOCOL_VERSION})
 BYE = WireMessage("BYE", {})
@@ -792,9 +794,13 @@ class TestServer:
                 for seed in range(6):
                     replies = talk(handle.address, HELLO,
                                    landmarks_message(make_sample(seed=seed)), BYE)
-                    seen.append([(m.type, m.body.get("code")) for m in replies])
-        assert all(exchange in (full, timeout) for exchange in seen), seen
-        assert full in seen and timeout in seen
+                    seen.append((deadline_s, seed,
+                                 [(m.type, m.body.get("code")) for m in replies]))
+        torn = [(f"deadline_s={deadline_s:.3g}", f"seed={seed}", exchange)
+                for deadline_s, seed, exchange in seen if exchange not in (full, timeout)]
+        assert not torn, torn
+        exchanges = [exchange for _, _, exchange in seen]
+        assert full in exchanges and timeout in exchanges
 
     def test_the_deadline_timer_lives_only_in_the_children(self, fixture_db):
         """A handler and a timer of the test's own survive a served sample:
@@ -815,6 +821,26 @@ class TestServer:
         assert [m.type for m in replies] == ["HELLO", "RESULT", "SCRIPT", "BYE"]
         assert handler is own_handler
         assert 900.0 < remaining <= 1000.0 and interval == 0.0
+
+    def test_a_stray_alarm_between_samples_ends_nothing(self, fixture_db):
+        """The child's SIGALRM raises only while a sample runs: an alarm that
+        reaches it between samples, its own late one or another's, is
+        ignored, and the session goes on."""
+        before = child_pids()
+        with serve(server_config(db=fixture_db)) as handle:
+            sock, link = _hello(handle.address)
+            with sock:
+                children = child_pids() - before
+                if not children:
+                    pytest.skip("child processes are not listed on this platform")
+                [child] = children
+                for seed in range(2):
+                    os.kill(child, signal.SIGALRM)
+                    link.send(landmarks_message(make_sample(seed=seed)))
+                    replies = [link.recv(), link.recv()]
+                    assert [m and m.type for m in replies] == ["RESULT", "SCRIPT"]
+                link.send(BYE)
+                assert link.recv() == BYE
 
     def test_no_backend_call_starts_after_the_deadline(self, fixture_db, tmp_path):
         backend = SlowBackend(0.5, tmp_path / "starts")
@@ -865,6 +891,61 @@ class TestServer:
             replies = talk(handle.address, HELLO, landmarks_message(make_sample()))
         assert [m.type for m in replies] == ["HELLO", "ERROR"]
         assert replies[1].body["code"] == "INTERNAL"
+
+
+# -- the one owner of each signal handler and timer ---------------------------
+
+# Where a module may set a signal handler, the interval timer or the signal
+# mask: the serve child, which ignores SIGALRM outside a sample and raises
+# _Overdue on it within one, and `serve`'s SIGTERM handler. A backend must
+# not set its own.
+SIGNAL_SETTERS = {("netpipe/server.py", "_PipelineServer.finish_request"),
+                  ("netpipe/server.py", "_PipelineServer._respond"),
+                  ("cli.py", "cmd_serve")}
+_SIGNAL_SETS = {"signal", "setitimer", "alarm", "pthread_sigmask"}
+
+
+def signal_sites(source: str, module: str) -> list[str]:
+    """`module:line` of each use of signal.signal, signal.setitimer,
+    signal.alarm or signal.pthread_sigmask, however signal is imported,
+    outside the functions SIGNAL_SETTERS names."""
+    nodes = scoped_nodes(source)
+    names = module_names(nodes, "signal")
+    return [f"{module}:{node.lineno}" for node, scope in nodes
+            if (module, scope) not in SIGNAL_SETTERS
+            and (isinstance(node, ast.Attribute) and node.attr in _SIGNAL_SETS
+                 and isinstance(node.value, ast.Name) and node.value.id in names
+                 or isinstance(node, ast.ImportFrom) and node.module == "signal"
+                 and _SIGNAL_SETS & {alias.name for alias in node.names})]
+
+
+def test_the_guard_finds_each_setting_of_a_signal():
+    source = """
+import signal
+import signal as sig
+from signal import alarm
+from signal import SIGALRM, pthread_sigmask
+def f():
+    signal.signal(signal.SIGALRM, h); sig.setitimer(sig.ITIMER_REAL, 1)
+    signal.getsignal(1); os.kill(0, signal.SIGKILL); self.signal(); signal.SIG_IGN
+class _PipelineServer:
+    def _respond(self):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+def cmd_serve(args):
+    def inner():
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+"""
+    assert signal_sites(source, "m.py") == [
+        "m.py:4", "m.py:5", "m.py:7", "m.py:7", "m.py:11", "m.py:14"]
+    assert signal_sites(source, "netpipe/server.py") == [
+        "netpipe/server.py:4", "netpipe/server.py:5", "netpipe/server.py:7",
+        "netpipe/server.py:7", "netpipe/server.py:14"]
+    assert signal_sites(source, "cli.py") == [
+        "cli.py:4", "cli.py:5", "cli.py:7", "cli.py:7", "cli.py:11"]
+
+
+def test_only_the_serve_child_and_cmd_serve_set_signals():
+    assert package_sites(signal_sites) == []
 
 
 def _hello(address) -> tuple[socket.socket, MessageSocket]:

@@ -7,17 +7,15 @@ import re
 import resource
 import signal
 from contextlib import contextmanager
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import signpipe
 from signpipe.landmarks import LabelMap, read_corpus, write_corpus, write_label_map
 from signpipe.nn import ModelConfig, save_tensors
 from signpipe.preprocess import SelectionSpec
 
-from conftest import make_sample
+from conftest import make_sample, package_sites, scoped_nodes
 
 
 def _samples():
@@ -133,11 +131,8 @@ def write_sites(source: str, module: str) -> list[str]:
     `.write_bytes` method. Calls inside the functions ALLOWED names are left
     out."""
     sites = []
-
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and function is None:
-            function = node.name
-        if isinstance(node, ast.Call) and (module, function) not in ALLOWED:
+    for node, scope in scoped_nodes(source):
+        if isinstance(node, ast.Call) and (module, scope) not in ALLOWED:
             method = getattr(node.func, "attr", None)
             opens = "open" in (method, getattr(node.func, "id", None))
             modes = [*node.args[:2], *(k.value for k in node.keywords if k.arg == "mode")]
@@ -145,10 +140,6 @@ def write_sites(source: str, module: str) -> list[str]:
                     isinstance(m, ast.Constant) and isinstance(m.value, str)
                     and _WRITE_MODE.fullmatch(m.value) for m in modes):
                 sites.append(f"{module}:{node.lineno}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ast.parse(source), None)
     return sites
 
 
@@ -168,8 +159,4 @@ def replacing(path):
 
 
 def test_no_module_opens_a_file_for_writing_itself():
-    root = Path(signpipe.__file__).parent
-    sites = [site for path in sorted(root.rglob("*.py"))
-             for site in write_sites(path.read_text(encoding="utf-8"),
-                                     path.relative_to(root).as_posix())]
-    assert sites == []
+    assert package_sites(write_sites) == []
