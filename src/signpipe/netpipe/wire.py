@@ -9,7 +9,9 @@ writes the rest and names what cannot be sent. The decoder is incremental:
 bytes may arrive split at any boundary and frames are emitted as soon as
 they complete. MessageSocket puts both directions over one connected
 socket. The *_message functions are the only builders of each body, and
-reply_body the one check a client makes of what the server sends.
+reply_body the one check a client makes of what the server sends. A
+LANDMARKS body holds the sample's checked LandmarkRows, which encode_frame
+writes from its columns as the rows sample_to_body lists.
 """
 
 from __future__ import annotations
@@ -71,35 +73,26 @@ class WireMessage:
             raise ValidationError("wire message body must be an object")
 
 
-_JSON_TYPES = frozenset({dict, list, tuple, str, int, float, bool, type(None)})
+# A LandmarkRows is a leaf the walk trusts: its columns were checked when its
+# rows were packed (ints, and no infinity), and a NaN is written as null.
+_JSON_TYPES = frozenset({dict, list, tuple, str, int, float, bool, type(None),
+                         LandmarkRows})
 _CONTAINERS = (dict, list, tuple)
 _SEQUENCES = frozenset({list, tuple})
 _is_float = float.__instancecheck__  # isinstance(v, float), one argument
 # orjson raises past 255 levels; a body as deep as this takes json's path.
 _FAST_DEPTH = 64
-# A level longer than this is summed before its types are looked at: a
-# clip's coordinates are one level of ~100k numbers.
-_LONG_LEVEL = 64
 
 
 def _plain_and_finite(body: dict) -> bool:
     """Whether body is a dict that holds only JSON types (float subclasses
-    among them) and no NaN or infinity, at any depth, walked one level at a
-    time. A False may also mean only that the walk gave up: on a body too
-    deep or too big to be a frame, or a cycle."""
+    among them) and LandmarkRows, and no NaN or infinity, at any depth,
+    walked one level at a time. A False may also mean only that the walk gave
+    up: on a body too deep or too big to be a frame, or a cycle."""
     if type(body) is not dict:
         return False
     level, budget = list(body.values()), MAX_FRAME_BYTES // 2
     for _ in range(_FAST_DEPTH):
-        if len(level) > _LONG_LEVEL:
-            try:
-                # Numbers alone (None and other falsy values left out) sum to
-                # a finite number only when each one is finite. np.float64
-                # values add by numpy's rules, which warn of an inf or NaN sum.
-                with np.errstate(all="ignore"):
-                    return math.isfinite(sum(filter(None, level)))
-            except (TypeError, ValueError, ArithmeticError):
-                pass  # a string, a container or some other type is here
         types = set(map(type, level))
         others = types - _JSON_TYPES
         if others and not all(issubclass(t, float) for t in others):
@@ -119,21 +112,39 @@ def _plain_and_finite(body: dict) -> bool:
     return False
 
 
+def _orjson_default(value):
+    """What orjson writes for a value it does not write itself: a LandmarkRows
+    as row tuples zipped from its columns (orjson writes a NaN as null), a
+    float subclass such as np.float64 as its float. Else TypeError."""
+    if type(value) is LandmarkRows:
+        return list(zip(value.frame_index.tolist(), value.kind.tolist(),
+                        value.landmark_index.tolist(), *value.xyz.T.tolist()))
+    return float.__float__(value)
+
+
+class _RowsListed(json.JSONEncoder):
+    """json's encoder, with a LandmarkRows written as its tolist()."""
+
+    def default(self, o):
+        return o.tolist() if type(o) is LandmarkRows else super().default(o)
+
+
 def encode_frame(msg: WireMessage) -> bytes:
-    """Canonical bytes for one message: no whitespace, keys type then body."""
+    """Canonical bytes for one message: no whitespace, keys type then body.
+    A LandmarkRows in the body is written as the rows of its tolist()."""
     obj = {"type": msg.type, "body": msg.body}
     payload = None
     with gc_paused():
         if _plain_and_finite(msg.body):
             try:
-                # A float subclass such as np.float64 is written as its float.
-                payload = orjson.dumps(obj, default=float.__float__)
+                payload = orjson.dumps(obj, default=_orjson_default)
             except orjson.JSONEncodeError:
                 pass  # json.dumps below names the fault
         if payload is None:
             try:
                 payload = json.dumps(
-                    obj, separators=(",", ":"), ensure_ascii=False, allow_nan=False,
+                    obj, cls=_RowsListed, separators=(",", ":"), ensure_ascii=False,
+                    allow_nan=False,
                 ).encode("utf-8")
             except (TypeError, ValueError) as e:
                 raise FrameError(f"body is not wire-encodable: {e}") from None
@@ -340,4 +351,7 @@ def sample_from_body(body: dict) -> SignSample:
 
 
 def landmarks_message(sample: SignSample) -> WireMessage:
-    return WireMessage("LANDMARKS", sample_to_body(sample))
+    """LANDMARKS for a sample: sample_to_body's body, with the sample's
+    LandmarkRows itself as its frames, so no row list is built."""
+    return WireMessage("LANDMARKS", {"sample": {"id": sample.sample_id,
+                                                "frames": sample.frames}})

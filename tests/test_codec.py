@@ -1,8 +1,9 @@
 """The wire codec's two readers and two writers give one result: orjson's
 fast path and the json module's exact path agree on every frame, value,
-error and message, and real-looking clips stay on the fast path. The codec
-builds and walks a clip with the cyclic garbage collector paused, and
-restores the state it found."""
+error and message, and real-looking clips stay on the fast path. A
+LANDMARKS frame written from a sample's columns is the frame of its listed
+rows, and encode_frame is the one writer. The codec builds and walks a clip
+with the cyclic garbage collector paused, and restores the state it found."""
 
 import ast
 import gc
@@ -36,7 +37,8 @@ from signpipe.netpipe import (
 )
 from signpipe.netpipe import wire
 
-from conftest import make_sample, module_names, package_sites, package_sources, scoped_nodes
+from conftest import (make_sample, module_names, package_sites, package_sources, scoped_nodes,
+                      sign_samples)
 
 
 def reference_encode_frame(msg: WireMessage) -> bytes:
@@ -295,6 +297,68 @@ def test_real_looking_clips_never_reach_the_json_module(monkeypatch):
     assert sample_from_body(msg.body) == sample
 
 
+# -- a LANDMARKS frame is written from the sample's columns --------------------
+
+def assert_written_as_listed(sample: SignSample) -> None:
+    """encode_frame(landmarks_message(sample)), whose body holds the sample's
+    LandmarkRows, against the json encoder of sample_to_body's listed rows:
+    the same error and message, or the same value, in the same bytes where
+    no listed float's repr has an exponent; and always the bytes that
+    encode_frame writes for the listed body itself."""
+    msg = landmarks_message(sample)
+    assert msg.body["sample"]["frames"] is sample.frames
+    listed = WireMessage("LANDMARKS", sample_to_body(sample))
+    got = outcome(encode_frame, msg)
+    expected = outcome(reference_encode_frame, listed)
+    if got[0] == "error" or expected[0] == "error":
+        assert got == expected
+        return
+    frame, reference = encode_frame(msg), reference_encode_frame(listed)
+    assert frame == encode_frame(listed)
+    assert json.loads(frame[4:]) == json.loads(reference[4:])
+    if not any("e" in float.__repr__(f) for f in floats_in(listed.body)):
+        assert frame == reference
+
+
+def pose_sample(sample_id, xyz, frame_index=None) -> SignSample:
+    """One pose landmark per frame, frames 0, 1, ... unless given."""
+    frame_index = range(len(xyz)) if frame_index is None else frame_index
+    return SignSample(sample_id, LandmarkRows(frame_index, [LandmarkKind.POSE.value] * len(xyz),
+                                              [11] * len(xyz), xyz))
+
+
+_ODD_IDS = st.sampled_from(['say "hi"', "back\\slash", "\x00\x01\n\t\x1f\x7f", "\u2028",
+                            "\U0001f91f sign", "\ud800", "a\udfffb"])
+
+
+class TestLandmarksWriter:
+    @settings(deadline=None, max_examples=300)
+    @given(sign_samples(), st.one_of(st.none(), st.text(min_size=1, max_size=8), _ODD_IDS))
+    def test_matches_the_listed_body(self, sample, sample_id):
+        assert_written_as_listed(sample if sample_id is None
+                                 else SignSample(sample_id, sample.frames))
+
+    @pytest.mark.parametrize("xyz", [
+        [[math.nan] * 3] * 3,
+        [[-0.0, 0.0, -0.0]],
+        [[5e-324, -5e-324, 1e-7]],
+        [[0.1 + 0.2, 1e-05, 1e16], [math.nan, 2.5e-08, -1.7976931348623157e308]],
+    ], ids=["all-nan", "signed-zero", "subnormal-and-1e-7", "repr-digits"])
+    def test_coordinates(self, xyz):
+        assert_written_as_listed(pose_sample("s", xyz))
+
+    def test_the_largest_frame_index(self):
+        assert_written_as_listed(pose_sample("s", [[0.5, math.nan, 0.25]] * 2,
+                                             frame_index=[0, 2**63 - 1]))
+
+    @pytest.mark.parametrize("sample_id", [
+        'say "hi"', "back\\slash", "".join(map(chr, range(32))) + "\x7f", "\U0001f91f sign",
+        "\ud800", "a\udfffb", 7, 2**64, b"bytes", ("a", "b"),
+    ], ids=repr)
+    def test_ids(self, sample_id):
+        assert_written_as_listed(pose_sample(sample_id, [[0.5, 0.5, math.nan]]))
+
+
 # -- the collector is paused while the codec runs ------------------------------
 
 def _failing_rows():
@@ -421,6 +485,75 @@ def test_a_clip_round_trip_starts_at_most_four_collections():
         gc.callbacks.remove(count)
     assert received == sample
     assert len(started) <= 4, started
+
+
+def test_a_written_clip_leaves_no_collection_behind():
+    """A clip's row tuples live and die inside encode_frame's pause, so the
+    allocations after a write start no collection over them. A full
+    collection empties CPython's free list of small tuples, and a write that
+    finds it empty leaves up to 2,000 freed tuples on the young count: at
+    most one collection, over nothing the write kept alive. A write after
+    that leaves none."""
+    sample = holistic_sample(20)
+    assert len(sample.frames) >= 10_000
+    started, per_write = [], []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        for write in range(4):
+            encode_frame(landmarks_message(sample))
+            for _ in range(1000):
+                SimpleNamespace(write=write)  # no free list: each one is counted
+            per_write.append(len(started))
+            started.clear()
+    finally:
+        gc.callbacks.remove(count)
+    assert per_write[0] <= 1 and per_write[1:] == [0, 0, 0], per_write
+
+
+# -- only encode_frame writes a frame with orjson ------------------------------
+
+def orjson_write_sites(source: str, module: str) -> list[str]:
+    """`module:line` of each use of orjson.dumps, however orjson is imported,
+    outside wire.encode_frame."""
+    nodes = scoped_nodes(source)
+    names = module_names(nodes, "orjson")
+    return [f"{module}:{node.lineno}" for node, scope in nodes
+            if (module, scope) != ("netpipe/wire.py", "encode_frame")
+            and (isinstance(node, ast.Attribute) and node.attr == "dumps"
+                 and isinstance(node.value, ast.Name) and node.value.id in names
+                 or isinstance(node, ast.ImportFrom) and node.module == "orjson"
+                 and {"dumps", "*"} & {alias.name for alias in node.names})]
+
+
+def test_the_guard_finds_each_use_of_orjson_dumps():
+    source = """
+import orjson
+import orjson as fast
+from orjson import dumps
+from orjson import loads, dumps as write
+from orjson import *
+def encode_frame():
+    orjson.dumps({}); fast.dumps([])
+    orjson.loads(b"1"); json.dumps({}); fast.OPT_INDENT_2
+class Writer:
+    def encode_frame(self):
+        return orjson.dumps
+"""
+    assert orjson_write_sites(source, "m.py") == [
+        "m.py:4", "m.py:5", "m.py:6", "m.py:8", "m.py:8", "m.py:12"]
+    assert orjson_write_sites(source, "netpipe/wire.py") == [
+        "netpipe/wire.py:4", "netpipe/wire.py:5", "netpipe/wire.py:6", "netpipe/wire.py:12"]
+
+
+def test_only_encode_frame_writes_with_orjson():
+    assert package_sites(orjson_write_sites) == []
+    assert orjson_write_sites(package_sources()["netpipe/wire.py"], "elsewhere.py")
 
 
 # -- only gc_paused switches the collector -------------------------------------

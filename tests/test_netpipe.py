@@ -1218,14 +1218,17 @@ def raw_frame(msg_type, body) -> bytes:
 
 
 @contextlib.contextmanager
-def scripted_server(*frames: bytes, hello: bytes = encode_frame(HELLO)):
+def scripted_server(*frames: bytes, hello: bytes = encode_frame(HELLO),
+                    received: list | None = None):
     """A one-connection server: it answers HELLO with hello (by default in
     kind), BYE in kind and every LANDMARKS with frames, sent as they are;
-    given none, it hangs up on LANDMARKS. Yields its address."""
+    given none, it hangs up on LANDMARKS. The type of each message it reads
+    is appended to received, if given. Yields its address."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(10.0)
     replies = {"HELLO": hello, "LANDMARKS": b"".join(frames),
                "BYE": encode_frame(BYE)}
+    received = [] if received is None else received
 
     def run():
         with listener:
@@ -1234,7 +1237,10 @@ def scripted_server(*frames: bytes, hello: bytes = encode_frame(HELLO)):
             conn.settimeout(10.0)
             link = MessageSocket(conn)
             try:
-                while (msg := link.recv()) is not None and replies[msg.type]:
+                while (msg := link.recv()) is not None:
+                    received.append(msg.type)
+                    if not replies[msg.type]:
+                        break
                     conn.sendall(replies[msg.type])
             except OSError:
                 pass  # the robot hung up on a reply it rejected
@@ -1378,6 +1384,22 @@ class TestRobotReplies:
         [record] = [r for r in caplog.records if r.name == "signpipe.netpipe.robot"]
         assert record.getMessage() == f"session failed: {message}"
         assert log.read_text(encoding="utf-8") == "SAMPLE s1\n"
+
+    def test_an_id_that_cannot_be_encoded_fails_before_its_landmarks_are_sent(
+            self, tmp_path, caplog):
+        log, received = tmp_path / "robot.log", []
+        with scripted_server(raw_frame("RESULT", GOOD_RESULT), raw_frame("SCRIPT", GOOD_SCRIPT),
+                             received=received) as address:
+            with caplog.at_level(logging.ERROR, logger="signpipe.netpipe.robot"):
+                status = robot_sim(address, [make_sample(sample_id="a\ud800b")], log,
+                                   timeout_s=5.0)
+        assert status == 1
+        assert log.read_text(encoding="utf-8") == "SAMPLE a\\ud800b\n"
+        [record] = [r for r in caplog.records if r.name == "signpipe.netpipe.robot"]
+        assert record.getMessage() == (
+            "session failed: body is not wire-encodable: 'utf-8' codec can't encode "
+            "character '\\ud800' in position 45: surrogates not allowed")
+        assert received == ["HELLO"]
 
     @pytest.mark.parametrize("body, version", [
         ({"protocol_version": 2}, "2"), ({}, "None"),
