@@ -17,7 +17,10 @@ an exact type check, as the wrong type.
 Bytes are parsed by orjson where it gives exactly what the json module
 gives, and by the json module otherwise, so the value, or the error and its
 message, never depends on which reader ran. Either reader runs with the
-cyclic garbage collector paused (gc_paused).
+cyclic garbage collector paused (gc_paused). A reader that knows its
+document's layout may instead read the document's outline and then call
+loads_outlined, orjson's reader with no exactness scan, and decline to
+parse_json wherever the outline cannot prove the value exact.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from typing import BinaryIO, Iterator
 import orjson
 
 __all__ = ["decode_text", "read_text", "replacing", "write_text", "check_json",
-           "check_fields", "parse_json", "load_json", "gc_paused"]
+           "check_fields", "parse_json", "load_json", "gc_paused", "outline",
+           "loads_outlined"]
 
 _NAMES = {int: "an integer", float: "a number", str: "a string",
           list: "a JSON array", dict: "a JSON object"}
@@ -189,6 +193,9 @@ _DIGIT_RUNS = bytes(ord("0") if b in b"0123456789" else b if b in b"." else ord(
 _LONG_RUN = b"0" * 19
 # Every byte but brackets and quotes, which outline a document's nesting.
 _NOT_OUTLINE = bytes(b for b in range(256) if b not in b'[]{}"')
+# Every byte but brackets, quotes, backslashes and the letters of true and
+# false that no other JSON token holds.
+_NOT_OUTLINE_TF = bytes(b for b in range(256) if b not in b'[]{}"\\tf')
 # How many rounds of removing innermost bracket pairs the fast reader allows:
 # a document that they empty nests at most twice as deep.
 _FAST_ROUNDS = 32
@@ -215,6 +222,22 @@ def _orjson_exact(data: bytes | bytearray) -> bool:
             return True
         outline = outline.replace(b"[]", b"").replace(b"{}", b"")
     return not outline
+
+
+def outline(data: bytes | bytearray) -> bytes | bytearray:
+    """data with every byte but []{}"\\ t and f deleted, in one pass: its
+    nesting, its strings with the t and f among their characters, any
+    escape, and a t or f outside a string for each true and false."""
+    return data.translate(None, _NOT_OUTLINE_TF)
+
+
+def loads_outlined(data: bytes | bytearray):
+    """orjson's value of data; a ValueError where orjson refuses it. No scan
+    runs first, so the caller must have read data's outline and bounded its
+    nesting, since orjson's reader recurses without a bound and deep enough
+    nesting overruns the C stack. Where json.loads would give an integer
+    past 64 bits, orjson gives a float, and it refuses an infinity."""
+    return orjson.loads(data)
 
 
 def _loads(data: str | bytes | bytearray, what: str, error: type[Exception]):

@@ -9,6 +9,9 @@ OpenBLAS thread count // live connections, at least 1. A sample's deadline
 is one interval timer, armed when the sample arrives and disarmed before its
 reply is written, so it covers every stage and backend call; outside a sample
 the child ignores SIGALRM, so a stray or late alarm never ends a session.
+The sample arrives once its frame is decoded: the decoder has already built
+and checked a LANDMARKS frame's rows, so that work, like the parse, runs
+before the timer is armed.
 The replies to one inbound message leave in one write. Every ERROR reply
 closes the connection; the client reconnects for a fresh session.
 """

@@ -11,7 +11,13 @@ they complete. MessageSocket puts both directions over one connected
 socket. The *_message functions are the only builders of each body, and
 reply_body the one check a client makes of what the server sends. A
 LANDMARKS body holds the sample's checked LandmarkRows, which encode_frame
-writes from its columns as the rows sample_to_body lists.
+writes from its columns as the rows sample_to_body lists. FrameDecoder
+reads such a frame back into the same body in one pass, with the rows
+built and checked as it decodes them; a frame that pass cannot prove it
+reads exactly as parse_json and sample_from_body would (an escape in the
+id, an extra key, a bool, a float or null in an int column, a row that
+LandmarkRows refuses) is read by them, into listed rows. sample_from_body
+takes either body, so its errors, and the decoder's, are the same.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import json
 import math
 import socket
 import struct
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -29,7 +36,7 @@ import orjson
 
 from ..errors import FrameError, ProtocolViolation, ValidationError
 from ..gesture import GestureEvent, Timeline
-from ..jsonio import check_json, gc_paused, parse_json
+from ..jsonio import check_json, gc_paused, loads_outlined, outline, parse_json
 from ..landmarks import LandmarkRows, SignSample
 
 __all__ = [
@@ -166,7 +173,9 @@ class FrameDecoder:
     """Incremental frame parser. feed() buffers arbitrary chunks and returns
     every message completed so far; a partial frame just waits for more
     bytes. Oversized or malformed frames raise FrameError, after which the
-    decoder must be discarded (the stream has lost sync)."""
+    decoder must be discarded (the stream has lost sync). A LANDMARKS
+    message's body may hold its rows as checked LandmarkRows already (see
+    the module docstring)."""
 
     def __init__(self):
         self._buf = bytearray()
@@ -194,6 +203,10 @@ class FrameDecoder:
             else:
                 payload = self._buf[_LEN.size:end]
                 del self._buf[:end]
+            body = _landmarks_body(payload)
+            if body is not None:
+                out.append(WireMessage("LANDMARKS", body))
+                continue
             obj = parse_json(payload, "payload", FrameError, {"type": str, "body": dict})
             if obj.keys() != {"type", "body"}:
                 raise FrameError("payload must have exactly the keys 'type' and 'body'")
@@ -201,6 +214,69 @@ class FrameDecoder:
                 raise FrameError(f"unknown message type {obj['type']!r}")
             out.append(WireMessage(obj["type"], obj["body"]))
         return out
+
+
+# A LANDMARKS payload that encode_frame writes starts with _PREFIX, and its
+# outline is _HEAD, the id's outline and closing quote, then _ROWS_OPEN, one
+# [] per row, and _ROWS_CLOSE.
+_PREFIX = b'{"type":"LANDMARKS",'
+_HEAD = outline(b'{"type":"LANDMARKS","body":{"sample":{"id":"')
+_ROWS_OPEN, _ROWS_CLOSE = b'"f"[', b"]}}}"
+# orjson reads an integer token outside [-2**63, 2**64) as a float, where
+# json reads the int, so a coordinate this large may not be the double that
+# json's int gives.
+_COORD_BOUND = 2.0 ** 63
+
+
+def _landmarks_body(payload: bytearray) -> dict | None:
+    """The body landmarks_message builds, read from a LANDMARKS payload in
+    one pass inside one gc pause, so the parsed row lists die unseen. None
+    where the pass cannot prove that parse_json and sample_from_body give
+    these very rows, after which they run as for any frame."""
+    if not payload.startswith(_PREFIX):
+        return None
+    with gc_paused():
+        return _read_landmarks(payload)
+
+
+def _read_landmarks(payload: bytearray) -> dict | None:
+    # The outline bounds the nesting before orjson reads a byte. It also
+    # proves the layout {"type": "LANDMARKS", k: {k: {k: "id", k: [...]}}}
+    # with no other string, no escape in the id, no true or false, and n
+    # arrays of numbers and nulls, perhaps with numbers and nulls between
+    # them, in the frames array. Only the key names are left to check, and
+    # of the keys at the last level only "frames" can outline as "f".
+    shape = outline(payload)
+    if not shape.startswith(_HEAD):
+        return None
+    id_end = shape.find(b'"', len(_HEAD))
+    n = (len(shape) - id_end - 1 - len(_ROWS_OPEN) - len(_ROWS_CLOSE)) // 2
+    if (id_end < 0 or b"\\" in shape[len(_HEAD):id_end]
+            or shape[id_end + 1:] != _ROWS_OPEN + b"[]" * n + _ROWS_CLOSE):
+        return None
+    try:
+        obj = loads_outlined(payload)
+    except ValueError:
+        return None
+    sample = obj.get("body", {}).get("sample", {})
+    if sample.keys() != {"id", "frames"} or len(rows := sample["frames"]) != n:
+        return None
+    try:  # strict: every row is as long as the first, which holds 6 values
+        frame_index, kind, landmark_index, x, y, z = (
+            zip(*rows, strict=True) if rows else [()] * 6)
+        # array("q") refuses a float, a null and an int outside int64.
+        ints = [array("q", column) for column in (frame_index, kind, landmark_index)]
+    except (ValueError, TypeError, OverflowError):
+        return None
+    # np.fromiter reads a null as NaN, as np.array does.
+    xyz = np.stack([np.fromiter(column, np.float64, n) for column in (x, y, z)], axis=1)
+    if (np.abs(xyz) >= _COORD_BOUND).any():
+        return None
+    try:
+        frames = LandmarkRows(*ints, xyz)
+    except ValidationError:
+        return None
+    return {"sample": {"id": sample["id"], "frames": frames}}
 
 
 class MessageSocket:
@@ -330,11 +406,17 @@ def _require(values, allowed: set, what: str, key=type) -> None:
 
 def sample_from_body(body: dict) -> SignSample:
     """Inverse of sample_to_body; raises ValidationError on any shape or
-    content problem (this is remote input)."""
+    content problem (this is remote input). Frames that are already checked
+    LandmarkRows, as in the body landmarks_message builds and FrameDecoder
+    reads a LANDMARKS frame into, are taken as they are."""
     with gc_paused():
+        check_json(body, "LANDMARKS body", ValidationError, {"sample": {"id": str}},
+                   required=True)
+        sample_id, rows = body["sample"]["id"], body["sample"].get("frames")
+        if type(rows) is LandmarkRows:
+            return SignSample(sample_id, rows)
         check_json(body, "LANDMARKS body", ValidationError,
                    {"sample": {"id": str, "frames": list}}, required=True)
-        sample_id, rows = body["sample"]["id"], body["sample"]["frames"]
         _require(rows, {list}, "expected an array of 6 elements")
         _require(rows, {6}, "expected 6 elements", key=len)
         frame_index, kind, landmark_index, *xyz = list(zip(*rows)) or [()] * 6

@@ -2,8 +2,11 @@
 fast path and the json module's exact path agree on every frame, value,
 error and message, and real-looking clips stay on the fast path. A
 LANDMARKS frame written from a sample's columns is the frame of its listed
-rows, and encode_frame is the one writer. The codec builds and walks a clip
-with the cyclic garbage collector paused, and restores the state it found."""
+rows, and encode_frame is the one writer. The decoder reads a LANDMARKS
+frame back into checked columns in one pass, with the sample or the error
+the old reader gives, and written frames take that pass. The codec builds
+and walks a clip with the cyclic garbage collector paused, and restores the
+state it found."""
 
 import ast
 import gc
@@ -17,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from signpipe import jsonio
 from signpipe.errors import FrameError, ValidationError
@@ -36,6 +39,7 @@ from signpipe.netpipe import (
     sample_to_body,
 )
 from signpipe.netpipe import wire
+from signpipe.synth import make_synthetic_samples
 
 from conftest import (make_sample, module_names, package_sites, package_sources, scoped_nodes,
                       sign_samples)
@@ -359,6 +363,289 @@ class TestLandmarksWriter:
         assert_written_as_listed(pose_sample(sample_id, [[0.5, 0.5, math.nan]]))
 
 
+def holistic_sample(frames: int, missing_hands: bool = False) -> SignSample:
+    """Every landmark of every kind in each frame, as a Holistic clip sends;
+    with missing_hands, one hand's rows are null in every fifth frame."""
+    keys = [(kind.value, index) for kind in LandmarkKind for index in range(KIND_CAPACITY[kind])]
+    rows = [(t, kind, index) for t in range(frames) for kind, index in keys]
+    xyz = np.random.default_rng(5).uniform(0.1, 0.9, size=(len(rows), 3))
+    if missing_hands:
+        hand = np.array([kind == LandmarkKind.LEFT_HAND.value for _, kind, _ in rows])
+        xyz[hand & (np.array([t for t, _, _ in rows]) % 5 == 0)] = math.nan
+    return SignSample("holistic", LandmarkRows(*zip(*rows), xyz))
+
+
+# -- a LANDMARKS frame is read into checked columns in one pass ----------------
+
+def reference_feed(frame: bytes) -> list[WireMessage]:
+    """FrameDecoder.feed on one whole frame as it read every frame before the
+    one-pass LANDMARKS reader: parse_json, then the key and type checks."""
+    obj = parse_json(frame[4:], "payload", FrameError, {"type": str, "body": dict})
+    if obj.keys() != {"type", "body"}:
+        raise FrameError("payload must have exactly the keys 'type' and 'body'")
+    if obj["type"] not in wire.WIRE_TYPES:
+        raise FrameError(f"unknown message type {obj['type']!r}")
+    return [WireMessage(obj["type"], obj["body"])]
+
+
+def _require(values, allowed: set, what: str, key=type) -> None:
+    if not set(map(key, values)) <= allowed:
+        row = next(i for i, v in enumerate(values) if key(v) not in allowed)
+        raise ValidationError(f"sample frame {row}: {what}")
+
+
+def reference_sample_from_body(body: dict) -> SignSample:
+    """sample_from_body of a body with listed rows, as it was before the
+    one-pass reader: the reference that reader stands in for."""
+    check_json(body, "LANDMARKS body", ValidationError,
+               {"sample": {"id": str, "frames": list}}, required=True)
+    sample_id, rows = body["sample"]["id"], body["sample"]["frames"]
+    _require(rows, {list}, "expected an array of 6 elements")
+    _require(rows, {6}, "expected 6 elements", key=len)
+    frame_index, kind, landmark_index, *xyz = list(zip(*rows)) or [()] * 6
+    _require(frame_index, {int}, "frame index must be an int")
+    _require(kind, {int}, "kind code must be an int")
+    _require(landmark_index, {int}, "landmark index must be an int")
+    for column in xyz:
+        _require(column, {int, float, type(None)}, "coordinate is not a number")
+    try:
+        coords = np.array(xyz, dtype=np.float64).T  # null -> NaN
+    except OverflowError:
+        raise ValidationError("sample frames: coordinate outside the float64 range") from None
+    return SignSample(sample_id, LandmarkRows(frame_index, kind, landmark_index, coords))
+
+
+def read_with(feed, build, frame: bytes):
+    """The layer and error a frame ends in, or the sample it gives with every
+    column's dtype, shape and bytes."""
+    try:
+        [msg] = feed(frame)
+    except FrameError as e:
+        return "BAD_FRAME", type(e).__name__, str(e)
+    if msg.type != "LANDMARKS":
+        return "type", msg.type
+    try:
+        sample = build(msg.body)
+    except ValidationError as e:
+        return "PROTOCOL", type(e).__name__, str(e)
+    return "sample", sample.sample_id, sample.label, [
+        (column.dtype.str, column.shape, column.tobytes())
+        for column in (sample.frames.frame_index, sample.frames.kind,
+                       sample.frames.landmark_index, sample.frames.xyz)]
+
+
+def assert_read_as_today(frame: bytes):
+    """The decoder and sample_from_body give what the reference reader gives;
+    returns the decoded message, or None if the frame raised."""
+    got = read_with(lambda f: FrameDecoder().feed(f), sample_from_body, frame)
+    assert got == read_with(reference_feed, reference_sample_from_body, frame)
+    return None if got[0] == "BAD_FRAME" else FrameDecoder().feed(frame)[0]
+
+
+def framed(payload: bytes) -> bytes:
+    return struct.pack(">I", len(payload)) + payload
+
+
+_INT_TOKENS = [
+    "null", "true", "false", "3.0", "1e0", "-0", '"3"', "[]", "{}", "[1]",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "18446744073709551615", "18446744073709551616",
+    "1" + "0" * 18, "1" + "0" * 399, "1e0000000000000000001", "1.5e400",
+    "NaN", "Infinity", "-Infinity",
+]
+_COORD_TOKENS = [
+    "null", "true", "false", "0", "-0", "-0.0", "1", "0.5", "1e-05", "3.5e-7", "1E+2",
+    "5e-324", "1e-400", "1e308", "1.7976931348623157e308", "9.3e18", "-9.3e18",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+    "18446744073709551616", "12345678901234567890123", "-12345678901234567890123",
+    "1" * 25 + ".5", "0." + "0" * 398 + "1", "1" + "0" * 399, "-" + "9" * 400,
+    "1e0000000000000000001", "1e-0000000000000000000002", "1.5e400", "-1.5e400",
+    "NaN", "Infinity", "-Infinity", '"0.5"', "[]", "[0.5]", "{}",
+]
+_ROW_TOKENS = ["5", "null", "true", '"row"', "{}", "[]", "[[0,2,11,0.5,0.5,0.5]]",
+               '{"a":1}']
+_DEPTHS = [2, 3, 64, 1000, 200_000]
+_ID_TEXTS = st.one_of(
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=6).map(
+        lambda i: json.dumps(i, ensure_ascii=False)),
+    st.text(max_size=6).map(json.dumps),  # escapes: \uXXXX, \", \\, \n
+    st.sampled_from([
+        '"a\\u0074"', '"\\""', '"\\\\"', '"t[f{}]\\/"', '"tf[]{}"', '"a\x01"', '"\x1f"',
+        '"\x7f"', '"\\ud800"', '""', '"  \U0001f91f"', "5", "null", "true", "[]",
+        '"a" "b"',
+    ]),
+).map(lambda text: text.encode("utf-8", "surrogatepass")) | st.sampled_from(
+    [b'"\xff"', b'"\xed\xa0\x80"', b'"\xc0\x80"'])
+
+
+@st.composite
+def landmarks_frames(draw) -> bytes:
+    """A LANDMARKS frame as landmarks_message writes it, or with up to three
+    faults in its values, rows, id, keys, whitespace or nesting."""
+    sample = draw(sign_samples())
+    rows = [[json.dumps(value) for value in row] for row in sample.frames.tolist()]
+    index = st.integers(0, len(rows) - 1)
+    id_text = json.dumps(sample.sample_id, ensure_ascii=False).encode("utf-8")
+    layout, kinds = set(), ["int", "coord", "length", "row", "nest", "empty", "id",
+                            "extra", "repeat", "reorder", "rename", "space", "type"]
+    # Faults in values come before those that replace a row or the rows.
+    for fault in sorted(draw(st.lists(st.sampled_from(kinds), max_size=3)), key=kinds.index):
+        if fault == "int" and rows:
+            rows[draw(index)][draw(st.integers(0, 2))] = draw(st.sampled_from(_INT_TOKENS))
+        elif fault == "coord" and rows:
+            rows[draw(index)][draw(st.integers(3, 5))] = draw(
+                st.sampled_from(_COORD_TOKENS) | st.floats().map(repr))
+        elif fault == "length" and rows:
+            i = draw(index)
+            rows[i] = (rows[i] * 2)[:draw(st.integers(0, 12).filter(lambda n: n != 6))]
+        elif fault == "row" and rows:
+            rows[draw(index)] = draw(st.sampled_from(_ROW_TOKENS))
+        elif fault == "nest" and rows:
+            depth = draw(st.sampled_from(_DEPTHS))
+            rows[draw(index)] = "[" * depth + "]" * depth
+        elif fault == "empty":
+            rows = []
+        elif fault == "id":
+            id_text = draw(_ID_TEXTS)
+        else:
+            layout.add(fault)
+    if not draw(st.integers(0, 3)):  # now and then a frame whose rows all fail
+        rows = rows[:1]
+    comma, colon = (", ", ": ") if "space" in layout else (",", ":")
+    row_texts = [row if isinstance(row, str) else "[" + comma.join(row) + "]" for row in rows]
+    entries = [b'"id"' + colon.encode() + id_text,
+               ('"frames"' + colon + "[" + comma.join(row_texts) + "]").encode()]
+    if "reorder" in layout:
+        entries.reverse()
+    if "repeat" in layout:
+        entries.append(b'"id":"again"')
+    if "rename" in layout:
+        entries[0] = draw(st.sampled_from([b'"ID":"s"', b'"i":"s"', b'"idt":"s"']))
+    extra = draw(st.sampled_from([b'"x":1', b'"x":"y"', b'"f":true', b'"x":[[1]]']))
+    where = draw(st.sampled_from(["sample", "body", "top"]))
+    sample_text = b"{" + comma.encode().join(
+        entries + ([extra] if "extra" in layout and where == "sample" else [])) + b"}"
+    body_entries = [b'"sample"' + colon.encode() + sample_text]
+    body_entries += [extra] if "extra" in layout and where == "body" else []
+    top = [b'"type"' + colon.encode() + draw(st.sampled_from(
+               [b'"LANDMARKS"', b'"LANDMARK"', b'"HELLO"', b'"LANDMARKS" ']))
+           if "type" in layout else b'"type":"LANDMARKS"',
+           b'"body"' + colon.encode() + b"{" + comma.encode().join(body_entries) + b"}"]
+    top += [extra] if "extra" in layout and where == "top" else []
+    return framed(b"{" + b",".join(top) + b"}")
+
+
+class TestLandmarksReader:
+    @settings(deadline=None, max_examples=400,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(landmarks_frames())
+    def test_reads_every_frame_as_today(self, frame):
+        assert_read_as_today(frame)
+
+    @settings(deadline=None, max_examples=100)
+    @given(sign_samples(), st.one_of(st.none(), st.text(min_size=1, max_size=8), _ODD_IDS))
+    def test_reads_what_landmarks_message_writes(self, sample, sample_id):
+        if sample_id is not None:
+            sample = SignSample(sample_id, sample.frames)
+        try:
+            frame = encode_frame(landmarks_message(sample))
+        except FrameError:
+            return  # an id that is not valid Unicode cannot be written
+        msg = assert_read_as_today(frame)
+        assert sample_from_body(msg.body) == SignSample(sample.sample_id, sample.frames)
+
+    @pytest.mark.parametrize("rows, sample_id", [
+        ("[[0,2,11,0.5,0.5,null]]", '"a\\u0062"'),          # an escape in the id
+        ("[[0,2,11,0.5,0.5,null]]", '"\\"["'),              # an escaped quote, a bracket
+        ("[[0,2,11,0.5,0.5,null],[1,2,11,true,0.5,null]]", '"s"'),   # a bool
+        ("[[0,2,11,0.5,0.5,null],[1.0,2,11,0.5,0.5,null]]", '"s"'),  # a float int
+        ("[[0,null,11,0.5,0.5,null]]", '"s"'),              # a null int
+        ("[[9223372036854775808,2,11,0.5,0.5,null]]", '"s"'),  # past int64
+        ("[[0,2,11,18446744073709551616,0.5,null]]", '"s"'),   # orjson's float
+        ("[[0,2,11," + "9" * 400 + ",0.5,null]]", '"s"'),     # past float64 for json
+        ("[[0,2,11,1.5e400,0.5,null]]", '"s"'),             # infinite
+        ("[[0,2,11,NaN,0.5,null]]", '"s"'),                 # not JSON
+        ("[[0,9,11,0.5,0.5,null]]", '"s"'),                 # LandmarkRows refuses
+        ("[[0,2,11,0.5,0.5,null],[0,2,11,0.5,0.5,null]]", '"s"'),  # a repeated row
+        ("[[0,2,11,0.5,0.5]]", '"s"'),                      # a short row
+        ("[[0,2,11,0.5,0.5,null],5]", '"s"'),               # a number for a row
+    ], ids=repr)
+    def test_declined_frames_are_read_as_today(self, rows, sample_id):
+        frame = framed(('{"type":"LANDMARKS","body":{"sample":{"id":%s,"frames":%s}}}'
+                        % (sample_id, rows)).encode())
+        msg = assert_read_as_today(frame)
+        assert msg is None or type(msg.body["sample"]["frames"]) is list
+
+    @pytest.mark.parametrize("where", ["row", "frames", "id", "extra key", "body"])
+    def test_deep_nesting_is_declined(self, where):
+        # orjson 3.8.3 overruns the C stack at 200,000 nested arrays.
+        deep = "[" * 200_000 + "]" * 200_000
+        sample = {"row": '{"id":"s","frames":[[0,2,11,0.5,0.5,null],%s]}' % deep,
+                  "frames": '{"id":"s","frames":%s}' % deep,
+                  "id": '{"id":%s,"frames":[]}' % deep,
+                  "extra key": '{"id":"s","frames":[],"x":%s}' % deep}.get(where)
+        body = deep if sample is None else '{"sample":%s}' % sample
+        frame = framed(('{"type":"LANDMARKS","body":%s}' % body).encode())
+        assert assert_read_as_today(frame) is None
+
+    def test_an_empty_frames_array_is_a_protocol_error_as_today(self):
+        frame = framed(b'{"type":"LANDMARKS","body":{"sample":{"id":"s","frames":[]}}}')
+        msg = assert_read_as_today(frame)
+        with pytest.raises(ValidationError, match="has no frames"):
+            sample_from_body(msg.body)
+
+
+def tutor_sample() -> SignSample:
+    """A clip of the 88 landmarks the default selection reads."""
+    return make_synthetic_samples(1, 1, seed=4)[0]
+
+
+@pytest.mark.parametrize("sample", [
+    holistic_sample(30, missing_hands=True), real_looking_sample(), tutor_sample(),
+], ids=["holistic", "real-looking", "tutor"])
+def test_written_frames_take_the_one_pass_reader(sample, monkeypatch):
+    """A silent decline would leave every frame on the slow path."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return parse_json(*args, **kwargs)
+
+    monkeypatch.setattr(wire, "parse_json", spy)
+    frame = encode_frame(landmarks_message(sample))
+    [msg] = FrameDecoder().feed(frame)
+    assert calls == []
+    assert type(msg.body["sample"]["frames"]) is LandmarkRows
+    assert sample_from_body(msg.body) == SignSample(sample.sample_id, sample.frames)
+    assert read_with(lambda f: [msg], sample_from_body, frame) == read_with(
+        reference_feed, reference_sample_from_body, frame)
+
+
+def test_a_read_clip_leaves_no_collection_behind():
+    """The rows orjson parses die inside the reader's pause, so the
+    allocations after a read start no collection over them."""
+    frame = encode_frame(landmarks_message(holistic_sample(20, missing_hands=True)))
+    started, per_read = [], []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        for read in range(4):
+            [msg] = FrameDecoder().feed(frame)
+            sample_from_body(msg.body)
+            for _ in range(1000):
+                SimpleNamespace(read=read)  # no free list: each one is counted
+            per_read.append(len(started))
+            started.clear()
+    finally:
+        gc.callbacks.remove(count)
+    assert per_read[0] <= 1 and per_read[1:] == [0, 0, 0], per_read
+
+
 # -- the collector is paused while the codec runs ------------------------------
 
 def _failing_rows():
@@ -460,12 +747,6 @@ def test_a_child_forked_during_a_pause_starts_with_the_state_it_found(enabled):
     assert not thread.is_alive()
 
 
-def holistic_sample(frames: int) -> SignSample:
-    """Every landmark of every kind in each frame, as a Holistic clip sends."""
-    keys = [(kind.value, index) for kind in LandmarkKind for index in range(KIND_CAPACITY[kind])]
-    rows = [(t, kind, index) for t in range(frames) for kind, index in keys]
-    xyz = np.random.default_rng(5).uniform(0.1, 0.9, size=(len(rows), 3))
-    return SignSample("holistic", LandmarkRows(*zip(*rows), xyz))
 
 
 def test_a_clip_round_trip_starts_at_most_four_collections():

@@ -25,7 +25,7 @@ from signpipe.netpipe import decode_frame
 from signpipe.nn import ModelConfig
 from signpipe.preprocess import SelectionSpec
 
-from conftest import module_names, package_sites, scoped_nodes
+from conftest import module_names, package_sites, package_sources, scoped_nodes
 
 
 def _from_file(load):
@@ -181,3 +181,40 @@ def f(text, fh, self):
 def test_json_is_parsed_only_in_jsonio():
     """So every reader takes the one rule for NaN, Infinity and -Infinity."""
     assert {site.split(":")[0] for site in package_sites(json_read_sites)} == {"jsonio.py"}
+
+
+def orjson_read_sites(source: str, module: str) -> list[str]:
+    """`module:line` of each use of orjson.loads, however orjson is imported,
+    outside jsonio.py."""
+    if module == "jsonio.py":
+        return []
+    nodes = scoped_nodes(source)
+    names = module_names(nodes, "orjson")
+    return [f"{module}:{node.lineno}" for node, _ in nodes
+            if isinstance(node, ast.Attribute) and node.attr == "loads"
+            and isinstance(node.value, ast.Name) and node.value.id in names
+            or isinstance(node, ast.ImportFrom) and node.module == "orjson"
+            and {"loads", "*"} & {alias.name for alias in node.names}]
+
+
+def test_the_guard_finds_each_use_of_orjson_loads():
+    source = """
+import orjson
+import orjson as fast
+from orjson import loads
+from orjson import dumps, loads as read
+from orjson import *
+def f(data):
+    orjson.loads(data); fast.loads(data)
+    orjson.dumps(data); json.loads(data); fast.JSONDecodeError
+    parse = orjson.loads
+"""
+    assert orjson_read_sites(source, "m.py") == [
+        "m.py:4", "m.py:5", "m.py:6", "m.py:8", "m.py:8", "m.py:10"]
+    assert orjson_read_sites(source, "jsonio.py") == []
+
+
+def test_orjson_parses_only_in_jsonio():
+    """So every orjson parse keeps the nesting guard that protects the C stack."""
+    assert package_sites(orjson_read_sites) == []
+    assert orjson_read_sites(package_sources()["jsonio.py"], "elsewhere.py")
