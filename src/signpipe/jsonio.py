@@ -14,13 +14,12 @@ The non-JSON constants NaN, Infinity and -Infinity fit no shape: each is
 read as a marker that float rejects as not finite and any other shape, or
 an exact type check, as the wrong type.
 
-Bytes are parsed by orjson where it gives exactly what the json module
-gives, and by the json module otherwise, so the value, or the error and its
-message, never depends on which reader ran. Either reader runs with the
-cyclic garbage collector paused (gc_paused). A reader that knows its
-document's layout may instead read the document's outline and then call
-loads_outlined, orjson's reader with no exactness scan, and decline to
-parse_json wherever the outline cannot prove the value exact.
+Bytes and text are parsed by the json module, with the cyclic garbage
+collector paused (gc_paused). A reader that knows its document's layout
+may instead read the document's outline and then call loads_outlined,
+orjson's reader, and decline to parse_json wherever the outline cannot
+prove orjson's value exactly json's. The package's only such reader is
+the wire decoder's for a LANDMARKS frame, a written clip.
 """
 
 from __future__ import annotations
@@ -185,43 +184,9 @@ def check_fields(value: dict, what: str, error: type[Exception], fields) -> dict
     return value
 
 
-# Digits read as "0", a dot as itself and every other byte as " ", so that
-# " " followed by 19 "0"s starts an integer token (or an exponent) of 19 or
-# more digits, while a run of fraction digits follows a ".".
-_DIGIT_RUNS = bytes(ord("0") if b in b"0123456789" else b if b in b"." else ord(" ")
-                    for b in range(256))
-_LONG_RUN = b"0" * 19
-# Every byte but brackets and quotes, which outline a document's nesting.
-_NOT_OUTLINE = bytes(b for b in range(256) if b not in b'[]{}"')
 # Every byte but brackets, quotes, backslashes and the letters of true and
 # false that no other JSON token holds.
 _NOT_OUTLINE_TF = bytes(b for b in range(256) if b not in b'[]{}"\\tf')
-# How many rounds of removing innermost bracket pairs the fast reader allows:
-# a document that they empty nests at most twice as deep.
-_FAST_ROUNDS = 32
-
-
-def _orjson_exact(data: bytes | bytearray) -> bool:
-    """Whether orjson.loads(data) gives what json.loads would, if it parses.
-
-    Two things differ. orjson reads an integer token past 64 bits as a
-    float, and an integer of 19 or more digits may be one. And its reader
-    recurses without a bound, so deep enough nesting overruns the C stack,
-    where json raises RecursionError from about 1,000 levels.
-    """
-    digits = data.translate(_DIGIT_RUNS)
-    if digits.startswith(_LONG_RUN) or b" " + _LONG_RUN in digits:
-        return False
-    if b"\\" in data:  # drop escaped backslashes, then escaped quotes
-        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
-    outline = data.translate(None, _NOT_OUTLINE)
-    if b'"' in outline:  # keep what lies between strings
-        outline = b"".join(outline.split(b'"')[::2])
-    for _ in range(_FAST_ROUNDS):
-        if not outline:
-            return True
-        outline = outline.replace(b"[]", b"").replace(b"{}", b"")
-    return not outline
 
 
 def outline(data: bytes | bytearray) -> bytes | bytearray:
@@ -232,33 +197,24 @@ def outline(data: bytes | bytearray) -> bytes | bytearray:
 
 
 def loads_outlined(data: bytes | bytearray):
-    """orjson's value of data; a ValueError where orjson refuses it. No scan
-    runs first, so the caller must have read data's outline and bounded its
-    nesting, since orjson's reader recurses without a bound and deep enough
-    nesting overruns the C stack. Where json.loads would give an integer
-    past 64 bits, orjson gives a float, and it refuses an infinity."""
+    """orjson's value of data; a ValueError where orjson refuses it. The
+    caller must have read data's outline and bounded its nesting, since
+    orjson's reader recurses without a bound and deep enough nesting
+    overruns the C stack. Where json.loads would give an integer past 64
+    bits, orjson gives a float, and it refuses an infinity."""
     return orjson.loads(data)
-
-
-def _loads(data: str | bytes | bytearray, what: str, error: type[Exception]):
-    if isinstance(data, (bytes, bytearray)):
-        if _orjson_exact(data):
-            try:
-                return orjson.loads(data)
-            except orjson.JSONDecodeError:
-                pass  # the json path below names the fault
-        data = decode_text(data, what, error)
-    try:
-        return json.loads(data, parse_constant=lambda token: _NOT_JSON)
-    except (ValueError, RecursionError) as e:
-        raise error(f"{what}: invalid JSON ({e})") from None
 
 
 def parse_json(data: str | bytes | bytearray, what: str, error: type[Exception],
                shape=dict, required: bool = False):
     """JSON text or UTF-8 bytes, parsed and checked against shape."""
-    with gc_paused():
-        value = _loads(data, what, error)
+    if isinstance(data, (bytes, bytearray)):
+        data = decode_text(data, what, error)
+    try:
+        with gc_paused():
+            value = json.loads(data, parse_constant=lambda token: _NOT_JSON)
+    except (ValueError, RecursionError) as e:
+        raise error(f"{what}: invalid JSON ({e})") from None
     return check_json(value, what, error, shape, required)
 
 

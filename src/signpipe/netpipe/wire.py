@@ -2,34 +2,35 @@
 
 A frame is a 4-byte big-endian unsigned payload length followed by that many
 bytes of UTF-8 JSON shaped `{"type": ..., "body": {...}}`. Payloads are
-capped at 16 MiB. orjson writes a payload whenever it gives the bytes that
-json.dumps gives, up to how a float that repr spells with an exponent is
-spelled (1e-05 as 0.00001, 1e+16 as 1e16: the same double); json.dumps
-writes the rest and names what cannot be sent. The decoder is incremental:
-bytes may arrive split at any boundary and frames are emitted as soon as
-they complete. MessageSocket puts both directions over one connected
-socket. The *_message functions are the only builders of each body, and
-reply_body the one check a client makes of what the server sends. A
+capped at 16 MiB. orjson writes a clip, a body shaped exactly as
+landmarks_message builds it, in the bytes json.dumps gives up to how a
+float that repr spells with an exponent is spelled (1e-05 as 0.00001,
+1e+16 as 1e16: the same double); one json encoder writes every other
+body, as json.dumps would, and names what cannot be sent. The decoder is
+incremental: bytes may arrive split at any boundary and frames are emitted
+as soon as they complete. MessageSocket puts both directions over one
+connected socket. The *_message functions are the only builders of each
+body, and reply_body the one check a client makes of what the server
+sends. A
 LANDMARKS body holds the sample's checked LandmarkRows, which encode_frame
 writes from its columns as the rows sample_to_body lists. FrameDecoder
 reads such a frame back into the same body in one pass, with the rows
-built and checked as it decodes them; a frame that pass cannot prove it
-reads exactly as parse_json and sample_from_body would (an escape in the
-id, an extra key, a bool, a float or null in an int column, a row that
-LandmarkRows refuses) is read by them, into listed rows. sample_from_body
+built and checked as it decodes them. A row that LandmarkRows refuses
+leaves the parsed rows listed in the body, for sample_from_body to name
+the fault; a frame that pass cannot prove it reads exactly as parse_json
+would (an escape in the id, an extra key, a bool, a float or null in an
+int column) is read by parse_json, into listed rows. sample_from_body
 takes either body, so its errors, and the decoder's, are the same.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import socket
 import struct
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 import orjson
@@ -80,53 +81,22 @@ class WireMessage:
             raise ValidationError("wire message body must be an object")
 
 
-# A LandmarkRows is a leaf the walk trusts: its columns were checked when its
-# rows were packed (ints, and no infinity), and a NaN is written as null.
-_JSON_TYPES = frozenset({dict, list, tuple, str, int, float, bool, type(None),
-                         LandmarkRows})
-_CONTAINERS = (dict, list, tuple)
-_SEQUENCES = frozenset({list, tuple})
-_is_float = float.__instancecheck__  # isinstance(v, float), one argument
-# orjson raises past 255 levels; a body as deep as this takes json's path.
-_FAST_DEPTH = 64
-
-
-def _plain_and_finite(body: dict) -> bool:
-    """Whether body is a dict that holds only JSON types (float subclasses
-    among them) and LandmarkRows, and no NaN or infinity, at any depth,
-    walked one level at a time. A False may also mean only that the walk gave
-    up: on a body too deep or too big to be a frame, or a cycle."""
-    if type(body) is not dict:
+def _is_clip(body: dict) -> bool:
+    """Whether body is shaped exactly as landmarks_message builds it: a str
+    id and the sample's LandmarkRows, whose columns were checked when its
+    rows were packed (ints, and no infinity)."""
+    if type(body) is not dict or body.keys() != {"sample"}:
         return False
-    level, budget = list(body.values()), MAX_FRAME_BYTES // 2
-    for _ in range(_FAST_DEPTH):
-        types = set(map(type, level))
-        others = types - _JSON_TYPES
-        if others and not all(issubclass(t, float) for t in others):
-            return False
-        if (float in types or others) and not all(
-                map(math.isfinite, filter(_is_float, level))):
-            return False
-        if types.isdisjoint(_CONTAINERS):
-            return True
-        if not types <= _SEQUENCES:
-            level = [v.values() if type(v) is dict else v
-                     for v in level if isinstance(v, _CONTAINERS)]
-        budget -= sum(map(len, level))
-        if budget < 0:
-            return False
-        level = list(chain.from_iterable(level))
-    return False
+    sample = body["sample"]
+    return (type(sample) is dict and sample.keys() == {"id", "frames"}
+            and type(sample["id"]) is str and type(sample["frames"]) is LandmarkRows)
 
 
-def _orjson_default(value):
-    """What orjson writes for a value it does not write itself: a LandmarkRows
-    as row tuples zipped from its columns (orjson writes a NaN as null), a
-    float subclass such as np.float64 as its float. Else TypeError."""
-    if type(value) is LandmarkRows:
-        return list(zip(value.frame_index.tolist(), value.kind.tolist(),
-                        value.landmark_index.tolist(), *value.xyz.T.tolist()))
-    return float.__float__(value)
+def _zipped_rows(rows: LandmarkRows) -> list:
+    """A clip's rows as tuples zipped from its columns, for orjson to write
+    (it writes a NaN as null)."""
+    return list(zip(rows.frame_index.tolist(), rows.kind.tolist(),
+                    rows.landmark_index.tolist(), *rows.xyz.T.tolist()))
 
 
 class _RowsListed(json.JSONEncoder):
@@ -136,23 +106,24 @@ class _RowsListed(json.JSONEncoder):
         return o.tolist() if type(o) is LandmarkRows else super().default(o)
 
 
+_ENCODER = _RowsListed(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+
+
 def encode_frame(msg: WireMessage) -> bytes:
     """Canonical bytes for one message: no whitespace, keys type then body.
-    A LandmarkRows in the body is written as the rows of its tolist()."""
+    A LandmarkRows in the body is written as the rows of its tolist(), by
+    orjson in a clip and by _ENCODER anywhere else."""
     obj = {"type": msg.type, "body": msg.body}
     payload = None
     with gc_paused():
-        if _plain_and_finite(msg.body):
+        if _is_clip(msg.body):
             try:
-                payload = orjson.dumps(obj, default=_orjson_default)
+                payload = orjson.dumps(obj, default=_zipped_rows)
             except orjson.JSONEncodeError:
-                pass  # json.dumps below names the fault
+                pass  # an id that is not valid Unicode: json names the fault
         if payload is None:
             try:
-                payload = json.dumps(
-                    obj, cls=_RowsListed, separators=(",", ":"), ensure_ascii=False,
-                    allow_nan=False,
-                ).encode("utf-8")
+                payload = _ENCODER.encode(obj).encode("utf-8")
             except (TypeError, ValueError) as e:
                 raise FrameError(f"body is not wire-encodable: {e}") from None
     if len(payload) > MAX_FRAME_BYTES:
@@ -230,9 +201,10 @@ _COORD_BOUND = 2.0 ** 63
 
 def _landmarks_body(payload: bytearray) -> dict | None:
     """The body landmarks_message builds, read from a LANDMARKS payload in
-    one pass inside one gc pause, so the parsed row lists die unseen. None
-    where the pass cannot prove that parse_json and sample_from_body give
-    these very rows, after which they run as for any frame."""
+    one pass inside one gc pause, so the parsed row lists die unseen; where
+    LandmarkRows refuses a row, the body holds those lists instead. None
+    where the pass cannot prove that parse_json gives these very rows, after
+    which it runs as for any frame."""
     if not payload.startswith(_PREFIX):
         return None
     with gc_paused():
@@ -275,7 +247,9 @@ def _read_landmarks(payload: bytearray) -> dict | None:
     try:
         frames = LandmarkRows(*ints, xyz)
     except ValidationError:
-        return None
+        # The checks above prove these rows json's, so sample_from_body reads
+        # them into the same error without a second parse.
+        frames = rows
     return {"sample": {"id": sample["id"], "frames": frames}}
 
 

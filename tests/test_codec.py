@@ -1,12 +1,13 @@
-"""The wire codec's two readers and two writers give one result: orjson's
-fast path and the json module's exact path agree on every frame, value,
-error and message, and real-looking clips stay on the fast path. A
-LANDMARKS frame written from a sample's columns is the frame of its listed
-rows, and encode_frame is the one writer. The decoder reads a LANDMARKS
-frame back into checked columns in one pass, with the sample or the error
-the old reader gives, and written frames take that pass. The codec builds
-and walks a clip with the cyclic garbage collector paused, and restores the
-state it found."""
+"""The wire codec gives what the json module gives. encode_frame writes a
+reply as json.dumps does and a clip, orjson's, in the same bytes up to how
+a float with an exponent is spelled; parse_json reads as json.loads does;
+and real-looking clips never reach the json module. A LANDMARKS frame
+written from a sample's columns is the frame of its listed rows, and
+encode_frame is the one writer. The decoder reads a LANDMARKS frame back
+into checked columns in one pass, with the sample or the error the old
+reader gives: written frames take that pass, and a row that it refuses is
+not parsed again. The codec builds and walks a clip with the cyclic
+garbage collector paused, and restores the state it found."""
 
 import ast
 import gc
@@ -46,8 +47,8 @@ from conftest import (make_sample, module_names, package_sites, package_sources,
 
 
 def reference_encode_frame(msg: WireMessage) -> bytes:
-    """The json.dumps encoder that orjson's fast path stands in for, kept as
-    its reference."""
+    """json.dumps as encode_frame calls it, kept as the reference for the
+    clips that orjson writes and for the encoder that writes the rest."""
     try:
         payload = json.dumps(
             {"type": msg.type, "body": msg.body},
@@ -66,7 +67,7 @@ def reference_encode_frame(msg: WireMessage) -> bytes:
 
 
 def reference_parse_json(data: bytes, what: str, error: type[Exception], shape=dict):
-    """The json.loads reader that orjson's fast path stands in for."""
+    """json.loads of UTF-8 bytes, as parse_json reads them."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -126,16 +127,7 @@ class TestEncode:
     @given(_BODIES)
     def test_matches_the_json_encoder(self, body):
         msg = WireMessage("RESULT", body)
-        expected = outcome(reference_encode_frame, msg)
-        got = outcome(encode_frame, msg)
-        if expected[0] == "error" or got[0] == "error":
-            assert got == expected
-            return
-        frame, reference = encode_frame(msg), reference_encode_frame(msg)
-        assert json.loads(frame[4:]) == json.loads(reference[4:])
-        assert struct.unpack(">I", frame[:4])[0] == len(frame) - 4
-        if not any("e" in float.__repr__(f) for f in floats_in(body)):
-            assert frame == reference
+        assert outcome(encode_frame, msg) == outcome(reference_encode_frame, msg)
 
     @pytest.mark.parametrize("value", [
         math.nan, -math.inf, np.float64("inf"), [[0.5, [math.nan]]],
@@ -181,11 +173,21 @@ class TestEncode:
             encode_frame(WireMessage("RESULT", {"x": loop}))
 
     def test_exponent_floats_are_the_same_double(self):
-        body = {"x": [1e-05, 1e16, -2e-05, 3.5e-07, 1.7976931348623157e308, 5e-324]}
-        frame = encode_frame(WireMessage("RESULT", body))
-        assert frame[4:] == (b'{"type":"RESULT","body":{"x":[0.00001,1e16,-0.00002,'
-                             b'3.5e-7,1.7976931348623157e308,5e-324]}}')
-        assert json.loads(frame[4:])["body"] == body
+        sample = pose_sample("s", [[1e-05, 1e16, -2e-05],
+                                   [3.5e-07, 1.7976931348623157e308, 5e-324]])
+        frame = encode_frame(landmarks_message(sample))
+        assert frame[4:] == (b'{"type":"LANDMARKS","body":{"sample":{"id":"s","frames":'
+                             b'[[0,2,11,0.00001,1e16,-0.00002],'
+                             b'[1,2,11,3.5e-7,1.7976931348623157e308,5e-324]]}}}')
+        assert json.loads(frame[4:])["body"] == sample_to_body(sample)
+
+    def test_a_reply_float_is_spelled_as_repr_spells_it(self):
+        msg = WireMessage("RESULT", {"x": [1e-05, 1e16, -2e-05, 3.5e-07,
+                                           1.7976931348623157e308, 5e-324]})
+        frame = encode_frame(msg)
+        assert frame[4:] == (b'{"type":"RESULT","body":{"x":[1e-05,1e+16,-2e-05,'
+                             b'3.5e-07,1.7976931348623157e+308,5e-324]}}')
+        assert frame == reference_encode_frame(msg)
 
     def test_np_float64_is_written_as_its_float(self):
         msg = WireMessage("RESULT", {"gloss": "g", "confidence_pct": np.float64(93.25)})
@@ -258,7 +260,6 @@ class TestDecode:
     @pytest.mark.parametrize("depth", [63, 64, 65, 999, 1001, 5000, 200_000])
     @pytest.mark.parametrize("opener, closer", [(b"[", b"]"), (b'{"a":', b"}")])
     def test_deep_nesting(self, depth, opener, closer):
-        # orjson's reader overruns the C stack at ~100,000 nested objects.
         payload = b'{"v": ' + opener * depth + b"1" + closer * depth + b"}"
         got = outcome(parse_json, payload, "payload", FrameError)
         assert got == outcome(reference_parse_json, payload, "payload", FrameError)
@@ -272,7 +273,7 @@ class TestDecode:
             reference_parse_json, payload, "payload", FrameError)
 
 
-# -- the fast path on clips like real ones -------------------------------------
+# -- clips like real ones never reach the json module --------------------------
 
 def _refuse(*args, **kwargs):
     raise AssertionError("the json module was called")
@@ -307,8 +308,7 @@ def assert_written_as_listed(sample: SignSample) -> None:
     """encode_frame(landmarks_message(sample)), whose body holds the sample's
     LandmarkRows, against the json encoder of sample_to_body's listed rows:
     the same error and message, or the same value, in the same bytes where
-    no listed float's repr has an exponent; and always the bytes that
-    encode_frame writes for the listed body itself."""
+    no listed float's repr has an exponent."""
     msg = landmarks_message(sample)
     assert msg.body["sample"]["frames"] is sample.frames
     listed = WireMessage("LANDMARKS", sample_to_body(sample))
@@ -318,7 +318,6 @@ def assert_written_as_listed(sample: SignSample) -> None:
         assert got == expected
         return
     frame, reference = encode_frame(msg), reference_encode_frame(listed)
-    assert frame == encode_frame(listed)
     assert json.loads(frame[4:]) == json.loads(reference[4:])
     if not any("e" in float.__repr__(f) for f in floats_in(listed.body)):
         assert frame == reference
@@ -576,6 +575,25 @@ class TestLandmarksReader:
         msg = assert_read_as_today(frame)
         assert msg is None or type(msg.body["sample"]["frames"]) is list
 
+    @pytest.mark.parametrize("rows", [
+        "[[0,2,11,0.5,0.5,null],[1,9,11,0.5,0.5,null]]",
+        "[[0,2,11,0.5,0.5,null],[0,2,11,0.5,0.5,null]]",
+    ], ids=["kind 9", "repeated row"])
+    def test_a_refused_row_is_parsed_once(self, rows, monkeypatch):
+        frame = framed(('{"type":"LANDMARKS","body":{"sample":{"id":"s","frames":%s}}}'
+                        % rows).encode())
+        expected = read_with(reference_feed, reference_sample_from_body, frame)
+        assert expected[0] == "PROTOCOL"
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return parse_json(*args, **kwargs)
+
+        monkeypatch.setattr(wire, "parse_json", spy)
+        assert read_with(lambda f: FrameDecoder().feed(f), sample_from_body, frame) == expected
+        assert calls == []
+
     @pytest.mark.parametrize("where", ["row", "frames", "id", "extra key", "body"])
     def test_deep_nesting_is_declined(self, where):
         # orjson 3.8.3 overruns the C stack at 200,000 nested arrays.
@@ -655,16 +673,24 @@ def _failing_rows():
 
 
 _LANDMARKS_BODY = sample_to_body(make_sample())
+_CLIP = landmarks_message(make_sample())
+# A clip whose id orjson refuses, and json names as not valid Unicode.
+_UNWRITABLE_CLIP = landmarks_message(SignSample("\ud800", make_sample().frames))
+# A clip frame that passes the outline and that orjson, and then json, refuses.
+_UNREADABLE_CLIP = framed(b'{"type":"LANDMARKS","body":{"sample":{"id":"s",'
+                          b'"frames":[[0,2,11,0.5,0.5,nul]]}}}')
 # Each codec function: what it calls inside the pause (an owner and the name
 # there), a call that returns, a call that raises, and what that raises.
 _PAUSED = {
-    "parse_json orjson": (orjson, "loads", lambda: parse_json(b'{"a": [1]}', "p", FrameError),
-                          lambda: parse_json(b'{"a": [1', "p", FrameError), FrameError),
+    "clip read": (orjson, "loads", lambda: FrameDecoder().feed(encode_frame(_CLIP)),
+                  lambda: FrameDecoder().feed(_UNREADABLE_CLIP), FrameError),
     "parse_json json": (json, "loads", lambda: parse_json('{"a": [1]}', "p", FrameError),
                         lambda: parse_json('{"a": NaN', "p", FrameError), FrameError),
-    "encode_frame": (orjson, "dumps", lambda: encode_frame(result_message("g", 9.5)),
-                     lambda: encode_frame(WireMessage("RESULT", {"x": [math.nan]})),
-                     FrameError),
+    "encode_frame": (orjson, "dumps", lambda: encode_frame(_CLIP),
+                     lambda: encode_frame(_UNWRITABLE_CLIP), FrameError),
+    "encode_frame json": (wire._ENCODER, "encode", lambda: encode_frame(result_message("g", 9.5)),
+                          lambda: encode_frame(WireMessage("RESULT", {"x": [math.nan]})),
+                          FrameError),
     "sample_to_body": (LandmarkRows, "tolist", lambda: sample_to_body(make_sample()),
                        lambda: sample_to_body(_failing_rows()), ValidationError),
     "sample_from_body": (wire, "LandmarkRows", lambda: sample_from_body(_LANDMARKS_BODY),
