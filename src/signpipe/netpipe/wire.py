@@ -11,16 +11,16 @@ incremental: bytes may arrive split at any boundary and frames are emitted
 as soon as they complete. MessageSocket puts both directions over one
 connected socket. The *_message functions are the only builders of each
 body, and reply_body the one check a client makes of what the server
-sends. A
-LANDMARKS body holds the sample's checked LandmarkRows, which encode_frame
-writes from its columns as the rows sample_to_body lists. FrameDecoder
-reads such a frame back into the same body in one pass, with the rows
-built and checked as it decodes them. A row that LandmarkRows refuses
-leaves the parsed rows listed in the body, for sample_from_body to name
-the fault; a frame that pass cannot prove it reads exactly as parse_json
-would (an escape in the id, an extra key, a bool, a float or null in an
-int column) is read by parse_json, into listed rows. sample_from_body
-takes either body, so its errors, and the decoder's, are the same.
+sends. A LANDMARKS body holds the sample's checked LandmarkRows, which
+encode_frame writes from its columns as the rows sample_to_body lists.
+FrameDecoder reads such a frame back with one orjson parse wherever its
+outline proves orjson's value json's, building the rows into LandmarkRows
+in the same pass or, where they do not convert, leaving them listed for
+sample_from_body to name the fault. parse_json reads only a frame whose
+outline fails, that orjson refuses, or that holds a float of magnitude
+>= 2**63 (orjson's reading of an integer token json reads as an int).
+sample_from_body takes either body, so its errors, and the decoder's, are
+the same.
 """
 
 from __future__ import annotations
@@ -174,11 +174,10 @@ class FrameDecoder:
             else:
                 payload = self._buf[_LEN.size:end]
                 del self._buf[:end]
-            body = _landmarks_body(payload)
-            if body is not None:
-                out.append(WireMessage("LANDMARKS", body))
-                continue
-            obj = parse_json(payload, "payload", FrameError, {"type": str, "body": dict})
+            with gc_paused():  # the row lists orjson parses die inside the pause
+                obj = _read_landmarks(payload)
+            if obj is None:
+                obj = parse_json(payload, "payload", FrameError, {"type": str, "body": dict})
             if obj.keys() != {"type", "body"}:
                 raise FrameError("payload must have exactly the keys 'type' and 'body'")
             if obj["type"] not in WIRE_TYPES:
@@ -193,31 +192,23 @@ class FrameDecoder:
 _PREFIX = b'{"type":"LANDMARKS",'
 _HEAD = outline(b'{"type":"LANDMARKS","body":{"sample":{"id":"')
 _ROWS_OPEN, _ROWS_CLOSE = b'"f"[', b"]}}}"
-# orjson reads an integer token outside [-2**63, 2**64) as a float, where
-# json reads the int, so a coordinate this large may not be the double that
-# json's int gives.
-_COORD_BOUND = 2.0 ** 63
-
-
-def _landmarks_body(payload: bytearray) -> dict | None:
-    """The body landmarks_message builds, read from a LANDMARKS payload in
-    one pass inside one gc pause, so the parsed row lists die unseen; where
-    LandmarkRows refuses a row, the body holds those lists instead. None
-    where the pass cannot prove that parse_json gives these very rows, after
-    which it runs as for any frame."""
-    if not payload.startswith(_PREFIX):
-        return None
-    with gc_paused():
-        return _read_landmarks(payload)
+# orjson reads an integer token outside [-2**63, 2**64) as a float of at
+# least this magnitude, where json reads the int.
+_LONG_FLOAT = 2.0 ** 63
 
 
 def _read_landmarks(payload: bytearray) -> dict | None:
+    """orjson's value of a LANDMARKS payload, its rows checked LandmarkRows
+    where the keys are landmarks_message's and the rows convert; None where
+    the outline fails, orjson refuses or a float of magnitude _LONG_FLOAT or
+    more is among the rows, after which parse_json reads it as any frame."""
+    if not payload.startswith(_PREFIX):
+        return None
     # The outline bounds the nesting before orjson reads a byte. It also
     # proves the layout {"type": "LANDMARKS", k: {k: {k: "id", k: [...]}}}
     # with no other string, no escape in the id, no true or false, and n
     # arrays of numbers and nulls, perhaps with numbers and nulls between
-    # them, in the frames array. Only the key names are left to check, and
-    # of the keys at the last level only "frames" can outline as "f".
+    # them, in the frames array: orjson's value is json's but for _LONG_FLOAT.
     shape = outline(payload)
     if not shape.startswith(_HEAD):
         return None
@@ -230,27 +221,35 @@ def _read_landmarks(payload: bytearray) -> dict | None:
         obj = loads_outlined(payload)
     except ValueError:
         return None
-    sample = obj.get("body", {}).get("sample", {})
-    if sample.keys() != {"id", "frames"} or len(rows := sample["frames"]) != n:
-        return None
+    _, body = obj.values()
+    (sample,) = body.values()
+    _, rows = sample.values()
     try:  # strict: every row is as long as the first, which holds 6 values
         frame_index, kind, landmark_index, x, y, z = (
             zip(*rows, strict=True) if rows else [()] * 6)
         # array("q") refuses a float, a null and an int outside int64.
         ints = [array("q", column) for column in (frame_index, kind, landmark_index)]
+        # np.fromiter reads a null as NaN, as np.array does.
+        xyz = np.stack([np.fromiter(column, np.float64, n) for column in (x, y, z)], axis=1)
+        converted = not (np.abs(xyz) >= _LONG_FLOAT).any()
     except (ValueError, TypeError, OverflowError):
+        converted = False
+    if not converted and _holds_long_float(rows):
         return None
-    # np.fromiter reads a null as NaN, as np.array does.
-    xyz = np.stack([np.fromiter(column, np.float64, n) for column in (x, y, z)], axis=1)
-    if (np.abs(xyz) >= _COORD_BOUND).any():
-        return None
-    try:
-        frames = LandmarkRows(*ints, xyz)
-    except ValidationError:
-        # The checks above prove these rows json's, so sample_from_body reads
-        # them into the same error without a second parse.
-        frames = rows
-    return {"sample": {"id": sample["id"], "frames": frames}}
+    if converted and (*obj, *body, *sample) == ("type", "body", "sample", "id", "frames"):
+        try:
+            sample["frames"] = LandmarkRows(*ints, xyz)
+        except ValidationError:
+            pass  # sample_from_body names the fault from the listed rows
+    return obj
+
+
+def _holds_long_float(rows: list) -> bool:
+    for row in rows:
+        for value in row if type(row) is list else (row,):
+            if type(value) is float and abs(value) >= _LONG_FLOAT:
+                return True
+    return False
 
 
 class MessageSocket:

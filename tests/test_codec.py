@@ -5,9 +5,11 @@ and real-looking clips never reach the json module. A LANDMARKS frame
 written from a sample's columns is the frame of its listed rows, and
 encode_frame is the one writer. The decoder reads a LANDMARKS frame back
 into checked columns in one pass, with the sample or the error the old
-reader gives: written frames take that pass, and a row that it refuses is
-not parsed again. The codec builds and walks a clip with the cyclic
-garbage collector paused, and restores the state it found."""
+reader gives: written frames take that pass, rows that do not convert are
+not parsed again, and of the frames the outline admits only one with a
+long integer among its rows is read by json. The codec builds and walks a
+clip with the cyclic garbage collector paused, and restores the state it
+found."""
 
 import ast
 import gc
@@ -450,11 +452,12 @@ _INT_TOKENS = [
     "9223372036854775807", "9223372036854775808", "-9223372036854775808",
     "-9223372036854775809", "18446744073709551615", "18446744073709551616",
     "1" + "0" * 18, "1" + "0" * 399, "1e0000000000000000001", "1.5e400",
+    "9.2e18", "9.3e18", "-9.3e18", "1e19",  # floats either side of 2**63
     "NaN", "Infinity", "-Infinity",
 ]
 _COORD_TOKENS = [
     "null", "true", "false", "0", "-0", "-0.0", "1", "0.5", "1e-05", "3.5e-7", "1E+2",
-    "5e-324", "1e-400", "1e308", "1.7976931348623157e308", "9.3e18", "-9.3e18",
+    "5e-324", "1e-400", "1e308", "1.7976931348623157e308", "9.2e18", "9.3e18", "-9.3e18",
     "9223372036854775807", "9223372036854775808", "-9223372036854775809",
     "18446744073709551616", "12345678901234567890123", "-12345678901234567890123",
     "1" * 25 + ".5", "0." + "0" * 398 + "1", "1" + "0" * 399, "-" + "9" * 400,
@@ -534,6 +537,19 @@ def landmarks_frames(draw) -> bytes:
     return framed(b"{" + b",".join(top) + b"}")
 
 
+@pytest.fixture
+def parse_json_calls(monkeypatch) -> list:
+    """The arguments of each call the wire module makes to parse_json."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return parse_json(*args, **kwargs)
+
+    monkeypatch.setattr(wire, "parse_json", spy)
+    return calls
+
+
 class TestLandmarksReader:
     @settings(deadline=None, max_examples=400,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -554,45 +570,66 @@ class TestLandmarksReader:
         assert sample_from_body(msg.body) == SignSample(sample.sample_id, sample.frames)
 
     @pytest.mark.parametrize("rows, sample_id", [
+        # parse_json reads these: the outline fails,
         ("[[0,2,11,0.5,0.5,null]]", '"a\\u0062"'),          # an escape in the id
         ("[[0,2,11,0.5,0.5,null]]", '"\\"["'),              # an escaped quote, a bracket
         ("[[0,2,11,0.5,0.5,null],[1,2,11,true,0.5,null]]", '"s"'),   # a bool
-        ("[[0,2,11,0.5,0.5,null],[1.0,2,11,0.5,0.5,null]]", '"s"'),  # a float int
-        ("[[0,null,11,0.5,0.5,null]]", '"s"'),              # a null int
-        ("[[9223372036854775808,2,11,0.5,0.5,null]]", '"s"'),  # past int64
-        ("[[0,2,11,18446744073709551616,0.5,null]]", '"s"'),   # orjson's float
+        # orjson reads a long int as a float,
+        ("[[0,2,11,18446744073709551616,0.5,null]]", '"s"'),
+        # or orjson refuses.
         ("[[0,2,11," + "9" * 400 + ",0.5,null]]", '"s"'),     # past float64 for json
         ("[[0,2,11,1.5e400,0.5,null]]", '"s"'),             # infinite
         ("[[0,2,11,NaN,0.5,null]]", '"s"'),                 # not JSON
-        ("[[0,9,11,0.5,0.5,null]]", '"s"'),                 # LandmarkRows refuses
-        ("[[0,2,11,0.5,0.5,null],[0,2,11,0.5,0.5,null]]", '"s"'),  # a repeated row
+        # orjson's rows, listed, reach sample_from_body: they do not convert,
+        ("[[0,2,11,0.5,0.5,null],[1.0,2,11,0.5,0.5,null]]", '"s"'),  # a float int
+        ("[[0,null,11,0.5,0.5,null]]", '"s"'),              # a null int
+        ("[[9223372036854775808,2,11,0.5,0.5,null]]", '"s"'),  # past int64
         ("[[0,2,11,0.5,0.5]]", '"s"'),                      # a short row
         ("[[0,2,11,0.5,0.5,null],5]", '"s"'),               # a number for a row
+        # or LandmarkRows refuses them.
+        ("[[0,9,11,0.5,0.5,null]]", '"s"'),
+        ("[[0,2,11,0.5,0.5,null],[0,2,11,0.5,0.5,null]]", '"s"'),  # a repeated row
     ], ids=repr)
     def test_declined_frames_are_read_as_today(self, rows, sample_id):
+        """Frames whose rows the one-pass reader does not build into
+        LandmarkRows, whether parse_json reads them or the reader hands its
+        listed rows on."""
         frame = framed(('{"type":"LANDMARKS","body":{"sample":{"id":%s,"frames":%s}}}'
                         % (sample_id, rows)).encode())
         msg = assert_read_as_today(frame)
         assert msg is None or type(msg.body["sample"]["frames"]) is list
 
-    @pytest.mark.parametrize("rows", [
-        "[[0,2,11,0.5,0.5,null],[1,9,11,0.5,0.5,null]]",
-        "[[0,2,11,0.5,0.5,null],[0,2,11,0.5,0.5,null]]",
-    ], ids=["kind 9", "repeated row"])
-    def test_a_refused_row_is_parsed_once(self, rows, monkeypatch):
-        frame = framed(('{"type":"LANDMARKS","body":{"sample":{"id":"s","frames":%s}}}'
-                        % rows).encode())
+    @pytest.mark.parametrize("frames", [
+        '"frames":[[0,2,11,0.5,0.5,null],[1,9,11,0.5,0.5,null]]',
+        '"frames":[[0,2,11,0.5,0.5,null],[0,2,11,0.5,0.5,null]]',
+        '"frames":[[0,2,11,0.5,0.5,null],[1.0,2,11,0.5,0.5,null]]',
+        '"frames":[[0,null,11,0.5,0.5,null]]',
+        '"frames":[[0,2,9223372036854775808,0.5,0.5,null]]',
+        '"frames":[[0,2,11,0.5,0.5,null],5,[1,2,11,0.5,0.5,null]]',
+        '"frames":[[0,2,11,0.5,0.5,null],[1,2,11,0.5,0.5]]',
+        '"framez":[[0,2,11,0.5,0.5,null]]',
+    ], ids=["kind 9", "repeated row", "float frame index", "null kind", "int past int64",
+            "number between rows", "short row", "framez"])
+    def test_a_refused_row_is_parsed_once(self, frames, parse_json_calls):
+        frame = framed(('{"type":"LANDMARKS","body":{"sample":{"id":"s",%s}}}'
+                        % frames).encode())
         expected = read_with(reference_feed, reference_sample_from_body, frame)
         assert expected[0] == "PROTOCOL"
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return parse_json(*args, **kwargs)
-
-        monkeypatch.setattr(wire, "parse_json", spy)
         assert read_with(lambda f: FrameDecoder().feed(f), sample_from_body, frame) == expected
-        assert calls == []
+        assert parse_json_calls == []
+
+    @pytest.mark.parametrize("rows", [
+        "[[18446744073709551616,2,11,0.5,0.5,null]]",
+        "[[0,2,11,0.5,18446744073709551616,null]]",
+    ], ids=["int column", "coordinate"])
+    def test_a_long_int_is_read_by_json(self, rows, parse_json_calls):
+        """orjson reads an integer token from 2**64 up as a float, where json
+        reads the int."""
+        frame = framed(('{"type":"LANDMARKS","body":{"sample":{"id":"s","frames":%s}}}'
+                        % rows).encode())
+        assert read_with(lambda f: FrameDecoder().feed(f), sample_from_body, frame) == read_with(
+            reference_feed, reference_sample_from_body, frame)
+        assert len(parse_json_calls) == 1
 
     @pytest.mark.parametrize("where", ["row", "frames", "id", "extra key", "body"])
     def test_deep_nesting_is_declined(self, where):
@@ -621,15 +658,9 @@ def tutor_sample() -> SignSample:
 @pytest.mark.parametrize("sample", [
     holistic_sample(30, missing_hands=True), real_looking_sample(), tutor_sample(),
 ], ids=["holistic", "real-looking", "tutor"])
-def test_written_frames_take_the_one_pass_reader(sample, monkeypatch):
+def test_written_frames_take_the_one_pass_reader(sample, parse_json_calls):
     """A silent decline would leave every frame on the slow path."""
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return parse_json(*args, **kwargs)
-
-    monkeypatch.setattr(wire, "parse_json", spy)
+    calls = parse_json_calls
     frame = encode_frame(landmarks_message(sample))
     [msg] = FrameDecoder().feed(frame)
     assert calls == []
