@@ -41,6 +41,7 @@ __all__ = [
     "render_step1",
     "render_step2",
     "ComposeResult",
+    "check_max_retries",
     "compose",
     "LlmBackend",
     "MockLlmBackend",
@@ -177,6 +178,12 @@ def _strip_bracket_tokens(text: str) -> str:
     return normalize_spoken_text(out)
 
 
+def check_max_retries(max_retries: int) -> None:
+    """Raise ValidationError unless max_retries is not negative."""
+    if max_retries < 0:
+        raise ValidationError(f"max_retries must be >= 0, got {max_retries}")
+
+
 def compose(event: RecognitionEvent, db: GestureDb, backend: "LlmBackend",
             template: PromptTemplate, max_retries: int = 2) -> ComposeResult:
     """Run the two steps against backend and validate the tagged reply.
@@ -186,8 +193,7 @@ def compose(event: RecognitionEvent, db: GestureDb, backend: "LlmBackend",
     stripped of bracket tokens and returned untagged with a warning. Backend
     transport failures propagate as BackendError.
     """
-    if max_retries < 0:
-        raise ValidationError(f"max_retries must be >= 0, got {max_retries}")
+    check_max_retries(max_retries)
     dialogue = backend.complete(render_step1(event, template))
     prompt2 = render_step2(dialogue, db, template)
     calls = 1

@@ -15,11 +15,8 @@ read as a marker that float rejects as not finite and any other shape, or
 an exact type check, as the wrong type.
 
 Bytes and text are parsed by the json module, with the cyclic garbage
-collector paused (gc_paused). A reader that knows its document's layout
-may instead read the document's outline and then call loads_outlined,
-orjson's reader, and decline to parse_json wherever the outline cannot
-prove orjson's value exactly json's. The package's only such reader is
-the wire decoder's for a LANDMARKS frame, a written clip.
+collector paused (gc_paused); only the wire decoder reads a written clip
+with orjson, in netpipe/wire.py.
 """
 
 from __future__ import annotations
@@ -34,11 +31,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
-import orjson
-
 __all__ = ["decode_text", "read_text", "replacing", "write_text", "check_json",
-           "check_fields", "parse_json", "load_json", "gc_paused", "outline",
-           "loads_outlined"]
+           "check_fields", "parse_json", "load_json", "gc_paused"]
 
 _NAMES = {int: "an integer", float: "a number", str: "a string",
           list: "a JSON array", dict: "a JSON object"}
@@ -182,27 +176,6 @@ def check_fields(value: dict, what: str, error: type[Exception], fields) -> dict
     if unknown:
         raise error(f"{what}: unknown fields {sorted(unknown)}")
     return value
-
-
-# Every byte but brackets, quotes, backslashes and the letters of true and
-# false that no other JSON token holds.
-_NOT_OUTLINE_TF = bytes(b for b in range(256) if b not in b'[]{}"\\tf')
-
-
-def outline(data: bytes | bytearray) -> bytes | bytearray:
-    """data with every byte but []{}"\\ t and f deleted, in one pass: its
-    nesting, its strings with the t and f among their characters, any
-    escape, and a t or f outside a string for each true and false."""
-    return data.translate(None, _NOT_OUTLINE_TF)
-
-
-def loads_outlined(data: bytes | bytearray):
-    """orjson's value of data; a ValueError where orjson refuses it. The
-    caller must have read data's outline and bounded its nesting, since
-    orjson's reader recurses without a bound and deep enough nesting
-    overruns the C stack. Where json.loads would give an integer past 64
-    bits, orjson gives a float, and it refuses an infinity."""
-    return orjson.loads(data)
 
 
 def parse_json(data: str | bytes | bytearray, what: str, error: type[Exception],

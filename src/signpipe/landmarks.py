@@ -239,14 +239,6 @@ class SignSample:
                 f"sample {self.sample_id!r}: label {self.label} is negative"
             )
 
-    def by_frame(self) -> list[tuple[int, list[LandmarkFrame]]]:
-        """Frames grouped by distinct frame_index, in order of appearance."""
-        return [(t, list(group))
-                for t, group in groupby(self.frames, key=lambda f: f.frame_index)]
-
-    def num_frames(self) -> int:
-        return int(frame_ordinal(self.frames.frame_index)[-1]) + 1
-
 
 @dataclass(frozen=True)
 class LabelMap:
@@ -272,12 +264,6 @@ class LabelMap:
         if not 0 <= class_id < len(self.glosses):
             raise ValidationError(f"class id {class_id} outside [0, {len(self)})")
         return self.glosses[class_id]
-
-    def id_for(self, gloss: str) -> int:
-        try:
-            return self.glosses.index(gloss)
-        except ValueError:
-            raise ValidationError(f"unknown gloss {gloss!r}") from None
 
 
 CORPUS_HEADER = ["sample_id", "frame", "kind", "landmark_index", "x", "y", "z", "label"]

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..dialogue import LlmBackend, PromptTemplate, RecognitionEvent, compose
+from ..dialogue import LlmBackend, PromptTemplate, RecognitionEvent, check_max_retries, compose
 from ..errors import FrameError, ShapeError, SignpipeError, ValidationError
 from ..gesture import GestureDb, check_speech_rate, render_markup, schedule
 from ..landmarks import LabelMap
@@ -79,8 +79,7 @@ class ServerConfig:
         if not self.deadline_s > 0:
             raise ValidationError("deadline_s must be positive")
         check_speech_rate(self.wpm)
-        if self.max_retries < 0:
-            raise ValidationError("max_retries must not be negative")
+        check_max_retries(self.max_retries)
         check_port(self.port)
 
 

@@ -20,7 +20,7 @@ sample_from_body to name the fault. parse_json reads only a frame whose
 outline fails, that orjson refuses, or that holds a float of magnitude
 >= 2**63 (orjson's reading of an integer token json reads as an int).
 sample_from_body takes either body, so its errors, and the decoder's, are
-the same.
+the same. No other module of the package uses orjson.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import orjson
 
 from ..errors import FrameError, ProtocolViolation, ValidationError
 from ..gesture import GestureEvent, Timeline
-from ..jsonio import check_json, gc_paused, loads_outlined, outline, parse_json
+from ..jsonio import check_json, gc_paused, parse_json
 from ..landmarks import LandmarkRows, SignSample
 
 __all__ = [
@@ -186,11 +186,14 @@ class FrameDecoder:
         return out
 
 
-# A LANDMARKS payload that encode_frame writes starts with _PREFIX, and its
+# A payload's outline keeps only its bytes []{}"\ t and f: its nesting, its
+# strings with their t and f, any escape, and each true and false. A
+# LANDMARKS payload that encode_frame writes starts with _PREFIX, and its
 # outline is _HEAD, the id's outline and closing quote, then _ROWS_OPEN, one
 # [] per row, and _ROWS_CLOSE.
+_NOT_OUTLINE = bytes(b for b in range(256) if b not in b'[]{}"\\tf')
 _PREFIX = b'{"type":"LANDMARKS",'
-_HEAD = outline(b'{"type":"LANDMARKS","body":{"sample":{"id":"')
+_HEAD = b'{"type":"LANDMARKS","body":{"sample":{"id":"'.translate(None, _NOT_OUTLINE)
 _ROWS_OPEN, _ROWS_CLOSE = b'"f"[', b"]}}}"
 # orjson reads an integer token outside [-2**63, 2**64) as a float of at
 # least this magnitude, where json reads the int.
@@ -204,12 +207,13 @@ def _read_landmarks(payload: bytearray) -> dict | None:
     more is among the rows, after which parse_json reads it as any frame."""
     if not payload.startswith(_PREFIX):
         return None
-    # The outline bounds the nesting before orjson reads a byte. It also
+    # The outline bounds the nesting before orjson, whose reader recurses
+    # without a bound and so can overrun the C stack, reads a byte. It also
     # proves the layout {"type": "LANDMARKS", k: {k: {k: "id", k: [...]}}}
     # with no other string, no escape in the id, no true or false, and n
     # arrays of numbers and nulls, perhaps with numbers and nulls between
     # them, in the frames array: orjson's value is json's but for _LONG_FLOAT.
-    shape = outline(payload)
+    shape = payload.translate(None, _NOT_OUTLINE)
     if not shape.startswith(_HEAD):
         return None
     id_end = shape.find(b'"', len(_HEAD))
@@ -218,7 +222,7 @@ def _read_landmarks(payload: bytearray) -> dict | None:
             or shape[id_end + 1:] != _ROWS_OPEN + b"[]" * n + _ROWS_CLOSE):
         return None
     try:
-        obj = loads_outlined(payload)
+        obj = orjson.loads(payload)
     except ValueError:
         return None
     _, body = obj.values()

@@ -51,10 +51,6 @@ class ModelConfig:
                 f"model_dim {self.model_dim}"
             )
 
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.num_heads
-
     def check_inputs(self, feature_dim: int, labels: LabelMap | None = None) -> None:
         """Raise ValidationError unless a selection of feature_dim features
         and the label map (None: class ids) fit this model."""

@@ -113,13 +113,6 @@ class TestFrameAndSample:
         with pytest.raises(ValidationError):
             SignSample("s", [f], -1)
 
-    def test_by_frame_groups_in_order(self):
-        s = make_sample(num_frames=3)
-        groups = s.by_frame()
-        assert [g[0] for g in groups] == [0, 1, 2]
-        assert s.num_frames() == 3
-        assert sum(len(g[1]) for g in groups) == len(s.frames)
-
     def test_bad_frames_construct_and_compare_without_a_check(self):
         a = LandmarkFrame(-1, LandmarkKind.POSE, 99, math.nan, math.inf)
         b = LandmarkFrame(-1, LandmarkKind.POSE, 99, math.nan, math.inf)
@@ -161,7 +154,6 @@ class TestLabelMap:
     def test_bijective_lookup(self):
         m = LabelMap(("hello", "cloud", "rain"))
         assert m.gloss_for(1) == "cloud"
-        assert m.id_for("rain") == 2
         assert len(m) == 3
 
     def test_rejects_duplicates_empties_and_bad_ids(self):
@@ -174,8 +166,6 @@ class TestLabelMap:
         m = LabelMap(("a", "b"))
         with pytest.raises(ValidationError):
             m.gloss_for(2)
-        with pytest.raises(ValidationError):
-            m.id_for("c")
 
     def test_round_trip_file(self, tmp_path):
         m = LabelMap(tuple(f"g{i}" for i in range(250)))

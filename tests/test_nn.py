@@ -96,7 +96,6 @@ class TestConfig:
         assert DEFAULT_CONFIG.ff_dim == 405
         assert DEFAULT_CONFIG.num_classes == 250
         assert DEFAULT_CONFIG.max_seq_len == 32
-        assert DEFAULT_CONFIG.head_dim == 75
 
     def test_validation(self):
         with pytest.raises(ValidationError):
