@@ -160,6 +160,40 @@ def module_names(nodes, module: str) -> set[str]:
             for alias in node.names if alias.name == module}
 
 
+# -- orjson runs only in wire.py: loads in _read_landmarks, dumps in encode_frame
+
+# The one def in which each orjson function may be used: (module, def, name).
+_ORJSON_ALLOWED = {("netpipe/wire.py", "_read_landmarks", "loads"),
+                   ("netpipe/wire.py", "encode_frame", "dumps")}
+
+
+def orjson_sites(source: str, module: str) -> list[str]:
+    """`module:line` of each import of orjson outside netpipe/wire.py, and of
+    each use of orjson.loads or orjson.dumps, however orjson is imported,
+    outside the def _ORJSON_ALLOWED names for it. `from orjson import *`
+    uses both."""
+    nodes = scoped_nodes(source)
+    names = module_names(nodes, "orjson")
+    sites = []
+    for node, scope in nodes:
+        if isinstance(node, ast.Import):
+            imports = any(alias.name.split(".")[0] == "orjson" for alias in node.names)
+            used = set()
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "orjson"):
+            imports, used = True, {alias.name for alias in node.names}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in names):
+            imports, used = False, {node.attr}
+        else:
+            continue
+        used = {"loads", "dumps"} if "*" in used else used & {"loads", "dumps"}
+        if (imports and module != "netpipe/wire.py"
+                or any((module, scope, name) not in _ORJSON_ALLOWED for name in used)):
+            sites.append(f"{module}:{node.lineno}")
+    return sites
+
+
 @pytest.fixture
 def tiny_cfg() -> ModelConfig:
     return ModelConfig(

@@ -44,8 +44,8 @@ from signpipe.netpipe import (
 from signpipe.netpipe import wire
 from signpipe.synth import make_synthetic_samples
 
-from conftest import (make_sample, module_names, package_sites, package_sources, scoped_nodes,
-                      sign_samples)
+from conftest import (make_sample, module_names, orjson_sites, package_sites, package_sources,
+                      scoped_nodes, sign_samples)
 
 
 def reference_encode_frame(msg: WireMessage) -> bytes:
@@ -854,74 +854,39 @@ def test_a_written_clip_leaves_no_collection_behind():
     assert per_write[0] <= 1 and per_write[1:] == [0, 0, 0], per_write
 
 
-# -- orjson runs only in wire.py: loads in _read_landmarks, dumps in encode_frame
+# -- only encode_frame writes a frame with orjson ------------------------------
 
-# The one def in which each orjson function may be used: (module, def, name).
-_ORJSON_ALLOWED = {("netpipe/wire.py", "_read_landmarks", "loads"),
-                   ("netpipe/wire.py", "encode_frame", "dumps")}
-
-
-def orjson_sites(source: str, module: str) -> list[str]:
-    """`module:line` of each import of orjson outside netpipe/wire.py, and of
-    each use of orjson.loads or orjson.dumps, however orjson is imported,
-    outside the def _ORJSON_ALLOWED names for it. `from orjson import *`
-    uses both."""
-    nodes = scoped_nodes(source)
-    names = module_names(nodes, "orjson")
-    sites = []
-    for node, scope in nodes:
-        if isinstance(node, ast.Import):
-            imports = any(alias.name.split(".")[0] == "orjson" for alias in node.names)
-            used = set()
-        elif (isinstance(node, ast.ImportFrom) and node.level == 0
-              and node.module.split(".")[0] == "orjson"):
-            imports, used = True, {alias.name for alias in node.names}
-        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id in names):
-            imports, used = False, {node.attr}
-        else:
-            continue
-        used = {"loads", "dumps"} if "*" in used else used & {"loads", "dumps"}
-        if (imports and module != "netpipe/wire.py"
-                or any((module, scope, name) not in _ORJSON_ALLOWED for name in used)):
-            sites.append(f"{module}:{node.lineno}")
-    return sites
-
-
-def test_the_guard_finds_each_use_of_orjson():
+def test_the_guard_finds_each_use_of_orjson_dumps():
     source = """
 import orjson
 import orjson as fast
-from orjson import loads
-from orjson import dumps, loads as read
+from orjson import dumps
+from orjson import dumps as write, JSONDecodeError
 from orjson import *
 def f(data):
-    orjson.loads(data); fast.loads(data)
-    orjson.dumps(data); json.loads(data); fast.JSONDecodeError
-    parse = orjson.loads
+    orjson.dumps(data); fast.dumps(data)
+    json.dumps(data); fast.OPT_INDENT_2
+    write = orjson.dumps
+def encode_frame(msg):
+    return orjson.dumps(msg), fast.dumps(msg), orjson.JSONDecodeError
 def _read_landmarks(data):
-    return orjson.loads(data), fast.dumps(data), orjson.JSONDecodeError
-def encode_frame():
-    return orjson.dumps({}), orjson.loads(b"1")
+    return orjson.dumps(data)
 class Writer:
     def encode_frame(self):
         return orjson.dumps
 """
     # Anywhere but wire.py every import is a site, and so is every use.
     assert orjson_sites(source, "m.py") == [
-        "m.py:2", "m.py:3", "m.py:4", "m.py:5", "m.py:6", "m.py:8", "m.py:8", "m.py:9",
-        "m.py:10", "m.py:12", "m.py:12", "m.py:14", "m.py:14", "m.py:17"]
+        "m.py:2", "m.py:3", "m.py:4", "m.py:5", "m.py:6", "m.py:8", "m.py:8", "m.py:10",
+        "m.py:12", "m.py:12", "m.py:14", "m.py:17"]
     assert orjson_sites(source, "netpipe/wire.py") == [
         "netpipe/wire.py:4", "netpipe/wire.py:5", "netpipe/wire.py:6", "netpipe/wire.py:8",
-        "netpipe/wire.py:8", "netpipe/wire.py:9", "netpipe/wire.py:10",
-        "netpipe/wire.py:12", "netpipe/wire.py:14", "netpipe/wire.py:17"]
+        "netpipe/wire.py:8", "netpipe/wire.py:10", "netpipe/wire.py:14", "netpipe/wire.py:17"]
 
 
-def test_orjson_runs_only_in_wire():
-    """orjson.loads only where the outline has bounded the nesting that
-    would overrun the C stack, and orjson.dumps only on a clip."""
+def test_only_encode_frame_writes_with_orjson():
+    """orjson.dumps only on a clip, and no module but wire.py imports orjson."""
     assert package_sites(orjson_sites) == []
-    assert orjson_sites(package_sources()["jsonio.py"], "jsonio.py") == []
     assert orjson_sites(package_sources()["netpipe/wire.py"], "elsewhere.py")
 
 

@@ -25,7 +25,7 @@ from signpipe.netpipe import decode_frame
 from signpipe.nn import ModelConfig
 from signpipe.preprocess import SelectionSpec
 
-from conftest import module_names, package_sites, scoped_nodes
+from conftest import module_names, orjson_sites, package_sites, package_sources, scoped_nodes
 
 
 def _from_file(load):
@@ -181,3 +181,39 @@ def f(text, fh, self):
 def test_json_is_parsed_only_in_jsonio():
     """So every reader takes the one rule for NaN, Infinity and -Infinity."""
     assert {site.split(":")[0] for site in package_sites(json_read_sites)} == {"jsonio.py"}
+
+
+def test_the_guard_finds_each_use_of_orjson_loads():
+    source = """
+import orjson
+import orjson as fast
+from orjson import loads
+from orjson import dumps, loads as read
+from orjson import *
+def f(data):
+    orjson.loads(data); fast.loads(data)
+    json.loads(data); fast.JSONDecodeError
+    parse = orjson.loads
+def loads_outlined(data):
+    return orjson.loads(data)
+def _read_landmarks(data):
+    return orjson.loads(data), fast.loads(data), orjson.JSONDecodeError
+def encode_frame():
+    return orjson.loads(b"1")
+"""
+    # jsonio.py is a module like any other: every import and every use is a site.
+    assert orjson_sites(source, "jsonio.py") == [
+        "jsonio.py:2", "jsonio.py:3", "jsonio.py:4", "jsonio.py:5", "jsonio.py:6",
+        "jsonio.py:8", "jsonio.py:8", "jsonio.py:10", "jsonio.py:12", "jsonio.py:14",
+        "jsonio.py:14", "jsonio.py:16"]
+    assert orjson_sites(source, "netpipe/wire.py") == [
+        "netpipe/wire.py:4", "netpipe/wire.py:5", "netpipe/wire.py:6", "netpipe/wire.py:8",
+        "netpipe/wire.py:8", "netpipe/wire.py:10", "netpipe/wire.py:12", "netpipe/wire.py:16"]
+
+
+def test_orjson_parses_only_in_jsonio():
+    """Named for where orjson's parse once was: jsonio now reads with json
+    alone, and orjson.loads runs only in wire._read_landmarks, after the
+    outline has bounded the nesting that would overrun the C stack."""
+    assert orjson_sites(package_sources()["jsonio.py"], "jsonio.py") == []
+    assert package_sites(orjson_sites) == []
