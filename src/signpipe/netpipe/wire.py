@@ -17,8 +17,8 @@ FrameDecoder reads such a frame back with one orjson parse wherever its
 outline proves orjson's value json's, building the rows into LandmarkRows
 in the same pass or, where they do not convert, leaving them listed for
 sample_from_body to name the fault. parse_json reads only a frame whose
-outline fails, that orjson refuses, or that holds a float of magnitude
->= 2**63 (orjson's reading of an integer token json reads as an int).
+outline fails, that orjson refuses, or whose int column holds a float of
+magnitude >= 2**63 (orjson's reading of a long integer token).
 sample_from_body takes either body, so its errors, and the decoder's, are
 the same. No other module of the package uses orjson.
 """
@@ -203,8 +203,8 @@ _LONG_FLOAT = 2.0 ** 63
 def _read_landmarks(payload: bytearray) -> dict | None:
     """orjson's value of a LANDMARKS payload, its rows checked LandmarkRows
     where the keys are landmarks_message's and the rows convert; None where
-    the outline fails, orjson refuses or a float of magnitude _LONG_FLOAT or
-    more is among the rows, after which parse_json reads it as any frame."""
+    the outline fails, orjson refuses or an int column holds a float of
+    magnitude _LONG_FLOAT or more: parse_json reads it as any frame."""
     if not payload.startswith(_PREFIX):
         return None
     # The outline bounds the nesting before orjson, whose reader recurses
@@ -212,7 +212,7 @@ def _read_landmarks(payload: bytearray) -> dict | None:
     # proves the layout {"type": "LANDMARKS", k: {k: {k: "id", k: [...]}}}
     # with no other string, no escape in the id, no true or false, and n
     # arrays of numbers and nulls, perhaps with numbers and nulls between
-    # them, in the frames array: orjson's value is json's but for _LONG_FLOAT.
+    # them, in the frames array: orjson's value is json's but for a long int.
     shape = payload.translate(None, _NOT_OUTLINE)
     if not shape.startswith(_HEAD):
         return None
@@ -228,32 +228,29 @@ def _read_landmarks(payload: bytearray) -> dict | None:
     _, body = obj.values()
     (sample,) = body.values()
     _, rows = sample.values()
+    # orjson's float for a long int is the double np.array makes of json's
+    # int, so it changes what sample_from_body names only in an int column:
+    # a misnamed key, then a row's shape, are named whatever the numbers are.
+    if (*obj, *body, *sample) != ("type", "body", "sample", "id", "frames"):
+        return obj
     try:  # strict: every row is as long as the first, which holds 6 values
         frame_index, kind, landmark_index, x, y, z = (
             zip(*rows, strict=True) if rows else [()] * 6)
-        # array("q") refuses a float, a null and an int outside int64.
-        ints = [array("q", column) for column in (frame_index, kind, landmark_index)]
-        # np.fromiter reads a null as NaN, as np.array does.
-        xyz = np.stack([np.fromiter(column, np.float64, n) for column in (x, y, z)], axis=1)
-        converted = not (np.abs(xyz) >= _LONG_FLOAT).any()
-    except (ValueError, TypeError, OverflowError):
-        converted = False
-    if not converted and _holds_long_float(rows):
-        return None
-    if converted and (*obj, *body, *sample) == ("type", "body", "sample", "id", "frames"):
-        try:
-            sample["frames"] = LandmarkRows(*ints, xyz)
-        except ValidationError:
-            pass  # sample_from_body names the fault from the listed rows
+    except (ValueError, TypeError):
+        return obj
+    int_columns = (frame_index, kind, landmark_index)
+    try:  # array("q") refuses a float, a null and an int outside int64.
+        ints = [array("q", column) for column in int_columns]
+    except (TypeError, OverflowError):
+        long_int = any(type(v) is float and abs(v) >= _LONG_FLOAT for c in int_columns for v in c)
+        return None if long_int else obj
+    # np.fromiter reads a null as NaN, as np.array does.
+    xyz = np.stack([np.fromiter(column, np.float64, n) for column in (x, y, z)], axis=1)
+    try:
+        sample["frames"] = LandmarkRows(*ints, xyz)
+    except ValidationError:
+        pass  # sample_from_body names the fault from the listed rows
     return obj
-
-
-def _holds_long_float(rows: list) -> bool:
-    for row in rows:
-        for value in row if type(row) is list else (row,):
-            if type(value) is float and abs(value) >= _LONG_FLOAT:
-                return True
-    return False
 
 
 class MessageSocket:

@@ -7,7 +7,7 @@ encode_frame is the one writer. The decoder reads a LANDMARKS frame back
 into checked columns in one pass, with the sample or the error the old
 reader gives: written frames take that pass, rows that do not convert are
 not parsed again, and of the frames the outline admits only one with a
-long integer among its rows is read by json. The codec builds and walks a
+long integer in an int column is read by json. The codec builds and walks a
 clip with the cyclic garbage collector paused, and restores the state it
 found."""
 
@@ -454,6 +454,9 @@ _INT_TOKENS = [
     "1" + "0" * 18, "1" + "0" * 399, "1e0000000000000000001", "1.5e400",
     "9.2e18", "9.3e18", "-9.3e18", "1e19",  # floats either side of 2**63
     "NaN", "Infinity", "-Infinity",
+    # orjson's largest double and the first token it refuses, and a rounding tie
+    str(2**1024 - 2**970 - 1), str(2**1024 - 2**970), str(-2**1024 + 2**970 + 1),
+    str(-2**1024 + 2**970), str(2**64 + 2**11), str(2**64 + 2**11 + 1),
 ]
 _COORD_TOKENS = [
     "null", "true", "false", "0", "-0", "-0.0", "1", "0.5", "1e-05", "3.5e-7", "1E+2",
@@ -463,6 +466,8 @@ _COORD_TOKENS = [
     "1" * 25 + ".5", "0." + "0" * 398 + "1", "1" + "0" * 399, "-" + "9" * 400,
     "1e0000000000000000001", "1e-0000000000000000000002", "1.5e400", "-1.5e400",
     "NaN", "Infinity", "-Infinity", '"0.5"', "[]", "[0.5]", "{}",
+    str(2**1024 - 2**970 - 1), str(2**1024 - 2**970), str(-2**1024 + 2**970 + 1),
+    str(-2**1024 + 2**970), str(2**64 + 2**11), str(2**64 + 2**11 + 1),
 ]
 _ROW_TOKENS = ["5", "null", "true", '"row"', "{}", "[]", "[[0,2,11,0.5,0.5,0.5]]",
                '{"a":1}']
@@ -574,8 +579,8 @@ class TestLandmarksReader:
         ("[[0,2,11,0.5,0.5,null]]", '"a\\u0062"'),          # an escape in the id
         ("[[0,2,11,0.5,0.5,null]]", '"\\"["'),              # an escaped quote, a bracket
         ("[[0,2,11,0.5,0.5,null],[1,2,11,true,0.5,null]]", '"s"'),   # a bool
-        # orjson reads a long int as a float,
-        ("[[0,2,11,18446744073709551616,0.5,null]]", '"s"'),
+        # orjson reads a long int in an int column as a float,
+        ("[[18446744073709551616,2,11,0.5,0.5,null]]", '"s"'),
         # or orjson refuses.
         ("[[0,2,11," + "9" * 400 + ",0.5,null]]", '"s"'),     # past float64 for json
         ("[[0,2,11,1.5e400,0.5,null]]", '"s"'),             # infinite
@@ -608,8 +613,11 @@ class TestLandmarksReader:
         '"frames":[[0,2,11,0.5,0.5,null],5,[1,2,11,0.5,0.5,null]]',
         '"frames":[[0,2,11,0.5,0.5,null],[1,2,11,0.5,0.5]]',
         '"framez":[[0,2,11,0.5,0.5,null]]',
+        '"framez":[[18446744073709551616,2,11,0.5,0.5,null]]',
+        '"frames":[[18446744073709551616,2,11,0.5,0.5,null],[1,2,11,0.5,0.5]]',
     ], ids=["kind 9", "repeated row", "float frame index", "null kind", "int past int64",
-            "number between rows", "short row", "framez"])
+            "number between rows", "short row", "framez", "framez with a long int",
+            "short row after a long int"])
     def test_a_refused_row_is_parsed_once(self, frames, parse_json_calls):
         frame = framed(('{"type":"LANDMARKS","body":{"sample":{"id":"s",%s}}}'
                         % frames).encode())
@@ -620,8 +628,7 @@ class TestLandmarksReader:
 
     @pytest.mark.parametrize("rows", [
         "[[18446744073709551616,2,11,0.5,0.5,null]]",
-        "[[0,2,11,0.5,18446744073709551616,null]]",
-    ], ids=["int column", "coordinate"])
+    ], ids=["int column"])
     def test_a_long_int_is_read_by_json(self, rows, parse_json_calls):
         """orjson reads an integer token from 2**64 up as a float, where json
         reads the int."""
@@ -630,6 +637,21 @@ class TestLandmarksReader:
         assert read_with(lambda f: FrameDecoder().feed(f), sample_from_body, frame) == read_with(
             reference_feed, reference_sample_from_body, frame)
         assert len(parse_json_calls) == 1
+
+    @pytest.mark.parametrize("rows", [
+        "[[0,2,11,18446744073709551616,0.5,null]]",
+        "[[0,2,11,0.5,18446744073709551616,null]]",
+    ], ids=["x", "y"])
+    def test_a_long_int_coordinate_takes_the_one_pass_reader(self, rows, parse_json_calls):
+        """A coordinate is the double np.array makes of json's int, which is
+        the float orjson reads."""
+        frame = framed(('{"type":"LANDMARKS","body":{"sample":{"id":"s","frames":%s}}}'
+                        % rows).encode())
+        assert read_with(lambda f: FrameDecoder().feed(f), sample_from_body, frame) == read_with(
+            reference_feed, reference_sample_from_body, frame)
+        assert parse_json_calls == []
+        [msg] = FrameDecoder().feed(frame)
+        assert type(msg.body["sample"]["frames"]) is LandmarkRows
 
     @pytest.mark.parametrize("where", ["row", "frames", "id", "extra key", "body"])
     def test_deep_nesting_is_declined(self, where):
