@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import CorpusFormatError, ValidationError
 from .jsonio import load_json, replacing, write_text
@@ -267,6 +268,7 @@ class LabelMap:
 
 
 CORPUS_HEADER = ["sample_id", "frame", "kind", "landmark_index", "x", "y", "z", "label"]
+_HEADER_LINE = ",".join(CORPUS_HEADER)
 
 
 def _parse_float(text: str, column: str, line: int) -> float:
@@ -286,9 +288,13 @@ def _parse_int(text: str, column: str, line: int) -> int:
 
 
 _EMPTY_AS_NAN = {"": "nan"}  # .get(v, v): an empty coordinate reads as NaN
-# Records parsed together: enough to spread the per-chunk work thin, few
-# enough that a chunk's strings are still in cache when it is converted.
+# Records parsed together by csv: enough to spread the per-chunk work thin,
+# few enough that a chunk's strings are still in cache when it is converted.
 _CHUNK_ROWS = 512
+# The bytes a number column's joined text may hold for orjson to read it.
+# Of such text orjson reads each number as int() and float() do, or refuses
+# it, but for -0: int 0, where float() reads -0.0.
+_NUMBER_BYTES = b"0123456789+-.eE,"
 
 
 def _check_header(reader) -> None:
@@ -301,27 +307,61 @@ def _check_header(reader) -> None:
         raise CorpusFormatError(f"bad header {header!r}, expected {CORPUS_HEADER!r}", 1)
 
 
-def _parse_run(run: list[list[str]]):
-    """(label, frames, kinds, indices, x, y, z) of a run with no malformed
-    field, one C-level conversion per column into an `array`; None if a
+def _parse_each(texts: Sequence[str], typecode: str) -> array:
+    """array(typecode) of a column's texts, each read by int() ("q") or by
+    float() ("d", an empty text as NaN)."""
+    if typecode == "q":
+        return array("q", map(int, texts))
+    return array("d", map(float, map(_EMPTY_AS_NAN.get, texts, texts) if "" in texts else texts))
+
+
+def _parse_numbers(texts: Sequence[str], typecode: str) -> array:
+    """`_parse_each` of a column, from one orjson.loads of the joined texts
+    where that reads each text as int() or float() does: the texts hold
+    only the characters of a number, orjson reads one int (or, for "d", one
+    int or float) per text, and no float text is -0."""
+    joined = ",".join(texts)
+    if (not joined.encode().translate(None, _NUMBER_BYTES)
+            and (typecode == "q" or "-" not in joined or "-0," not in joined + ",")):
+        try:
+            values = orjson.loads(f"[{joined}]")
+            if len(values) == len(texts):  # a lone empty text reads as []
+                return array(typecode, values)
+        except (orjson.JSONDecodeError, TypeError):  # TypeError: a float in "q"
+            pass
+    return _parse_each(texts, typecode)
+
+
+def _parse_run(labels: set[str], frames, kinds, indices, x, y, z):
+    """(label, frames, kinds, indices, x, y, z) of a run of records that
+    share a sample_id, from the set of its label texts and its other
+    columns' texts, one conversion per column into an `array`; None if a
     field is malformed or outside int64, or the labels differ."""
     try:
-        ids, frames, kinds, indices, x, y, z, labels = zip(*run, strict=True)
-    except ValueError:
-        return None  # a record has the wrong number of fields
-    if not ids[0]:
-        return None
-    try:
-        (label,) = {None if text == "" else int(text) for text in set(labels)}
+        (label,) = {None if text == "" else int(text) for text in labels}
         return (label,
-                array("q", map(int, frames)),
+                _parse_numbers(frames, "q"),
                 array("b", map(_KIND_CODE.__getitem__, kinds)),
-                array("q", map(int, indices)),
-                *(array("d", map(float, map(_EMPTY_AS_NAN.get, col, col)
-                                  if "" in col else col))
-                  for col in (x, y, z)))
+                _parse_numbers(indices, "q"),
+                *(_parse_numbers(column, "d") for column in (x, y, z)))
     except (KeyError, ValueError, OverflowError):
         return None
+
+
+def _add_run(columns: dict, labels: dict, sample_id: str, parsed) -> bool:
+    """Extend sample_id's columns by a `_parse_run` value; False if that is
+    None, the id is empty, or the label is not the sample's."""
+    if parsed is None or not sample_id:
+        return False
+    label, *values = parsed
+    if sample_id not in columns:
+        columns[sample_id], labels[sample_id] = values, label
+        return True
+    if labels[sample_id] != label:
+        return False
+    for column, part in zip(columns[sample_id], values):
+        column.extend(part)
+    return True
 
 
 def _samples(columns: dict[str, list], labels: dict[str, int | None],
@@ -345,35 +385,72 @@ def _samples(columns: dict[str, list], labels: dict[str, int | None],
     return samples
 
 
-def _read_columns(lines, header: bool):
-    """(columns, labels) of the records in lines, after the header if
-    `header`, read a chunk of records at a time, with one C-level
-    conversion per column of each run of records that share a sample_id;
-    None at the first fault of any kind."""
-    reader = csv.reader(lines)
+def _read_columns(fh):
+    """(columns, labels) of a corpus stream's records, tokenized by csv a
+    chunk of records at a time, with one `_parse_run` for each run of
+    records that share a sample_id; None at the first fault of any kind."""
+    reader = csv.reader(fh)
     columns, labels = {}, {}
     try:
-        if header:
-            _check_header(reader)
+        _check_header(reader)
         while chunk := list(islice(reader, _CHUNK_ROWS)):
             if [] in chunk:  # blank lines
                 chunk = [row for row in chunk if row]
             for sample_id, run in groupby(chunk, itemgetter(0)):
-                parsed = _parse_run(list(run))
-                if parsed is None:
+                try:
+                    _, frames, kinds, indices, x, y, z, run_labels = zip(*run, strict=True)
+                except ValueError:
+                    return None  # a record has the wrong number of fields
+                parsed = _parse_run(set(run_labels), frames, kinds, indices, x, y, z)
+                if not _add_run(columns, labels, sample_id, parsed):
                     return None
-                label, *values = parsed
-                if sample_id not in columns:
-                    columns[sample_id] = [array("q"), array("b"), array("q"),
-                                          array("d"), array("d"), array("d")]
-                    labels[sample_id] = label
-                elif labels[sample_id] != label:
-                    return None
-                for column, part in zip(columns[sample_id], values):
-                    column.extend(part)
     except (csv.Error, UnicodeDecodeError):
         return None
     return columns, labels
+
+
+def _split_fields(text: str, header: bool):
+    """The fields of a quote-free block's records, eight a record, the last
+    field of each ending in "\\n": split on the block's one line end, LF or
+    CRLF, with blank lines dropped as csv drops them, after the header line
+    if `header`. _UNSPLIT if the block holds a lone CR or both line ends, or
+    is longer than a csv field may be; None if the header is not
+    CORPUS_HEADER or a line holds other than seven commas."""
+    end = "\r\n" if "\r" in text else "\n"
+    lines = text.split(end)
+    if lines[-1] == "":  # the text ends a line
+        lines.pop()
+    if (end == "\r\n" and ("\r" in (probe := "".join(lines)) or "\n" in probe)
+            or len(text) > csv.field_size_limit()):
+        return _UNSPLIT
+    if header:
+        if lines[:1] != [_HEADER_LINE]:
+            return None
+        del lines[0]
+    if "" in lines:
+        lines = [line for line in lines if line]
+    records = len(lines)
+    lines.append("")
+    # Each line ends in "\n,", so a field holds at most one "\n", last.
+    fields = "\n,".join(lines).split(",")
+    if len(fields) != 8 * records + 1 or "".join(fields[7::8]).count("\n") != records:
+        return None
+    return fields
+
+
+def _read_fields(fields: list[str], columns: dict, labels: dict) -> bool:
+    """Add `_split_fields`' records to columns and labels, one `_parse_run`
+    for each run of records that share a sample_id; False at a fault."""
+    stop = 0
+    for sample_id, run in groupby(fields[0:-1:8]):
+        start, stop = stop, stop + len(list(run))
+        frames, kinds, indices, x, y, z, run_labels = (
+            fields[8 * start + c:8 * stop:8] for c in range(1, 8))
+        parsed = _parse_run({text[:-1] for text in set(run_labels)},
+                            frames, kinds, indices, x, y, z)
+        if not _add_run(columns, labels, sample_id, parsed):
+            return False
+    return True
 
 
 # The least a file holds per part before it is split. On a 2-vCPU box two
@@ -382,10 +459,6 @@ def _read_columns(lines, header: bool):
 _MIN_PART_BYTES = 4 << 20
 _BLOCK_BYTES = 64 << 10  # read at a time; larger blocks raise the peak RSS
 _UNSPLIT = "unsplit"  # a part that asks for the file to be read as one stream
-
-
-class _Quoted(Exception):
-    """A byte range holds a quote, so a cut may have split a quoted field."""
 
 
 def _line_start(fd: int, offset: int) -> int:
@@ -402,8 +475,9 @@ def _line_start(fd: int, offset: int) -> int:
 
 def _ranges(fd: int) -> list[tuple[int, int]]:
     """Line-aligned byte ranges that split the file: one per available CPU,
-    each of at least _MIN_PART_BYTES. A device's size reads 0: one range, as
-    where the CPUs cannot be read (no sched_getaffinity, as on macOS)."""
+    each of at least _MIN_PART_BYTES, and one for a smaller file. A
+    device's size reads 0: no range. Where the CPUs cannot be read (no
+    sched_getaffinity, as on macOS), one range."""
     size = os.fstat(fd).st_size
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = min(cpus, size // _MIN_PART_BYTES)
@@ -411,28 +485,34 @@ def _ranges(fd: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _range_lines(fd: int, start: int, stop: int):
-    """The lines of bytes [start, stop), which start and end a line, split
-    as a file opened with newline="" splits them; raises _Quoted at a block
-    that holds a quote, before any line of it is yielded."""
+def _read_range(fd: int, start: int, stop: int, header: bool):
+    """(columns, labels) of the records in bytes [start, stop), which start
+    and end a line, after the header if `header`: a block of whole lines at
+    a time, split by `_split_fields`. None at the first fault of any kind;
+    _UNSPLIT at a block that holds a quote (a cut may have split a quoted
+    field), or that `_split_fields` leaves to csv."""
+    columns, labels = {}, {}
     tail = b""
     while start < stop and (data := os.pread(fd, min(_BLOCK_BYTES, stop - start), start)):
         start += len(data)
         block = tail + data
         if b'"' in block:
-            raise _Quoted
+            return _UNSPLIT
         cut = block.rfind(b"\n") + 1 if start < stop else len(block)
-        yield from io.StringIO(block[:cut].decode("utf-8"), newline="")
-        tail = block[cut:]
-
-
-def _read_range(fd: int, start: int, stop: int, header: bool):
-    """`_read_columns` of bytes [start, stop), or _UNSPLIT if they hold a
-    quote."""
-    try:
-        return _read_columns(_range_lines(fd, start, stop), header)
-    except _Quoted:
-        return _UNSPLIT
+        block, tail = block[:cut], block[cut:]
+        if not block:
+            continue
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        fields = _split_fields(text, header)
+        if fields is _UNSPLIT or fields is None:
+            return fields
+        if not _read_fields(fields, columns, labels):
+            return None
+        header = False
+    return columns, labels
 
 
 def _fork_part(fd: int, start: int, stop: int):
@@ -506,14 +586,15 @@ def _merge(parts: list) -> tuple[dict, dict] | None:
 
 
 def _read_chunked(fh) -> list[SignSample] | None:
-    """The corpus read by `_read_columns`, as line-aligned byte ranges at
-    once (`_read_parts`), or as one stream from fh: for a file too small to
-    split, or a file with a quote anywhere, since a quoted field may hold a
-    line break. None at the first fault of any kind."""
+    """The corpus read by `_read_range`, as line-aligned byte ranges at once
+    (`_read_parts`), or by `_read_columns` as one stream from fh: for a
+    file with a quote anywhere, since a quoted field may hold a line break,
+    or a range that `_split_fields` leaves to csv. None at the first fault
+    of any kind."""
     ranges = _ranges(fh.fileno())
-    parts = _read_parts(fh.fileno(), ranges) if len(ranges) > 1 else [_UNSPLIT]
+    parts = _read_parts(fh.fileno(), ranges) if ranges else [_UNSPLIT]
     if _UNSPLIT in parts:
-        parts = [_read_columns(fh, header=True)]
+        parts = [_read_columns(fh)]
     if None in parts or (merged := _merge(parts)) is None:
         return None
     return _samples(*merged)
@@ -581,9 +662,14 @@ def read_corpus(path: str | Path) -> list[SignSample]:
     record, to name its fault; a pipe, which cannot be read twice, is read
     once, record by record.
 
-    A large regular file with no quote in it is parsed as line-aligned byte
-    ranges at once, one per available CPU, each but the first in a forked
-    child that has ended by the time this returns or raises.
+    A regular file with no quote in it is read as line-aligned byte ranges
+    at once: one range for a small file, else one per available CPU, each
+    but the first in a forked child that has ended by the time this returns
+    or raises. A range is read 64 KiB at a time: its lines are split on
+    their line end, LF or CRLF, and each number column of a run of records
+    that share a sample_id is parsed with one orjson.loads, wherever orjson
+    reads each field as int() or float() does. A file that holds a quote or
+    a lone CR is tokenized by csv, as one stream.
     """
     path = Path(path)
     try:

@@ -160,18 +160,22 @@ def module_names(nodes, module: str) -> set[str]:
             for alias in node.names if alias.name == module}
 
 
-# -- orjson runs only in wire.py: loads in _read_landmarks, dumps in encode_frame
+# -- orjson runs only in wire.py, loads in _read_landmarks and dumps in
+# -- encode_frame, and in landmarks.py, loads in _parse_numbers
 
 # The one def in which each orjson function may be used: (module, def, name).
 _ORJSON_ALLOWED = {("netpipe/wire.py", "_read_landmarks", "loads"),
-                   ("netpipe/wire.py", "encode_frame", "dumps")}
+                   ("netpipe/wire.py", "encode_frame", "dumps"),
+                   ("landmarks.py", "_parse_numbers", "loads")}
+# The modules that may import orjson: those of the defs allowed to use it.
+_ORJSON_MODULES = {module for module, _, _ in _ORJSON_ALLOWED}
 
 
 def orjson_sites(source: str, module: str) -> list[str]:
-    """`module:line` of each import of orjson outside netpipe/wire.py, and of
-    each use of orjson.loads or orjson.dumps, however orjson is imported,
-    outside the def _ORJSON_ALLOWED names for it. `from orjson import *`
-    uses both."""
+    """`module:line` of each import of orjson outside _ORJSON_MODULES, and
+    of each use of orjson.loads or orjson.dumps, however orjson is
+    imported, outside the def _ORJSON_ALLOWED names for it. `from orjson
+    import *` uses both."""
     nodes = scoped_nodes(source)
     names = module_names(nodes, "orjson")
     sites = []
@@ -188,7 +192,7 @@ def orjson_sites(source: str, module: str) -> list[str]:
         else:
             continue
         used = {"loads", "dumps"} if "*" in used else used & {"loads", "dumps"}
-        if (imports and module != "netpipe/wire.py"
+        if (imports and module not in _ORJSON_MODULES
                 or any((module, scope, name) not in _ORJSON_ALLOWED for name in used)):
             sites.append(f"{module}:{node.lineno}")
     return sites

@@ -896,20 +896,31 @@ def _read_landmarks(data):
 class Writer:
     def encode_frame(self):
         return orjson.dumps
+def _parse_numbers(texts):
+    return orjson.loads(texts), orjson.dumps(texts)
 """
-    # Anywhere but wire.py every import is a site, and so is every use.
+    # Anywhere but wire.py and landmarks.py every import is a site, and so
+    # is every use.
     assert orjson_sites(source, "m.py") == [
         "m.py:2", "m.py:3", "m.py:4", "m.py:5", "m.py:6", "m.py:8", "m.py:8", "m.py:10",
-        "m.py:12", "m.py:12", "m.py:14", "m.py:17"]
+        "m.py:12", "m.py:12", "m.py:14", "m.py:17", "m.py:19", "m.py:19"]
     assert orjson_sites(source, "netpipe/wire.py") == [
         "netpipe/wire.py:4", "netpipe/wire.py:5", "netpipe/wire.py:6", "netpipe/wire.py:8",
-        "netpipe/wire.py:8", "netpipe/wire.py:10", "netpipe/wire.py:14", "netpipe/wire.py:17"]
+        "netpipe/wire.py:8", "netpipe/wire.py:10", "netpipe/wire.py:14", "netpipe/wire.py:17",
+        "netpipe/wire.py:19", "netpipe/wire.py:19"]
+    # landmarks.py may import orjson and read with it in _parse_numbers alone.
+    assert orjson_sites(source, "landmarks.py") == [
+        "landmarks.py:4", "landmarks.py:5", "landmarks.py:6", "landmarks.py:8",
+        "landmarks.py:8", "landmarks.py:10", "landmarks.py:12", "landmarks.py:12",
+        "landmarks.py:14", "landmarks.py:17", "landmarks.py:19"]
 
 
 def test_only_encode_frame_writes_with_orjson():
-    """orjson.dumps only on a clip, and no module but wire.py imports orjson."""
+    """orjson.dumps only on a clip, and no module but wire.py and
+    landmarks.py imports orjson."""
     assert package_sites(orjson_sites) == []
-    assert orjson_sites(package_sources()["netpipe/wire.py"], "elsewhere.py")
+    for module in ("netpipe/wire.py", "landmarks.py"):
+        assert orjson_sites(package_sources()[module], "elsewhere.py")
 
 
 # -- only gc_paused switches the collector -------------------------------------

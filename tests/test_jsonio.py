@@ -213,7 +213,8 @@ def encode_frame():
 
 def test_orjson_parses_only_in_jsonio():
     """Named for where orjson's parse once was: jsonio now reads with json
-    alone, and orjson.loads runs only in wire._read_landmarks, after the
-    outline has bounded the nesting that would overrun the C stack."""
+    alone. orjson.loads runs only in wire._read_landmarks, after the outline
+    has bounded the nesting that would overrun the C stack, and in
+    landmarks._parse_numbers, on number text that holds no bracket."""
     assert orjson_sites(package_sources()["jsonio.py"], "jsonio.py") == []
     assert package_sites(orjson_sites) == []

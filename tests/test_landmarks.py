@@ -49,6 +49,10 @@ def read_records_refused(fh):
     raise AssertionError("a corpus with no fault was read record by record")
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("the corpus left the split and orjson path")
+
+
 class TestKinds:
     def test_exactly_four_variants_with_stable_codes(self):
         assert {k.value for k in LandmarkKind} == {0, 1, 2, 3}
@@ -359,6 +363,11 @@ class TestReadCorpus:
         p = write_text(tmp_path / "c.csv", f"{'b' * 200_000}\n")
         with pytest.raises(CorpusFormatError, match=r"field larger .*\(line 1\)$"):
             read_corpus(p)
+        # With no quote in the file, the split reader leaves the long line to csv.
+        p = write_text(tmp_path / "c.csv", rows_csv(
+            ["a,0,pose,0,0.1,0.1,,1", f"{'b' * 200_000},0,pose,0,0.1,0.1,,1"]))
+        with pytest.raises(CorpusFormatError, match=r"field larger .*\(line 3\)$"):
+            read_corpus(p)
 
     @pytest.mark.parametrize("column", [1, 3])
     def test_int_outside_int64_names_its_line(self, tmp_path, column):
@@ -515,9 +524,16 @@ def outcome(read, path):
 
 # Field values that break a record, and some that parse only one way
 # ("07" is label 7, "" is a missing coordinate, "nan" and "1_0" are floats).
+# The second line holds tokens that orjson and int() or float() read apart:
+# orjson reads -0 as int 0, refuses "+1", "1.", ".5" and "9" * 400, reads
+# "1e5" as a float, "\t7" as 7, "true" and "null" as JSON values, and an
+# int outside [-2**63, 2**64) as a float; the last is a 60-digit fraction.
 _BAD_FIELDS = ["", " ", "x", "07", " 7", "-1", "1.5", "nan", "inf", "-inf",
                "1e400", "1_0", "\u0663", "9" * 30, "face", "torso", "POSE",
-               "468", "21"]
+               "468", "21",
+               "-0", "-0.0", "+1", "1.", ".5", "1e5", "1E5", "\t7", "true", "null",
+               "9223372036854775808", "-9223372036854775809", "18446744073709551616",
+               "9" * 400, "0." + "142857" * 10]
 _QUOTED_IDS = ["a", "b,c", 'q"d', "line\nbreak", "cr\r\nlf", "lone\rcr", " "]
 
 
@@ -548,6 +564,23 @@ def corpus_rows(draw):
         else:
             rows.insert(i, list(rows[i]))
     return rows
+
+
+def parsed(parse, texts, typecode):
+    """The typecode and bytes of parse's array, or the class it raises."""
+    try:
+        column = parse(texts, typecode)
+    except (ValueError, OverflowError) as e:
+        return type(e)
+    return column.typecode, column.tobytes()
+
+
+@pytest.mark.parametrize("typecode", ["q", "d"])
+@pytest.mark.parametrize("token", _BAD_FIELDS + ["0", "12", "0.5", "-0.25", "1e-05", "-0e0"])
+def test_the_column_parser_reads_each_token_as_int_and_float_do(token, typecode):
+    for texts in ([token], [token, "1"], ["1", token], [token] * 3):
+        assert parsed(landmarks._parse_numbers, texts, typecode) == parsed(
+            landmarks._parse_each, texts, typecode)
 
 
 class TestReaderAgainstReference:
@@ -583,6 +616,31 @@ class TestReaderAgainstReference:
         with pytest.raises(CorpusFormatError,
                            match=r"^unknown landmark kind 'torso' \(line 4\)$"):
             read_corpus(p)
+
+    @pytest.mark.parametrize("terminator", ["\n", "\r\n"])
+    def test_a_short_line_is_named_though_the_next_realigns_its_fields(
+            self, tmp_path, terminator):
+        # Eight fields at a time, the 15 fields of lines 2-3 read as two
+        # valid records: 5,0,pose,0,0.1,0.1,5,55 and 5,0,pose,1,0.1,0.1,0.2,5.
+        p = write_text(tmp_path / "c.csv", rows_csv(
+            ["5,0,pose,0,0.1,0.1,5", "55,5,0,pose,1,0.1,0.1,0.2,5"], terminator))
+        assert outcome(read_corpus, p) == outcome(reference_read_corpus, p) == (
+            CorpusFormatError, "expected 8 columns, got 7 (line 2)")
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("column", [1, 3])
+    def test_a_one_row_run_with_an_empty_int_field(self, tmp_path, quoted, column):
+        # b's one-row column joins to "[]", which orjson reads as no number.
+        rows = [["a", "0", "pose", "0", "0.1", "0.1", "", "1"],
+                ["b", "0", "pose", "0", "0.1", "0.1", "", "1"],
+                ["a", "1", "pose", "0", "0.1", "0.1", "", "1"]]
+        rows[1][column] = ""
+        if quoted:  # a quote anywhere sends the file to the csv tokenizer
+            rows[0][0] = '"a"'
+        p = write_text(tmp_path / "c.csv", rows_csv(map(",".join, rows)))
+        name = "frame" if column == 1 else "landmark_index"
+        assert outcome(read_corpus, p) == outcome(reference_read_corpus, p) == (
+            CorpusFormatError, f"non-integer {name} value '' (line 3)")
 
     def test_fault_before_undecodable_bytes_wins(self, tmp_path):
         # The bad x sits in an earlier 8 KiB decode block than the bytes that
@@ -701,23 +759,61 @@ class TestSplitRead:
         assert got[0] is CorpusFormatError
         assert got == one_part_read(p) == outcome(reference_read_corpus, p)
 
+    @pytest.mark.parametrize("terminator", [b"\r\n", b"\n"])
+    @pytest.mark.parametrize("block", [1 << 12, 1 << 16])
+    def test_a_written_corpus_never_leaves_the_split_and_orjson_path(
+            self, tmp_path, monkeypatch, terminator, block):
+        """A silent decline would leave every corpus on the slow path."""
+        samples = make_synthetic_samples(3, 2, seed=4)
+        p = tmp_path / "c.csv"
+        write_corpus(samples, p)  # CRLF
+        p.write_bytes(p.read_bytes().replace(b"\r\n", terminator))
+        monkeypatch.setattr(landmarks, "_read_records", read_records_refused)
+        monkeypatch.setattr(landmarks.csv, "reader", refuse)
+        monkeypatch.setattr(landmarks, "_parse_each", refuse)
+        assert split_read(p, 1, refuse_fork, block) == samples
+        spy = ForkSpy()
+        assert split_read(p, 2, spy, block) == samples
+        assert len(spy.pids) == 1
+
+    @pytest.mark.parametrize("first, rest", [("\r", "\r"), ("\r\n", "\r"),
+                                             ("\n", "\r\n"), ("\r\n", "\n")])
+    def test_a_lone_cr_or_both_line_ends_read_as_csv_reads_them(
+            self, tmp_path, monkeypatch, first, rest):
+        p = tmp_path / "c.csv"
+        p.write_bytes((HEADER + first + rest.join(STRADDLING) + rest).encode())
+        streams = []
+        read_columns = landmarks._read_columns
+        monkeypatch.setattr(landmarks, "_read_columns",
+                            lambda fh: streams.append(fh) or read_columns(fh))
+        got = one_part_read(p)
+        assert len(streams) == 1
+        assert got == outcome(reference_read_corpus, p)
+        assert [(s.sample_id, s.label, len(s.frames)) for s in got] == [
+            ("a", 1, 2), ("long", 4, 60), ("b\x0c\u2028", None, 1)]
+
     def test_a_quoted_corpus_reads_as_one_stream(self, tmp_path, monkeypatch):
         # A cut falls inside the quoted id's line breaks.
         quoted = '"' + "\n".join(f"line {i}" for i in range(40)) + '",0,pose,0,0.1,0.1,,2'
         p = write_text(tmp_path / "c.csv", rows_csv([*STRADDLING[:5], quoted, *STRADDLING[5:]]))
-        streams = []
-        read_columns = landmarks._read_columns
+        reads = []
+        read_range, read_columns = landmarks._read_range, landmarks._read_columns
 
-        def spy(lines, header):
+        def range_spy(fd, start, stop, header):
             if os.getpid() == PARENT:
-                streams.append(isinstance(lines, io.TextIOWrapper))
-            return read_columns(lines, header)
+                reads.append("range")
+            return read_range(fd, start, stop, header)
 
-        monkeypatch.setattr(landmarks, "_read_columns", spy)
+        def stream_spy(fh):
+            reads.append("stream" if isinstance(fh, io.TextIOWrapper) else fh)
+            return read_columns(fh)
+
+        monkeypatch.setattr(landmarks, "_read_range", range_spy)
+        monkeypatch.setattr(landmarks, "_read_columns", stream_spy)
         monkeypatch.setattr(landmarks, "_read_records", read_records_refused)
         fork = ForkSpy()
         got = split_read(p, 4, fork)
-        assert fork.pids and streams == [False, True]
+        assert fork.pids and reads == ["range", "stream"]
         assert got == outcome(reference_read_corpus, p)
         assert got[2].sample_id.count("\n") == 39
 
